@@ -4,7 +4,8 @@ Subcommands: solve, count-roots, full-sum, partial-sum, reduce-cnf,
 exponent-table, selftest.  `solve` exits 10 for SAT and 20 for UNSAT
 (SAT-competition convention); parse and I/O failures exit 1 with a
 one-line diagnostic on stderr.  The seed comes from --seed, falling back
-to the FQSOLVE_SEED environment variable, then 0.
+to the FQSOLVE_SEED environment variable, then 0; it must lie in
+0..2^64-1.  --threads is still accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 from . import analysis, mpoly, oracle, reduction
 from .core import SolverParams, full_sum, partial_sum, solve_pes
-from .errors import FqsolveError
+from .errors import FqsolveError, InvalidParamsError
 from .randomized import RngStream
 
 EXIT_SAT = 10
@@ -43,7 +44,7 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=None,
                      help="64-bit seed (default: FQSOLVE_SEED or 0)")
     sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads; output does not depend on it")
+                     help="accepted for compatibility and ignored")
     sub.add_argument("--format", choices=["text", "json-lines"],
                      default="text")
 
@@ -96,10 +97,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(args) -> int:
+    """--seed, else FQSOLVE_SEED, else 0; RngStream rejects seeds outside
+    the unsigned 64-bit range."""
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("FQSOLVE_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise InvalidParamsError(
+            f"FQSOLVE_SEED is not an integer: {env!r}") from None
 
 
 def _params(args) -> SolverParams:
@@ -126,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "solve":
             system = _load_system(args.pes)
-            sat = solve_pes(system, _params(args), threads=args.threads)
+            sat = solve_pes(system, _params(args))
             _emit(args, {"result": "SAT" if sat else "UNSAT"},
                   "SAT" if sat else "UNSAT")
             return EXIT_SAT if sat else EXIT_UNSAT
@@ -140,8 +149,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "full-sum":
             system = _load_system(args.pes)
             params = _params(args)
-            z = full_sum(system, params, RngStream(params.seed),
-                         threads=args.threads)
+            z = full_sum(system, params, RngStream(params.seed))
             _emit(args, {"full_sum": z}, str(z))
             return 0
 
@@ -149,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
             system = _load_system(args.pes)
             params = _params(args)
             zp = partial_sum(system, args.beta, params,
-                             RngStream(params.seed), threads=args.threads)
+                             RngStream(params.seed))
             out = mpoly.PolySystem(system.field, max(zp.n, 1),
                                    [zp.embed(max(zp.n, 1),
                                              list(range(zp.n)))],

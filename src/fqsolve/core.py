@@ -11,23 +11,42 @@ shrinks beta by ceil(lambda*n) per level, replaces the system by
 beta'+2 random combinations per repetition, corrects the per-point
 errors with plurality votes over t = ceil(96*n*ln q) repetitions, sums
 over the freed suffix grid and re-interpolates.
+
+The recursion runs on value vectors, not polynomials.  Random
+combinations are linear, so the values of a combination are the same
+combination of the values: the m input polynomials are evaluated once,
+on the point set of the deepest level, and every repetition's system is
+a composed coefficient matrix over them.  Repetitions are processed
+VOTE_CHUNK at a time as (repetition, point) arrays: one field matrix
+product forms the combinations, and each interpolation and
+re-evaluation axis pass is one matrix application for the whole chunk.
+Votes are counted per chunk, and drawing stops once no point's leader
+can be overtaken by the repetitions left.  Every repetition draws from
+its own counter-based stream, so the repetitions skipped change
+nothing and the output equals that of voting over all t.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvalidParamsError
+from .field import FieldSpec
 from .mpoly import Polynomial, PolySystem, TrimmedPointSet
-from .randomized import RngStream, razborov_smolensky, valiant_vazirani
-from .transform import (TrimmedEvaluation, evaluate_trimmed,
-                        evaluation_subset, interpolate_trimmed)
+from .randomized import RngStream, rs_coefficients, valiant_vazirani
+from .transform import (TrimmedEvaluation, evaluate_trimmed, evaluate_values,
+                        interpolate_trimmed, reevaluate)
+
+# Repetitions per batch.  Chunks bound the working arrays: on the C3
+# shapes all t repetitions at once peak at 49 MB RSS, chunks of 64 at
+# 39 MB.
+VOTE_CHUNK = 64
 
 
 @dataclass
@@ -88,34 +107,82 @@ def plurality(values) -> int:
     return min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
 
 
-def _plurality_columns(vals: np.ndarray, q: int) -> np.ndarray:
-    """Column-wise plurality of a (t, N) value matrix; argmax returns the
-    first (smallest) index on ties."""
-    counts = np.empty((q, vals.shape[1]), dtype=np.int64)
-    for v in range(q):
-        counts[v] = (vals == v).sum(axis=0)
-    return np.argmax(counts, axis=0).astype(np.int64)
+def streamed_plurality(chunks: Iterable[np.ndarray], q: int,
+                       t: int) -> np.ndarray:
+    """Column-wise plurality of a (t, N) vote matrix over GF(q), given as
+    blocks of rows; ties go to the smallest value.
+
+    Stops taking blocks once, in every column, the leader's count exceeds
+    the runner-up's by more than the rows still to come, so the result is
+    the plurality of all t rows.
+    """
+    counts = None
+    seen = 0
+    for votes in chunks:
+        npts = votes.shape[1]
+        if counts is None:
+            counts = np.zeros((q, npts), dtype=np.int64)
+        cells = votes * npts + np.arange(npts)
+        counts += np.bincount(cells.ravel(),
+                              minlength=q * npts).reshape(q, npts)
+        seen += len(votes)
+        top = np.partition(counts, q - 2, axis=0)
+        if np.all(top[q - 1] > top[q - 2] + (t - seen)):
+            break
+    return np.argmax(counts, axis=0)
 
 
-def _map_ordered(fn, count: int, threads: int) -> list:
-    if threads <= 1 or count <= 1:
-        return [fn(j) for j in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, range(count)))
+def _levels(m: int, beta: int, n: int, d: int, q: int,
+            lam_step: int) -> list[tuple[int, int, int]]:
+    """(beta, delta, number of polynomials) of each recursion level, top
+    first; the last level is the leaf."""
+    levels = []
+    while True:
+        levels.append((beta, max(0, zdegree(m, beta, n, d, q)), m))
+        if beta < lam_step or n <= 3:
+            return levels
+        beta -= lam_step
+        m = beta + 2
 
 
-def _evaluate_on_set(poly: Polynomial, delta: int, b: int) -> np.ndarray:
-    """Values of poly on T(n-b, delta) x grid even when deg(poly) > delta:
-    evaluate at the actual degree and restrict."""
-    d = poly.degree()
-    if d <= delta:
-        return evaluate_trimmed(poly, delta, b).values
-    full = evaluate_trimmed(poly, d, b).values
-    return evaluation_subset(full, poly.field.q, poly.n, delta, d, b)
+def _leaf_sums(field: FieldSpec, values: np.ndarray, b: int) -> np.ndarray:
+    """Indicator sums over the grid suffix of b variables: `values` holds
+    (system, polynomial, point) values on T(n-b, delta) x GF(q)^b."""
+    roots = np.all(values == 0, axis=1)
+    return roots.reshape(len(roots), -1, field.q ** b).sum(axis=2) % field.p
+
+
+def _vote(field: FieldSpec, levels, i: int, mats: np.ndarray,
+          base: np.ndarray, rng: RngStream, t: int, n: int) -> np.ndarray:
+    """Values of level i's partial sum on T(n - beta_i, delta_i), for the
+    system whose polynomials are the rows of `mats` (coefficients over
+    the input polynomials, whose values on the leaf set are `base`)."""
+    q = field.q
+    beta, delta, m_i = levels[i]
+    beta_c, delta_c, mu = levels[i + 1]
+    child_is_leaf = i + 2 == len(levels)
+    suffix = beta - beta_c
+
+    def chunks():
+        for start in range(0, t, VOTE_CHUNK):
+            reps = range(start, min(start + VOTE_CHUNK, t))
+            rho = np.stack([rs_coefficients(q, mu, m_i, rng.child(2 * j))
+                            for j in reps])
+            combos = field.matmul(rho, mats)
+            if child_is_leaf:
+                sub = _leaf_sums(field, field.matmul(combos, base), beta_c)
+            else:
+                sub = np.stack([_vote(field, levels, i + 1, c, base,
+                                      rng.child(2 * j + 1), t, n)
+                                for c, j in zip(combos, reps)])
+            yield reevaluate(field, sub, n - beta_c, delta_c, delta, suffix)
+
+    agreed = streamed_plurality(chunks(), q, t)
+    return field.vsum_axis(agreed.reshape(-1, q ** suffix), 1)
 
 
 def partial_sum(system: PolySystem, beta: int, params: SolverParams,
-                rng: RngStream, threads: int = 1) -> Polynomial:
+                rng: RngStream) -> Polynomial:
     """The partial-sum polynomial over the first n - beta variables;
     equals the exact one except with probability at most q^-n."""
     field = system.field
@@ -129,48 +196,27 @@ def partial_sum(system: PolySystem, beta: int, params: SolverParams,
         if beta == 0:
             return Polynomial.constant(field, n, 1)
         return Polynomial.constant(field, n - beta, q ** beta % field.p)
-    lam_step = math.ceil(lam * n)
-    delta = max(0, zdegree(m, beta, n, system.d, q))
-
-    if beta < lam_step or n <= 3:
-        evals = np.stack([_evaluate_on_set(p, delta, beta)
-                          for p in system.polys])
-        indicator = np.all(evals == 0, axis=0).astype(np.int64)
-        rows = indicator.reshape(-1, q ** beta)
-        zvals = rows.sum(axis=1) % field.p
-        ev = TrimmedEvaluation(field, TrimmedPointSet(q, n - beta, delta, 0),
-                               zvals)
-        return interpolate_trimmed(ev)
-
-    beta_sub = beta - lam_step
-    mu = beta_sub + 2
-    t = params.repetitions(n, q)
-    suffix = beta - beta_sub
-
-    def one_repetition(j: int) -> np.ndarray:
-        combos = razborov_smolensky(system, mu, rng.child(2 * j))
-        sub = system.with_polys(combos)
-        zsub = partial_sum(sub, beta_sub, params, rng.child(2 * j + 1))
-        return _evaluate_on_set(zsub, delta, suffix)
-
-    votes = np.stack(_map_ordered(one_repetition, t, threads))
-    agreed = _plurality_columns(votes, q)
-    rows = agreed.reshape(-1, q ** suffix)
-    zvals = field.vsum_axis(rows, 1)
-    ev = TrimmedEvaluation(field, TrimmedPointSet(q, n - beta, delta, 0),
+    levels = _levels(m, beta, n, system.d, q, math.ceil(lam * n))
+    beta_leaf, delta_leaf, _ = levels[-1]
+    base = evaluate_values(field, n, system.polys, delta_leaf, beta_leaf)
+    if len(levels) == 1:
+        zvals = _leaf_sums(field, base[None], beta)[0]
+    else:
+        zvals = _vote(field, levels, 0, np.eye(m, dtype=np.int64), base,
+                      rng, params.repetitions(n, q), n)
+    ev = TrimmedEvaluation(field, TrimmedPointSet(q, n - beta, levels[0][1], 0),
                            zvals)
     return interpolate_trimmed(ev)
 
 
-def full_sum(system: PolySystem, params: SolverParams, rng: RngStream,
-             threads: int = 1) -> int:
+def full_sum(system: PolySystem, params: SolverParams, rng: RngStream) -> int:
     """The field sum of the indicator over the whole grid, correct except
     with probability at most q^-n."""
     field = system.field
     n = system.n
     kappa, _ = params.resolve(n, system.d)
     beta = math.floor(kappa * n)
-    zpoly = partial_sum(system, beta, params, rng.child(0), threads)
+    zpoly = partial_sum(system, beta, params, rng.child(0))
     nv = n - beta
     if nv == 0:
         return zpoly.evaluate(())
@@ -178,8 +224,7 @@ def full_sum(system: PolySystem, params: SolverParams, rng: RngStream,
     return field.vsum(values)
 
 
-def solve_pes(system: PolySystem, params: SolverParams,
-              threads: int = 1) -> bool:
+def solve_pes(system: PolySystem, params: SolverParams) -> bool:
     """True iff the system has a common root (bounded-error randomized).
 
     Runs outer_reps independent trials, each appending random affine
@@ -195,6 +240,6 @@ def solve_pes(system: PolySystem, params: SolverParams,
         trial = root.child(r)
         extra = valiant_vazirani(system.field, n, trial.child(0))
         augmented = system.with_polys(system.polys + tuple(extra))
-        if full_sum(augmented, params, trial.child(1), threads) != 0:
+        if full_sum(augmented, params, trial.child(1)) != 0:
             return True
     return False

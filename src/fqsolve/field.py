@@ -277,6 +277,16 @@ class FieldSpec:
             return a.sum(axis=axis) % self.p
         return self.digits[a].sum(axis=axis) % self.p @ self._ppow
 
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Matrix product a @ b over the field; leading axes of a are a
+        batch."""
+        if self.k == 1:
+            return (a @ b) % self.p
+        out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
+        for j in range(b.shape[0]):
+            out = self.vadd(out, self.vmul(a[..., j, None], b[j]))
+        return out
+
     def apply_rows(self, rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
         """Row-wise linear map: out[r, j] = sum_i mat[j, i] * rows[r, i]."""
         return self.compile_matrix(mat)(rows)

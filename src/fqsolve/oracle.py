@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import TooLargeError
 from .field import FieldSpec
-from .mpoly import Polynomial, PolySystem
+from .mpoly import Polynomial, PolySystem, point_matrix
 
 COUNT_LIMIT = 10 ** 8
 PARTIAL_LIMIT = 10 ** 7
@@ -108,6 +108,61 @@ def grid_interpolate(field: FieldSpec, values: np.ndarray, n: int) -> Polynomial
             exps.append(rem // q ** (n - 1 - i))
             rem %= q ** (n - 1 - i)
         pairs.append((tuple(exps), int(flat[pos])))
+    return Polynomial.from_terms(field, n, pairs)
+
+
+def dense_interpolate(ev) -> Polynomial:
+    """The polynomial that interpolate_trimmed must return for the
+    TrimmedEvaluation ev, found without the trimmed transform: solve the
+    linear system from monomials to point values by Gauss-Jordan
+    elimination over the field, O(|T|^3)."""
+    field = ev.field
+    ps = ev.point_set
+    n = ps.n
+    # coefficient support mirrors the point set: the first n-b exponents sum
+    # to at most delta, the trailing b exponents are unconstrained
+    pts = point_matrix(ps.q, n, ps.delta, ps.b)
+    monos = pts
+    npts, nmono = len(pts), len(monos)
+    pw = _pow_matrix(field)
+    a = np.ones((npts, nmono), dtype=np.int64)
+    for var in range(n):
+        a = field.vmul(a, pw[pts[:, var][:, None], monos[:, var][None, :]])
+    rhs = np.array(ev.values, dtype=np.int64)
+    piv_rows: list[int] = []
+    piv_cols: list[int] = []
+    row = 0
+    for col in range(nmono):
+        sel = None
+        for r in range(row, npts):
+            if a[r, col]:
+                sel = r
+                break
+        if sel is None:
+            continue
+        if sel != row:
+            a[[row, sel]] = a[[sel, row]]
+            rhs[[row, sel]] = rhs[[sel, row]]
+        inv = field.inv(int(a[row, col]))
+        a[row] = field.vmul(inv, a[row])
+        rhs[row] = field.mul(inv, int(rhs[row]))
+        for r in range(npts):
+            if r != row and a[r, col]:
+                c = int(a[r, col])
+                a[r] = field.vsub(a[r], field.vmul(c, a[row]))
+                rhs[r] = field.sub(int(rhs[r]), field.mul(c, int(rhs[row])))
+        piv_rows.append(row)
+        piv_cols.append(col)
+        row += 1
+    for r in range(row, npts):
+        if rhs[r]:
+            raise ValueError("evaluation vector is not consistent with the "
+                             "degree bound")
+    sol = np.zeros(nmono, dtype=np.int64)
+    for r, c in zip(piv_rows, piv_cols):
+        sol[c] = rhs[r]
+    pairs = [(tuple(int(v) for v in monos[i]), int(sol[i]))
+             for i in np.flatnonzero(sol)]
     return Polynomial.from_terms(field, n, pairs)
 
 

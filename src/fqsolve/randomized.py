@@ -2,7 +2,8 @@
 
 Streams are counter-based: a stream is identified by (seed, path) and
 children extend the path, so any two runs with the same seed see exactly
-the same draws no matter how the work is scheduled.  The two consumers
+the same draws no matter how the work is scheduled.  Seeds are unsigned
+64-bit integers; a stream refuses any other seed.  The two consumers
 are random linear combinations of a system's polynomials (complete
 always, sound except with probability q^-mu per point) and random affine
 equations for solution isolation.
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .errors import InvalidParamsError
 from .field import FieldSpec
 from .mpoly import Polynomial, PolySystem
 
@@ -27,6 +29,11 @@ class RngStream:
     path: tuple[int, ...] = ()
     _gen: np.random.Generator | None = dc_field(
         default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not 0 <= self.seed < 1 << 64:
+            raise InvalidParamsError(
+                f"seed {self.seed} is outside 0..2^64-1")
 
     def child(self, i: int) -> "RngStream":
         return RngStream(self.seed, self.path + (i,))
@@ -50,6 +57,14 @@ class RngStream:
         return out if size is not None else int(out)
 
 
+def rs_coefficients(q: int, mu: int, m: int, rng: RngStream) -> np.ndarray:
+    """The (mu, m) coefficient matrix of mu random combinations of m
+    polynomials over GF(q), as razborov_smolensky draws it from rng."""
+    if mu < 1:
+        raise ValueError("mu must be positive")
+    return rng.integers(0, q, size=(mu, m))
+
+
 def razborov_smolensky(system: PolySystem, mu: int,
                        rng: RngStream) -> list[Polynomial]:
     """mu random linear combinations of the system's polynomials.
@@ -58,11 +73,9 @@ def razborov_smolensky(system: PolySystem, mu: int,
     point where some polynomial is nonzero, all mu combinations vanish
     with probability exactly q^-mu.
     """
-    if mu < 1:
-        raise ValueError("mu must be positive")
     f = system.field
     m = len(system.polys)
-    rho = rng.integers(0, f.q, size=(mu, m))
+    rho = rs_coefficients(f.q, mu, m, rng)
     out = []
     for i in range(mu):
         acc = Polynomial.zero(f, system.n)

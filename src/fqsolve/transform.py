@@ -15,10 +15,16 @@ set closes under both passes and the work per axis is one small
 triangular matrix per slice.  Total cost is O(n * |T| * q^b) field
 operations (constants depending on q); FIELD_OPS accumulates the exact
 multiply-accumulate count for scaling measurements.
+
+Every axis pass works on the last axis of an array, so a batch of value
+vectors (one row each) goes through each slice length in a single
+matrix application; `evaluate_values` and `reevaluate` are the batched
+forms the solver uses.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -91,13 +97,13 @@ def _effective_delta(q: int, n: int, delta: int, b: int) -> int:
 
 
 @lru_cache(maxsize=512)
-def _subset_positions(q: int, n: int, delta_small: int, delta_big: int,
-                      b: int) -> np.ndarray:
-    """Row positions of the smaller point set inside the bigger one."""
-    small = _point_data(q, n, delta_small, b)
-    big = _point_data(q, n, delta_big, b)
-    pos = np.searchsorted(big.keys, small.keys)
-    return pos
+def _positions(q: int, n: int, delta_small: int, b_small: int,
+               delta_big: int, b_big: int) -> np.ndarray:
+    """Positions of the points of T(n-b_small, delta_small) x grid inside
+    T(n-b_big, delta_big) x grid, which must contain them."""
+    small = _point_data(q, n, delta_small, b_small)
+    big = _point_data(q, n, delta_big, b_big)
+    return np.searchsorted(big.keys, small.keys)
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +183,22 @@ def _compiled_block(field: FieldSpec, name: str, ln: int):
 
 def _apply_axis(field: FieldSpec, arr: np.ndarray,
                 groups: dict[int, np.ndarray], name: str) -> None:
+    """One axis pass in place over the last axis of arr, a vector or a
+    (batch, points) array.  A batch goes through each slice length in one
+    matrix application; a single row is indexed as a vector, which costs
+    less per call."""
     global FIELD_OPS
+    if arr.ndim == 2 and len(arr) == 1:
+        arr = arr[0]
+    batch = 1 if arr.ndim == 1 else len(arr)
     for ln, idx in groups.items():
-        arr[idx] = _compiled_block(field, name, ln)(arr[idx])
-        FIELD_OPS += idx.shape[0] * ln * ln
+        fn = _compiled_block(field, name, ln)
+        if arr.ndim == 1:
+            arr[idx] = fn(arr[idx])
+        else:
+            block = arr[:, idx]
+            arr[:, idx] = fn(block.reshape(-1, ln)).reshape(block.shape)
+        FIELD_OPS += batch * idx.shape[0] * ln * ln
 
 
 # ---------------------------------------------------------------------------
@@ -189,34 +207,77 @@ def _apply_axis(field: FieldSpec, arr: np.ndarray,
 
 def evaluate_trimmed(poly: Polynomial, delta: int, b: int) -> TrimmedEvaluation:
     """Values of poly (total degree <= delta) on T(n-b, delta) x GF(q)^b."""
-    field = poly.field
+    if poly.degree() > delta >= 0:
+        raise DegreeTooHighError(
+            f"degree {poly.degree()} exceeds bound {delta}")
+    values = evaluate_values(poly.field, poly.n, [poly], delta, b)[0]
+    return TrimmedEvaluation(poly.field,
+                             TrimmedPointSet(poly.field.q, poly.n, delta, b),
+                             values)
+
+
+def evaluate_values(field: FieldSpec, n: int, polys: Sequence[Polynomial],
+                    delta: int, b: int) -> np.ndarray:
+    """Values of each polynomial on T(n-b, delta) x GF(q)^b, one row each.
+
+    Degrees above delta are allowed: the polynomials are then evaluated on
+    the set of their own degree, which contains this one, and restricted.
+    """
     q = field.q
-    n = poly.n
     if not 0 <= b <= n:
         raise ValueError("need 0 <= b <= n")
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    if poly.degree() > delta:
-        raise DegreeTooHighError(
-            f"degree {poly.degree()} exceeds bound {delta}")
     deff = _effective_delta(q, n, delta, b)
-    pd = _point_data(q, n, deff, b)
-    arr = np.zeros(len(pd.keys), dtype=np.int64)
-    if poly.num_terms():
-        exps, coeffs = poly.packed_arrays()
-        pos = np.searchsorted(pd.keys, exps @ pd.strides)
-        arr[pos] = coeffs
+    dwork = _effective_delta(
+        q, n, max([delta] + [p.degree() for p in polys]), b)
+    pd = _point_data(q, n, dwork, b)
+    arr = np.zeros((len(polys), len(pd.keys)), dtype=np.int64)
+    for row, poly in zip(arr, polys):
+        if poly.num_terms():
+            exps, coeffs = poly.packed_arrays()
+            row[np.searchsorted(pd.keys, exps @ pd.strides)] = coeffs
     for axis in range(n - b):
         _apply_axis(field, arr, pd.groups[axis], "MtoN")
     for axis in range(n):
         _apply_axis(field, arr, pd.groups[axis],
                     "VN" if axis < n - b else "W")
-    return TrimmedEvaluation(field, TrimmedPointSet(q, n, delta, b), arr)
+    if dwork != deff:
+        arr = arr[:, _positions(q, n, deff, b, dwork, b)]
+    return arr
+
+
+def reevaluate(field: FieldSpec, values: np.ndarray, n: int,
+               delta_from: int, delta_to: int, b: int) -> np.ndarray:
+    """Values on T(n-b, delta_to) x GF(q)^b, one row each, of the
+    polynomials of total degree <= delta_from that take the values in
+    each row of `values` on T(n, delta_from).
+
+    The rows are interpolated into the Newton basis on every axis and
+    evaluated from there, without passing through monomial coefficients.
+    A target set of lower degree than the source is evaluated on the
+    source's degree and restricted.
+    """
+    q = field.q
+    dfrom = _effective_delta(q, n, delta_from, 0)
+    src = _point_data(q, n, dfrom, 0)
+    newton = np.array(values, dtype=np.int64, ndmin=2)
+    for axis in range(n):
+        _apply_axis(field, newton, src.groups[axis], "VNinv")
+    dto = _effective_delta(q, n, delta_to, b)
+    dwork = _effective_delta(q, n, max(delta_to, dfrom), b)
+    work = _point_data(q, n, dwork, b)
+    out = np.zeros((len(newton), len(work.keys)), dtype=np.int64)
+    out[:, _positions(q, n, dfrom, 0, dwork, b)] = newton
+    for axis in range(n):
+        _apply_axis(field, out, work.groups[axis], "VN")
+    if dwork != dto:
+        out = out[:, _positions(q, n, dto, b, dwork, b)]
+    return out
 
 
 def interpolate_trimmed(ev: TrimmedEvaluation, delta: int | None = None,
-                        b: int | None = None,
-                        method: str = "newton") -> Polynomial:
+                        b: int | None = None) -> Polynomial:
     """The unique polynomial of total degree <= delta (per-variable degree
     <= q-1) matching the evaluation vector."""
     ps = ev.point_set
@@ -226,10 +287,6 @@ def interpolate_trimmed(ev: TrimmedEvaluation, delta: int | None = None,
         raise SizeMismatchError(f"b {b} != point set b {ps.b}")
     if len(ev.values) != ps.size():
         raise SizeMismatchError("evaluation vector does not match point set")
-    if method == "dense":
-        return _dense_interpolate(ev)
-    if method != "newton":
-        raise ValueError(f"unknown method {method!r}")
     field = ev.field
     q, n = ps.q, ps.n
     deff = _effective_delta(q, n, ps.delta, ps.b)
@@ -242,75 +299,6 @@ def interpolate_trimmed(ev: TrimmedEvaluation, delta: int | None = None,
         _apply_axis(field, arr, pd.groups[axis], "NtoM")
     nz = np.flatnonzero(arr)
     return Polynomial.from_packed_arrays(field, n, pd.points[nz], arr[nz])
-
-
-def _dense_interpolate(ev: TrimmedEvaluation) -> Polynomial:
-    """Independent O(|T|^2..^3) witness: solve the Vandermonde-style linear
-    system by Gaussian elimination over the field.  Test oracle only."""
-    field = ev.field
-    ps = ev.point_set
-    q, n = ps.q, ps.n
-    deff = _effective_delta(q, n, ps.delta, ps.b)
-    pts = point_matrix(q, n, deff, ps.b)
-    # coefficient support mirrors the point set: the first n-b exponents sum
-    # to at most delta, the trailing b exponents are unconstrained
-    monos = point_matrix(q, n, deff, ps.b)
-    npts, nmono = len(pts), len(monos)
-    pw = np.zeros((q, q), dtype=np.int64)
-    for x in range(q):
-        for e in range(q):
-            pw[x, e] = field.pow(x, e)
-    a = np.ones((npts, nmono), dtype=np.int64)
-    for var in range(n):
-        a = field.vmul(a, pw[pts[:, var][:, None], monos[:, var][None, :]])
-    rhs = np.array(ev.values, dtype=np.int64)
-    # elimination
-    a = a.copy()
-    piv_rows: list[int] = []
-    piv_cols: list[int] = []
-    row = 0
-    for col in range(nmono):
-        sel = None
-        for r in range(row, npts):
-            if a[r, col]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        if sel != row:
-            a[[row, sel]] = a[[sel, row]]
-            rhs[[row, sel]] = rhs[[sel, row]]
-        inv = field.inv(int(a[row, col]))
-        a[row] = field.vmul(inv, a[row])
-        rhs[row] = field.mul(inv, int(rhs[row]))
-        for r in range(npts):
-            if r != row and a[r, col]:
-                c = int(a[r, col])
-                a[r] = field.vsub(a[r], field.vmul(c, a[row]))
-                rhs[r] = field.sub(int(rhs[r]), field.mul(c, int(rhs[row])))
-        piv_rows.append(row)
-        piv_cols.append(col)
-        row += 1
-    for r in range(row, npts):
-        if rhs[r]:
-            raise ValueError("evaluation vector is not consistent with the "
-                             "degree bound")
-    sol = np.zeros(nmono, dtype=np.int64)
-    for r, c in zip(piv_rows, piv_cols):
-        sol[c] = rhs[r]
-    pairs = [(tuple(int(v) for v in monos[i]), int(sol[i]))
-             for i in np.flatnonzero(sol)]
-    return Polynomial.from_terms(field, n, pairs)
-
-
-def evaluation_subset(values: np.ndarray, q: int, n: int, delta_small: int,
-                      delta_big: int, b: int) -> np.ndarray:
-    """Restrict values on T(n-b, delta_big) x grid to the delta_small set."""
-    ds = _effective_delta(q, n, delta_small, b)
-    dbig = _effective_delta(q, n, delta_big, b)
-    if ds == dbig:
-        return values
-    return values[_subset_positions(q, n, ds, dbig, b)]
 
 
 # ---------------------------------------------------------------------------

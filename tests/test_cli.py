@@ -118,6 +118,29 @@ class TestErrors:
         assert code == 1 and "error:" in err
 
 
+class TestSeedDomain:
+    @pytest.mark.parametrize("seed, env", [("-1", None),
+                                           (str(2 ** 64), None),
+                                           (None, "abc")])
+    def test_rejected_with_one_line_error(self, workdir, capsys, monkeypatch,
+                                          seed, env):
+        argv = ["solve", str(workdir / "sat.pes")]
+        if seed is not None:
+            argv += ["--seed", seed]
+        if env is None:
+            monkeypatch.delenv("FQSOLVE_SEED", raising=False)
+        else:
+            monkeypatch.setenv("FQSOLVE_SEED", env)
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_largest_seed_is_accepted(self, workdir, capsys):
+        code, out, _ = run(capsys, ["full-sum", str(workdir / "sat.pes"),
+                                    "--seed", str(2 ** 64 - 1)])
+        assert code == 0 and out.strip().isdigit()
+
+
 class TestDeterminism:
     def test_identical_argv_identical_stdout(self, workdir, capsys):
         argv = ["full-sum", str(workdir / "sat.pes"), "--seed", "11",

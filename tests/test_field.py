@@ -145,3 +145,20 @@ def test_compiled_matrix_matches_scalar(q):
             for i in range(4):
                 acc = f.add(acc, f.mul(int(mat[j, i]), int(rows[r, i])))
             assert got[r, j] == acc
+
+
+@pytest.mark.parametrize("q", [2, 5, 4, 9, 16])
+def test_matmul_matches_scalar_loop(q):
+    f = make_field(q)
+    rng = np.random.default_rng(q)
+    a = rng.integers(0, q, size=(3, 4, 5))
+    b = rng.integers(0, q, size=(5, 6))
+    want = np.zeros((3, 4, 6), dtype=np.int64)
+    for r in range(3):
+        for i in range(4):
+            for j in range(6):
+                acc = 0
+                for k in range(5):
+                    acc = f.add(acc, f.mul(int(a[r, i, k]), int(b[k, j])))
+                want[r, i, j] = acc
+    assert (f.matmul(a, b) == want).all()

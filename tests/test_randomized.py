@@ -24,6 +24,14 @@ class TestRngStream:
         assert (a != b).any() and (a != c).any()
 
 
+    def test_seed_must_fit_64_bits(self):
+        from fqsolve.errors import InvalidParamsError
+        for bad in (-1, 2 ** 64):
+            with pytest.raises(InvalidParamsError):
+                RngStream(bad)
+        assert 0 <= RngStream(2 ** 64 - 1).child(3).integers(0, 5) < 5
+
+
 class TestRazborovSmolensky:
     def test_completeness_is_exact(self):
         rng = np.random.default_rng(1)

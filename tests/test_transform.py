@@ -5,7 +5,7 @@ from conftest import random_polynomial
 from fqsolve import (Polynomial, TrimmedPointSet, enumerate_points,
                      evaluate_trimmed, format_evaluation, interpolate_trimmed,
                      make_field, parse_evaluation)
-from fqsolve import transform
+from fqsolve import oracle, transform
 from fqsolve.errors import DegreeTooHighError, SizeMismatchError
 from fqsolve.mpoly import point_matrix
 
@@ -89,7 +89,7 @@ class TestRoundtrip:
             q, n, delta, b = _random_config(rng, size_cap=120)
             p = random_polynomial(rng, q, n, delta, max_terms=6)
             ev = evaluate_trimmed(p, delta, b)
-            assert interpolate_trimmed(ev, method="dense") == \
+            assert oracle.dense_interpolate(ev) == \
                 interpolate_trimmed(ev) == p
 
     def test_uniqueness_via_perturbation(self):
@@ -106,6 +106,39 @@ class TestRoundtrip:
             if other == p:
                 continue
             assert (evaluate_trimmed(other, delta, b).values != base).any()
+
+
+class TestBatched:
+    def test_evaluate_values_above_the_degree_bound(self):
+        # rows are polynomials of any degree; values are the plain point
+        # values on the requested set
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            q, n, delta, b = _random_config(rng, size_cap=600)
+            polys = [random_polynomial(rng, q, n, n * (q - 1), max_terms=6)
+                     for _ in range(3)]
+            got = transform.evaluate_values(make_field(q), n, polys, delta, b)
+            pts = enumerate_points(TrimmedPointSet(q, n, delta, b))
+            assert got.tolist() == [[p.evaluate(pt) for pt in pts]
+                                    for p in polys]
+
+    def test_reevaluate_matches_naive_evaluation(self):
+        # target sets above, equal to and below the source degree
+        rng = np.random.default_rng(14)
+        for _ in range(40):
+            q, n, dfrom, _ = _random_config(rng, size_cap=600)
+            b = int(rng.integers(0, n + 1))
+            dto = int(rng.integers(0, n * (q - 1) + 1))
+            if TrimmedPointSet(q, n, dto, b).size() > 3000:
+                continue
+            polys = [random_polynomial(rng, q, n, dfrom, max_terms=6)
+                     for _ in range(2)]
+            values = np.stack([evaluate_trimmed(p, dfrom, 0).values
+                               for p in polys])
+            got = transform.reevaluate(make_field(q), values, n, dfrom, dto, b)
+            pts = enumerate_points(TrimmedPointSet(q, n, dto, b))
+            assert got.tolist() == [[p.evaluate(pt) for pt in pts]
+                                    for p in polys]
 
 
 class TestOpCounting:
