@@ -18,7 +18,8 @@ from fractions import Fraction
 
 from . import analysis, mpoly, oracle, reduction
 from .core import SolverParams, full_sum, partial_sum, solve_pes
-from .errors import FqsolveError, InvalidParamsError
+from .errors import (DimacsFormatError, FqsolveError, InvalidParamsError,
+                     PesFormatError)
 from .randomized import RngStream
 
 EXIT_SAT = 10
@@ -117,9 +118,17 @@ def _params(args) -> SolverParams:
                         outer_reps=args.outer_reps, seed=_resolve_seed(args))
 
 
+def _read_text(path: str, error: type[FqsolveError]) -> str:
+    """The file's text; bytes that are not UTF-8 raise `error`."""
+    with open(path, "rb") as fh:
+        try:
+            return fh.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 (byte {exc.start})") from None
+
+
 def _load_system(path: str) -> mpoly.PolySystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return mpoly.parse_pes(fh.read())
+    return mpoly.parse_pes(_read_text(path, PesFormatError))
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -166,8 +175,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "reduce-cnf":
-            with open(args.cnf, "r", encoding="utf-8") as fh:
-                cnf = reduction.parse_dimacs(fh.read())
+            cnf = reduction.parse_dimacs(
+                _read_text(args.cnf, DimacsFormatError))
             system = reduction.reduce_cnf(cnf, args.q, args.delta,
                                           args.parsimonious)
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -10,11 +10,16 @@ Fields of order up to 256 carry dense q-by-q addition/multiplication
 tables; every extension field additionally carries exp/log tables over a
 multiplicative generator, so scalar and numpy-vectorised operations are
 plain table lookups.  Larger prime fields use modular arithmetic directly.
+
+Every matrix product over the field goes through `compile_matrix`, which
+expands the matrix once, by a table gather, into an F_p matrix on base-p
+digit vectors; each product is then one integer matmul.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -125,11 +130,9 @@ class FieldSpec:
         else:
             self.digits = None
             self._exp = self._log = None
-        self.add_table = self.mul_table = self.inv_table = None
+        self.add_table = self.mul_table = None
         if q <= TABLE_LIMIT:
             self.add_table, self.mul_table = self._build_tables()
-            self.inv_table = np.array([0] + [self.inv(a) for a in range(1, q)],
-                                      dtype=np.int64)
 
     # -- construction helpers ------------------------------------------------
 
@@ -202,10 +205,6 @@ class FieldSpec:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        if self.inv_table is not None and a < self.q:
-            v = int(self.inv_table[a])
-            if v:
-                return v
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
         return int(self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)])
@@ -280,50 +279,39 @@ class FieldSpec:
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Matrix product a @ b over the field; leading axes of a are a
         batch."""
-        if self.k == 1:
-            return (a @ b) % self.p
-        out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
-        for j in range(b.shape[0]):
-            out = self.vadd(out, self.vmul(a[..., j, None], b[j]))
-        return out
+        rows = a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
+        return self.compile_matrix(b.T)(rows).reshape(a.shape[:-1] + b.shape[1:])
 
     def apply_rows(self, rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
         """Row-wise linear map: out[r, j] = sum_i mat[j, i] * rows[r, i]."""
         return self.compile_matrix(mat)(rows)
 
     def compile_matrix(self, mat: np.ndarray):
-        """Bake the linear map of `mat` into a single integer matmul.
+        """Bake the linear map of a J-by-I matrix into one integer matmul.
 
         Multiplication by a fixed field element is F_p-linear on base-p
-        digit vectors, so an L-by-L matrix over GF(p^k) expands to an
-        Lk-by-Lk matrix over F_p acting on digit-expanded rows.
+        digit vectors, so the matrix expands to an Ik-by-Jk matrix over
+        F_p acting on digit-expanded rows of length I (for k = 1, the
+        matrix itself).
         """
-        if self.k == 1:
-            mt = (mat.T % self.p).copy()
-            p = self.p
+        p, k = self.p, self.k
+        if k == 1:
+            mt = (mat.T % p).copy()
 
             def apply(rows: np.ndarray) -> np.ndarray:
                 return (rows @ mt) % p
             return apply
 
-        k, p = self.k, self.p
-        ln = mat.shape[0]
-        big = np.zeros((ln * k, ln * k), dtype=np.int64)
-        for j in range(ln):
-            for i in range(ln):
-                c = int(mat[j, i])
-                if c:
-                    for col in range(k):
-                        e = self.mul(c, int(self._ppow[col]))
-                        big[j * k:(j + 1) * k, i * k + col] = self.digits[e]
-        big_t = big.T.copy()
+        nout, nin = mat.shape
         digits, ppow = self.digits, self._ppow
+        # big_t[i, c, j, d] = digit d of mat[j, i] * p^c
+        big_t = digits[self.vmul(mat[..., None], ppow)].transpose(1, 2, 0, 3)
+        big_t = big_t.reshape(nin * k, nout * k)
 
         def apply(rows: np.ndarray) -> np.ndarray:
             r = rows.shape[0]
-            x = digits[rows].reshape(r, -1)
-            y = (x @ big_t) % p
-            return y.reshape(r, ln, k) @ ppow
+            x = digits[rows].reshape(r, nin * k)
+            return ((x @ big_t) % p).reshape(r, nout, k) @ ppow
         return apply
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -342,9 +330,9 @@ def make_field(q: int) -> FieldSpec:
     """
     if q in _FIELDS:
         return _FIELDS[q]
-    p, k = _factor_prime_power(q)
     if q > ORDER_LIMIT:
         raise FieldTooLargeError(f"field order {q} exceeds limit {ORDER_LIMIT}")
+    p, k = _factor_prime_power(q)
     irreducible = [0, 1] if k == 1 else _smallest_irreducible(p, k)
     spec = FieldSpec(p, k, irreducible)
     _FIELDS[q] = spec

@@ -21,12 +21,19 @@ from functools import lru_cache
 import numpy as np
 
 from . import analysis
-from .errors import PesFormatError
+from .errors import PesFormatError, TooLargeError
 from .field import FieldSpec, make_field
 
 
 def _bits(q: int) -> int:
     return max(1, (q - 1).bit_length())
+
+
+def check_key_width(q: int, n: int) -> None:
+    """Packed exponent keys, and so q^n, must fit in an int64."""
+    if n * _bits(q) > 63:
+        raise TooLargeError(f"{n} variables over GF({q}) need "
+                            f"{n * _bits(q)}-bit keys; the limit is 63")
 
 
 class Polynomial:

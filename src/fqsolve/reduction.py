@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimacsFormatError
+from .errors import DimacsFormatError, InvalidParamsError
 from .field import make_field
 from .mpoly import Polynomial, PolySystem, TrimmedPointSet
 from .transform import TrimmedEvaluation, interpolate_trimmed
@@ -136,9 +136,9 @@ class ReductionPlan:
 def make_plan(n_vars: int, k: int, q: int, delta, parsimonious: bool) -> ReductionPlan:
     delta = Fraction(delta)
     if delta <= 0:
-        raise ValueError("delta must be positive")
+        raise InvalidParamsError("delta must be positive")
     if n_vars < 1:
-        raise ValueError("formula must have at least one variable")
+        raise InvalidParamsError("formula must have at least one variable")
     make_field(q)  # validates that q is a supported prime power
     vars1 = _ceil_exact_vars1(q, delta)
     vars2 = _ceil_exact_vars2(q, vars1)

@@ -18,8 +18,9 @@ multiply-accumulate count for scaling measurements.
 
 Every axis pass works on the last axis of an array, so a batch of value
 vectors (one row each) goes through each slice length in a single
-matrix application; `evaluate_values` and `reevaluate` are the batched
-forms the solver uses.
+application of the field's one matrix kernel, `FieldSpec.compile_matrix`;
+`evaluate_values` and `reevaluate` are the batched forms the solver uses.
+The per-field frames are built a column at a time with vector operations.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ import numpy as np
 
 from .errors import DegreeTooHighError, SizeMismatchError
 from .field import FieldSpec
-from .mpoly import Polynomial, TrimmedPointSet, point_matrix
+from .mpoly import (Polynomial, TrimmedPointSet, check_key_width,
+                    point_matrix)
 
 FIELD_OPS = 0
 
@@ -65,6 +67,7 @@ class _PointData:
     __slots__ = ("points", "keys", "strides", "groups")
 
     def __init__(self, q: int, n: int, delta: int, b: int):
+        check_key_width(q, n)
         pts = point_matrix(q, n, delta, b)
         self.points = pts
         self.strides = np.array([q ** (n - 1 - i) for i in range(n)],
@@ -139,27 +142,17 @@ def _matrices(field: FieldSpec) -> dict[str, np.ndarray]:
     if mats is not None:
         return mats
     q = field.q
-    # Vandermonde over the index enumeration and the Newton-basis frames
-    w = np.zeros((q, q), dtype=np.int64)
-    for j in range(q):
-        for e in range(q):
-            w[j, e] = field.pow(j, e)
-    newton = np.zeros((q, q), dtype=np.int64)  # newton[j, i] = N_i(sigma_j)
-    col = np.ones(q, dtype=np.int64)
-    for i in range(q):
-        newton[:, i] = col
-        if i + 1 < q:
-            col = field.vmul(col, field.vsub(np.arange(q, dtype=np.int64), i))
-    ntom = np.zeros((q, q), dtype=np.int64)  # ntom[e, i] = coeff of x^e in N_i
-    poly = [1]
-    for i in range(q):
-        for e, c in enumerate(poly):
-            ntom[e, i] = c
-        if i + 1 < q:
-            nxt = [0] + poly
-            for e, c in enumerate(poly):
-                nxt[e] = field.sub(nxt[e], field.mul(c, i))
-            poly = nxt
+    idx = np.arange(q, dtype=np.int64)
+    # Vandermonde w[j, e] = sigma_j^e over the index enumeration, and the
+    # Newton frames newton[j, i] = N_i(sigma_j) and ntom[e, i] = coeff of
+    # x^e in N_i, where N_{i+1} = (x - sigma_i) N_i; one column per step
+    w, newton, ntom = np.zeros((3, q, q), dtype=np.int64)
+    w[:, 0] = newton[:, 0] = ntom[0, 0] = 1
+    for i in range(1, q):
+        w[:, i] = field.vmul(w[:, i - 1], idx)
+        newton[:, i] = field.vmul(newton[:, i - 1], field.vsub(idx, i - 1))
+        ntom[1:, i] = ntom[:-1, i - 1]
+        ntom[:, i] = field.vsub(ntom[:, i], field.vmul(ntom[:, i - 1], i - 1))
     mton = _tri_inv(field, ntom, lower=False)
     newton_inv = _tri_inv(field, newton, lower=True)
     winv = field.apply_rows(newton_inv.T, ntom).T  # ntom @ newton_inv
@@ -276,15 +269,10 @@ def reevaluate(field: FieldSpec, values: np.ndarray, n: int,
     return out
 
 
-def interpolate_trimmed(ev: TrimmedEvaluation, delta: int | None = None,
-                        b: int | None = None) -> Polynomial:
+def interpolate_trimmed(ev: TrimmedEvaluation) -> Polynomial:
     """The unique polynomial of total degree <= delta (per-variable degree
-    <= q-1) matching the evaluation vector."""
+    <= q-1) matching the evaluation vector on its point set."""
     ps = ev.point_set
-    if delta is not None and delta != ps.delta:
-        raise SizeMismatchError(f"delta {delta} != point set delta {ps.delta}")
-    if b is not None and b != ps.b:
-        raise SizeMismatchError(f"b {b} != point set b {ps.b}")
     if len(ev.values) != ps.size():
         raise SizeMismatchError("evaluation vector does not match point set")
     field = ev.field

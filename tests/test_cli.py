@@ -117,6 +117,32 @@ class TestErrors:
                                     "--kappa", "1/3"])
         assert code == 1 and "error:" in err
 
+    def test_reduce_cnf_delta_zero(self, workdir, capsys):
+        code, out, err = run(capsys, ["reduce-cnf", str(workdir / "f.cnf"),
+                                      str(workdir / "out.pes"),
+                                      "--q", "2", "--delta", "0"])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["count-roots", "{path}"],
+                                      ["reduce-cnf", "{path}", "{out}",
+                                       "--q", "2", "--delta", "1"]])
+    def test_input_not_utf8(self, workdir, capsys, argv):
+        bad = workdir / "bad.txt"
+        bad.write_bytes(b"pes 2 1 1\n\xff\xfe\n")
+        argv = [a.format(path=bad, out=workdir / "out.pes") for a in argv]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_exponent_keys_wider_than_int64(self, workdir, capsys):
+        # 17 variables over GF(16) need 68-bit exponent keys
+        pes = workdir / "wide.pes"
+        pes.write_text("pes 16 17 1\npoly 1\n1 " + "0 " * 16 + "1\n")
+        code, out, err = run(capsys, ["partial-sum", str(pes), "--beta", "1"])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestSeedDomain:
     @pytest.mark.parametrize("seed, env", [("-1", None),

@@ -16,8 +16,10 @@ def test_make_field_rejects_non_prime_powers():
 
 
 def test_make_field_rejects_oversize():
-    with pytest.raises(FieldTooLargeError):
-        make_field(2 ** 17)
+    # 10^18 + 3 is prime: trial division up to its square root would hang
+    for q in (2 ** 17, 10 ** 18 + 3):
+        with pytest.raises(FieldTooLargeError):
+            make_field(q)
 
 
 def test_irreducible_choices():
@@ -132,7 +134,8 @@ def test_vector_ops_match_scalar(q):
     assert f.vsum(a) == acc
 
 
-@pytest.mark.parametrize("q", [3, 4, 9])
+# 243 and 257 lie above TABLE_LIMIT: exp/log and modular arithmetic
+@pytest.mark.parametrize("q", [3, 4, 9, 8, 16, 81, 243, 257])
 def test_compiled_matrix_matches_scalar(q):
     f = make_field(q)
     rng = np.random.default_rng(1)
@@ -151,14 +154,19 @@ def test_compiled_matrix_matches_scalar(q):
 def test_matmul_matches_scalar_loop(q):
     f = make_field(q)
     rng = np.random.default_rng(q)
-    a = rng.integers(0, q, size=(3, 4, 5))
-    b = rng.integers(0, q, size=(5, 6))
-    want = np.zeros((3, 4, 6), dtype=np.int64)
-    for r in range(3):
-        for i in range(4):
-            for j in range(6):
+    # a batch, a plain rectangular product, and an empty inner dimension
+    for ashape, bshape in [((3, 4, 5), (5, 6)), ((7, 2), (2, 9)),
+                           ((2, 3, 0), (0, 4))]:
+        a = rng.integers(0, q, size=ashape)
+        b = rng.integers(0, q, size=bshape)
+        rows = a.reshape(int(np.prod(ashape[:-1])), ashape[-1])
+        want = np.zeros((len(rows), bshape[1]), dtype=np.int64)
+        for r, row in enumerate(rows):
+            for j in range(bshape[1]):
                 acc = 0
-                for k in range(5):
-                    acc = f.add(acc, f.mul(int(a[r, i, k]), int(b[k, j])))
-                want[r, i, j] = acc
-    assert (f.matmul(a, b) == want).all()
+                for k in range(bshape[0]):
+                    acc = f.add(acc, f.mul(int(row[k]), int(b[k, j])))
+                want[r, j] = acc
+        got = f.matmul(a, b)
+        assert got.shape == ashape[:-1] + bshape[1:]
+        assert (got.reshape(want.shape) == want).all()

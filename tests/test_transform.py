@@ -6,7 +6,8 @@ from fqsolve import (Polynomial, TrimmedPointSet, enumerate_points,
                      evaluate_trimmed, format_evaluation, interpolate_trimmed,
                      make_field, parse_evaluation)
 from fqsolve import oracle, transform
-from fqsolve.errors import DegreeTooHighError, SizeMismatchError
+from fqsolve.errors import (DegreeTooHighError, SizeMismatchError,
+                            TooLargeError)
 from fqsolve.mpoly import point_matrix
 
 
@@ -139,6 +140,33 @@ class TestBatched:
             pts = enumerate_points(TrimmedPointSet(q, n, dto, b))
             assert got.tolist() == [[p.evaluate(pt) for pt in pts]
                                     for p in polys]
+
+
+class TestMatrices:
+    # C1 only reaches q <= 9; this covers the table, exp/log and large
+    # prime branches of the field
+    @pytest.mark.parametrize("q", [2, 4, 9, 16, 81, 243, 257])
+    def test_frames_and_inverses(self, q):
+        f = make_field(q)
+        mats = transform._matrices(f)
+        want_w = [[f.pow(j, e) for e in range(q)] for j in range(q)]
+        assert (mats["W"] == np.array(want_w)).all()
+        eye = np.eye(q, dtype=np.int64)
+        for a, b in (("NtoM", "MtoN"), ("VN", "VNinv"), ("W", "Winv")):
+            assert (f.matmul(mats[a], mats[b]) == eye).all()
+
+
+class TestKeyWidth:
+    def test_keys_wider_than_int64_are_rejected(self):
+        # n * ceil(log2 q) <= 63: 2^63, 3^31 and 16^15 fit, one more
+        # variable does not
+        for q, n in ((2, 63), (3, 31), (16, 15)):
+            x = Polynomial.variable(make_field(q), n, n - 1)
+            assert interpolate_trimmed(evaluate_trimmed(x, 1, 0)) == x
+        for q, n in ((2, 64), (3, 33), (16, 16)):
+            x = Polynomial.variable(make_field(q), n, n - 1)
+            with pytest.raises(TooLargeError):
+                evaluate_trimmed(x, 1, 0)
 
 
 class TestOpCounting:
