@@ -24,10 +24,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimacsFormatError, InvalidParamsError
+from .errors import DimacsFormatError, InvalidParamsError, TooLargeError
 from .field import make_field
 from .mpoly import Polynomial, PolySystem, TrimmedPointSet
 from .transform import TrimmedEvaluation, interpolate_trimmed
+
+MAX_BLOCK_GRID = 1 << 20  # most points q^vars2 a block grid may have
 
 
 @dataclass
@@ -93,11 +95,12 @@ def parse_dimacs(text: str) -> Cnf:
 
 def _ceil_exact_vars1(q: int, delta: Fraction) -> int:
     """Smallest v with v >= (2/delta) * log2(q): v*a*log2(2) >= 2*b*log2(q)
-    for delta = a/b, i.e. 2^(v*a) >= q^(2*b)."""
+    for delta = a/b, i.e. 2^(v*a) >= q^(2*b).  The search stops once 2^v,
+    and so the block grid q^vars2 >= 2^vars1, exceeds MAX_BLOCK_GRID."""
     a, b = delta.numerator, delta.denominator
     target = q ** (2 * b)
     v = 1
-    while 2 ** (v * a) < target:
+    while 2 ** (v * a) < target and 2 ** v <= MAX_BLOCK_GRID:
         v += 1
     return v
 
@@ -142,6 +145,9 @@ def make_plan(n_vars: int, k: int, q: int, delta, parsimonious: bool) -> Reducti
     make_field(q)  # validates that q is a supported prime power
     vars1 = _ceil_exact_vars1(q, delta)
     vars2 = _ceil_exact_vars2(q, vars1)
+    if q ** vars2 > MAX_BLOCK_GRID:
+        raise TooLargeError(f"delta {delta} over GF({q}) needs a block grid "
+                            f"of over {MAX_BLOCK_GRID} points")
     blocks = -(-n_vars // vars1)
     return ReductionPlan(q, delta, max(k, 1), vars1, vars2, blocks, parsimonious)
 

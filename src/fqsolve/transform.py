@@ -20,14 +20,17 @@ Every axis pass works on the last axis of an array, so a batch of value
 vectors (one row each) goes through each slice length in a single
 application of the field's one matrix kernel, `FieldSpec.compile_matrix`;
 `evaluate_values` and `reevaluate` are the batched forms the solver uses.
-The per-field frames are built a column at a time with vector operations.
+The six per-field frames come from closed forms, one column or row per
+vector step, and no matrix is inverted: x N_i = N_{i+1} + sigma_i N_i
+writes monomials in the Newton basis, divided differences invert the
+Newton frame, and the indicator 1 - (x - a)^(q-1) inverts the Vandermonde.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -113,65 +116,44 @@ def _positions(q: int, n: int, delta_small: int, b_small: int,
 # per-field univariate conversion matrices
 # ---------------------------------------------------------------------------
 
-def _tri_inv(field: FieldSpec, mat: np.ndarray, lower: bool) -> np.ndarray:
-    """Inverse of a triangular matrix over the field, by substitution."""
-    q = mat.shape[0]
-    inv = np.zeros_like(mat)
-    order = range(q) if lower else range(q - 1, -1, -1)
-    for j in order:
-        row = np.zeros(q, dtype=np.int64)
-        row[j] = 1
-        rng = range(j) if lower else range(j + 1, q)
-        for i in rng:
-            c = int(mat[j, i])
-            if c:
-                row = field.vsub(row, field.vmul(c, inv[i]))
-        d = int(mat[j, j])
-        if d != 1:
-            row = field.vmul(field.inv(d), row)
-        inv[j] = row
-    return inv
-
-
-_MATS: dict[tuple[int, tuple[int, ...]], dict[str, np.ndarray]] = {}
-
-
+@cache
 def _matrices(field: FieldSpec) -> dict[str, np.ndarray]:
-    key = (field.q, field.irreducible)
-    mats = _MATS.get(key)
-    if mats is not None:
-        return mats
     q = field.q
     idx = np.arange(q, dtype=np.int64)
+    recip = np.array([0] + [field.inv(a) for a in range(1, q)],
+                     dtype=np.int64)
     # Vandermonde w[j, e] = sigma_j^e over the index enumeration, and the
     # Newton frames newton[j, i] = N_i(sigma_j) and ntom[e, i] = coeff of
-    # x^e in N_i, where N_{i+1} = (x - sigma_i) N_i; one column per step
-    w, newton, ntom = np.zeros((3, q, q), dtype=np.int64)
-    w[:, 0] = newton[:, 0] = ntom[0, 0] = 1
+    # x^e in N_i, where N_{i+1} = (x - sigma_i) N_i; one column per step.
+    # Their inverses: x N_i = N_{i+1} + sigma_i N_i gives column e of mton
+    # (x^e in the Newton basis) from column e-1, and row i of vninv holds
+    # the divided-difference weights 1 / prod_{k <= i, k != j} (sigma_j -
+    # sigma_k), which row i-1 divides by (sigma_j - sigma_i)
+    w, newton, ntom, mton, vninv = np.zeros((5, q, q), dtype=np.int64)
+    w[:, 0] = newton[:, 0] = ntom[0, 0] = mton[0, 0] = vninv[0, 0] = 1
     for i in range(1, q):
         w[:, i] = field.vmul(w[:, i - 1], idx)
         newton[:, i] = field.vmul(newton[:, i - 1], field.vsub(idx, i - 1))
         ntom[1:, i] = ntom[:-1, i - 1]
         ntom[:, i] = field.vsub(ntom[:, i], field.vmul(ntom[:, i - 1], i - 1))
-    mton = _tri_inv(field, ntom, lower=False)
-    newton_inv = _tri_inv(field, newton, lower=True)
-    winv = field.apply_rows(newton_inv.T, ntom).T  # ntom @ newton_inv
-    mats = {"W": w, "Winv": winv, "VN": newton, "VNinv": newton_inv,
+        mton[1:, i] = mton[:-1, i - 1]
+        mton[:, i] = field.vadd(mton[:, i], field.vmul(mton[:, i - 1], idx))
+        vninv[i, :i] = field.vmul(vninv[i - 1, :i],
+                                  recip[field.vsub(idx[:i], i)])
+        vninv[i, i] = recip[newton[i, i]]
+    # 1 - (x - a)^(q-1) is the indicator of a, and (x - a)^(q-1) =
+    # sum_e a^(q-1-e) x^e in characteristic p, so winv[e, a] =
+    # -a^(q-1-e) for e >= 1 while row 0 picks out a = 0
+    winv = field.vneg(w[:, ::-1].T)
+    winv[0] = 0
+    winv[0, 0] = 1
+    return {"W": w, "Winv": winv, "VN": newton, "VNinv": vninv,
             "NtoM": ntom, "MtoN": mton}
-    _MATS[key] = mats
-    return mats
 
 
-_COMPILED: dict[tuple, object] = {}
-
-
+@cache
 def _compiled_block(field: FieldSpec, name: str, ln: int):
-    key = (field.q, field.irreducible, name, ln)
-    fn = _COMPILED.get(key)
-    if fn is None:
-        fn = field.compile_matrix(_matrices(field)[name][:ln, :ln])
-        _COMPILED[key] = fn
-    return fn
+    return field.compile_matrix(_matrices(field)[name][:ln, :ln])
 
 
 def _apply_axis(field: FieldSpec, arr: np.ndarray,
@@ -303,12 +285,20 @@ def parse_evaluation(text: str) -> TrimmedEvaluation:
     from .field import make_field
     rows = [ln.strip() for ln in text.splitlines()
             if ln.strip() and not ln.strip().startswith("#")]
-    if not rows or not rows[0].startswith("evals"):
+    head = rows[0].split() if rows else []
+    if not head or head[0] != "evals":
         raise SizeMismatchError("expected header 'evals <q> <n> <delta> <b>'")
-    head = rows[0].split()
     if len(head) != 5:
         raise SizeMismatchError("malformed evals header")
-    q, n, delta, b = (int(x) for x in head[1:])
-    values = np.array([int(x) for x in rows[1:]], dtype=np.int64)
-    return TrimmedEvaluation(make_field(q), TrimmedPointSet(q, n, delta, b),
-                             values)
+    try:
+        q, n, delta, b = (int(x) for x in head[1:])
+        values = [int(x) for x in rows[1:]]
+        point_set = TrimmedPointSet(q, n, delta, b)
+    except ValueError as exc:  # a non-integer, b outside 0..n, delta < 0
+        raise SizeMismatchError(f"bad evals text: {exc}") from exc
+    field = make_field(q)
+    if any(not 0 <= v < q for v in values):
+        raise SizeMismatchError(f"values must lie in 0..{q - 1}")
+    check_key_width(q, n)
+    return TrimmedEvaluation(field, point_set,
+                             np.array(values, dtype=np.int64))

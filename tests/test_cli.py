@@ -124,6 +124,16 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    # block grids of 2^200 and 65536^2 points: refused before dec_table
+    # allocates them
+    @pytest.mark.parametrize("q, delta", [("2", "1/100"), ("65536", "1")])
+    def test_reduce_cnf_block_grid_too_large(self, workdir, capsys, q, delta):
+        code, out, err = run(capsys, ["reduce-cnf", str(workdir / "f.cnf"),
+                                      str(workdir / "out.pes"),
+                                      "--q", q, "--delta", delta])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [["count-roots", "{path}"],
                                       ["reduce-cnf", "{path}", "{out}",
                                        "--q", "2", "--delta", "1"]])

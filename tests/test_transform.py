@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_polynomial
 from fqsolve import (Polynomial, TrimmedPointSet, enumerate_points,
                      evaluate_trimmed, format_evaluation, interpolate_trimmed,
                      make_field, parse_evaluation)
 from fqsolve import oracle, transform
-from fqsolve.errors import (DegreeTooHighError, SizeMismatchError,
-                            TooLargeError)
+from fqsolve.errors import (DegreeTooHighError, FqsolveError,
+                            SizeMismatchError, TooLargeError)
 from fqsolve.mpoly import point_matrix
 
 
@@ -143,9 +145,9 @@ class TestBatched:
 
 
 class TestMatrices:
-    # C1 only reaches q <= 9; this covers the table, exp/log and large
-    # prime branches of the field
-    @pytest.mark.parametrize("q", [2, 4, 9, 16, 81, 243, 257])
+    # C1 only reaches q <= 9; this covers the table, exp/log (289 = 17^2
+    # lies above TABLE_LIMIT) and large prime branches of the field
+    @pytest.mark.parametrize("q", [2, 4, 9, 16, 81, 243, 257, 289])
     def test_frames_and_inverses(self, q):
         f = make_field(q)
         mats = transform._matrices(f)
@@ -154,6 +156,15 @@ class TestMatrices:
         eye = np.eye(q, dtype=np.int64)
         for a, b in (("NtoM", "MtoN"), ("VN", "VNinv"), ("W", "Winv")):
             assert (f.matmul(mats[a], mats[b]) == eye).all()
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 27])
+    def test_vandermonde_pair_matches_oracle(self, q):
+        # the oracle builds W by scalar powers and inverts it by
+        # Gauss-Jordan, independently of the closed forms
+        f = make_field(q)
+        mats = transform._matrices(f)
+        assert (mats["W"] == oracle._pow_matrix(f)).all()
+        assert (mats["Winv"] == oracle._pow_inverse(f)).all()
 
 
 class TestKeyWidth:
@@ -200,3 +211,39 @@ class TestSerialization:
         assert back.point_set == ev.point_set
         assert (back.values == ev.values).all()
         assert interpolate_trimmed(back) == p
+
+    @pytest.mark.parametrize("text, error", [
+        ("evals 3 1 x 0\n0\n", SizeMismatchError),  # non-integer header
+        ("evals 3 1 1 0\n0\nfoo\n", SizeMismatchError),  # non-integer value
+        ("evals 3 1 1 2\n0\n1\n", SizeMismatchError),  # b > n
+        ("evals 3 1 1 -1\n0\n1\n", SizeMismatchError),  # b < 0
+        ("evals 3 1 -1 0\n", SizeMismatchError),  # negative delta
+        ("evals 3 1 1 0\n5\n7\n", SizeMismatchError),  # values above q-1
+        ("evals 3 1 1 0\n-1\n0\n", SizeMismatchError),
+        ("evals 3 1 1 0\n" + "9" * 30 + "\n0\n", SizeMismatchError),
+        ("evalsx 3 1 1 0\n0\n1\n", SizeMismatchError),  # header word
+        # keys wider than int64, refused before the point-set size DP
+        ("evals 2 100000000 1 0\n", TooLargeError),
+    ])
+    def test_malformed_text_raises_typed_error(self, text, error):
+        with pytest.raises(error):
+            parse_evaluation(text)
+
+    @given(st.one_of(
+        st.text(max_size=60),
+        st.builds(lambda head, vals: "evals " + " ".join(head) + "\n"
+                  + "\n".join(vals),
+                  st.lists(st.one_of(st.integers(-3, 10).map(str),
+                                     st.text(max_size=3)),
+                           min_size=3, max_size=5),
+                  st.lists(st.one_of(st.integers(-2, 12).map(str),
+                                     st.text(max_size=3)),
+                           max_size=12))))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_text_parses_or_raises_typed_error(self, text):
+        try:
+            ev = parse_evaluation(text)
+        except FqsolveError:
+            return
+        assert len(ev.values) == ev.point_set.size()
+        assert ((ev.values >= 0) & (ev.values < ev.field.q)).all()
