@@ -15,6 +15,7 @@ all evaluated numerically in 64-bit floats with explicit tolerances.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,15 +34,17 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 @lru_cache(maxsize=4096)
 def _ext_binom_row(n: int, q: int) -> tuple[int, ...]:
-    """Counts of degree-D monomials for D = 0..n(q-1), exact integers."""
+    """Counts of degree-D monomials for D = 0..n(q-1), exact integers.
+
+    Each variable convolves the row with q ones, so entry s of the next
+    row is a window sum row[s-q+1 .. s], read off a prefix-sum list.
+    """
     row = [1]
     for _ in range(n):
-        new = [0] * (len(row) + q - 1)
-        for deg, cnt in enumerate(row):
-            if cnt:
-                for v in range(q):
-                    new[deg + v] += cnt
-        row = new
+        pre = [0, *itertools.accumulate(row)]
+        size = len(row)
+        row = [pre[min(s + 1, size)] - pre[max(0, s - q + 1)]
+               for s in range(size + q - 1)]
     return tuple(row)
 
 

@@ -13,7 +13,11 @@ plain table lookups.  Larger prime fields use modular arithmetic directly.
 
 Every matrix product over the field goes through `compile_matrix`, which
 expands the matrix once, by a table gather, into an F_p matrix on base-p
-digit vectors; each product is then one integer matmul.
+digit vectors; each product is then one float64 (BLAS) matmul followed by
+a reduction mod p.  Both factors have entries in 0..p-1, so every partial
+sum of an inner product of length L is an integer of at most L(p-1)^2,
+exact in float64 while that stays below 2^53; `compile_matrix` refuses
+longer products with `TooLargeError`.
 """
 
 from __future__ import annotations
@@ -23,10 +27,11 @@ import math
 
 import numpy as np
 
-from .errors import FieldTooLargeError, NotPrimePowerError
+from .errors import FieldTooLargeError, NotPrimePowerError, TooLargeError
 
 ORDER_LIMIT = 1 << 16  # largest supported field order
 TABLE_LIMIT = 256      # largest order that gets dense q*q tables
+EXACT_LIMIT = 1 << 53  # float64 represents every integer below this
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +131,10 @@ class FieldSpec:
             self.digits = np.stack(
                 [(idx // p ** i) % p for i in range(k)], axis=1
             )
+            self._fdigits = self.digits.astype(np.float64)
             self._exp, self._log = self._build_exp_log()
         else:
-            self.digits = None
+            self.digits = self._fdigits = None
             self._exp = self._log = None
         self.add_table = self.mul_table = None
         if q <= TABLE_LIMIT:
@@ -287,31 +293,39 @@ class FieldSpec:
         return self.compile_matrix(mat)(rows)
 
     def compile_matrix(self, mat: np.ndarray):
-        """Bake the linear map of a J-by-I matrix into one integer matmul.
+        """Bake the linear map of a J-by-I matrix into one float64 matmul.
 
         Multiplication by a fixed field element is F_p-linear on base-p
         digit vectors, so the matrix expands to an Ik-by-Jk matrix over
         F_p acting on digit-expanded rows of length I (for k = 1, the
-        matrix itself).
+        matrix itself).  The product runs in float64, which is exact
+        because Ik(p-1)^2 < 2^53 is checked here, before anything is
+        allocated; the result is then the same for any BLAS summation
+        order or thread count.
         """
         p, k = self.p, self.k
+        nout, nin = mat.shape
+        if nin * k * (p - 1) ** 2 >= EXACT_LIMIT:
+            raise TooLargeError(
+                f"an inner product of length {nin * k} over F_{p} can "
+                f"exceed 2^53 and would not be exact in float64")
         if k == 1:
-            mt = (mat.T % p).copy()
+            mt = (mat.T % p).astype(np.float64)
 
             def apply(rows: np.ndarray) -> np.ndarray:
-                return (rows @ mt) % p
+                return (rows.astype(np.float64) @ mt).astype(np.int64) % p
             return apply
 
-        nout, nin = mat.shape
-        digits, ppow = self.digits, self._ppow
+        fdigits, ppow = self._fdigits, self._ppow
         # big_t[i, c, j, d] = digit d of mat[j, i] * p^c
-        big_t = digits[self.vmul(mat[..., None], ppow)].transpose(1, 2, 0, 3)
+        big_t = fdigits[self.vmul(mat[..., None], ppow)].transpose(1, 2, 0, 3)
         big_t = big_t.reshape(nin * k, nout * k)
 
         def apply(rows: np.ndarray) -> np.ndarray:
             r = rows.shape[0]
-            x = digits[rows].reshape(r, nin * k)
-            return ((x @ big_t) % p).reshape(r, nout, k) @ ppow
+            x = fdigits[rows].reshape(r, nin * k)
+            prod = (x @ big_t).astype(np.int64) % p
+            return prod.reshape(r, nout, k) @ ppow
         return apply
 
     def __repr__(self) -> str:  # pragma: no cover

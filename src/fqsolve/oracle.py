@@ -65,12 +65,15 @@ def _pow_inverse(field: FieldSpec) -> np.ndarray:
 
 def _apply_axis_dense(field: FieldSpec, cube: np.ndarray, axis: int,
                       mat: np.ndarray) -> np.ndarray:
-    """out[..., j, ...] = sum_e mat[j, e] * cube[..., e, ...] along axis."""
-    q = cube.shape[axis]
-    moved = np.moveaxis(cube, axis, 0).reshape(q, -1)
-    out = field.apply_rows(moved.T, mat).T
-    return np.moveaxis(out.reshape((q,) + np.moveaxis(cube, axis, 0).shape[1:]),
-                       0, axis)
+    """out[..., j, ...] = sum_e mat[j, e] * cube[..., e, ...] along axis,
+    accumulated one plane e at a time with elementwise field arithmetic
+    (not through the solver's matrix kernel)."""
+    moved = np.moveaxis(cube, axis, 0)
+    planes = moved.reshape(len(moved), -1)
+    out = np.zeros_like(planes)
+    for e, plane in enumerate(planes):
+        out = field.vadd(out, field.vmul(mat[:, e, None], plane))
+    return np.moveaxis(out.reshape(moved.shape), 0, axis)
 
 
 def grid_evaluate(poly: Polynomial) -> np.ndarray:

@@ -56,6 +56,33 @@ class TestExtBinom:
         with pytest.raises(ValueError):
             ext_binom(3, -1, 3)
 
+    @staticmethod
+    def _row_by_convolution(n, q):
+        # the direct DP: every degree spreads over the next q degrees
+        row = [1]
+        for _ in range(n):
+            new = [0] * (len(row) + q - 1)
+            for deg, cnt in enumerate(row):
+                for v in range(q):
+                    new[deg + v] += cnt
+            row = new
+        return tuple(row)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27])
+    def test_row_matches_direct_convolution(self, q):
+        for n in range(0, 7):
+            assert analysis._ext_binom_row(n, q) \
+                == self._row_by_convolution(n, q)
+
+    def test_row_at_the_largest_order(self):
+        # three variables over GF(2^16): the entry at D is the number of
+        # compositions of D into three parts below q
+        q = 1 << 16
+        row = analysis._ext_binom_row(3, q)
+        assert len(row) == 3 * (q - 1) + 1
+        assert sum(row) == q ** 3
+        assert row[0] == 1 and row[2] == 6 and row[q - 1] == q * (q + 1) // 2
+
     def test_table_type(self):
         t = analysis.ExtBinomTable.build(4, 3)
         assert list(t.row) == [ext_binom(4, d, 3) for d in range(9)]

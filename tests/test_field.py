@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from fqsolve import make_field
-from fqsolve.errors import FieldTooLargeError, NotPrimePowerError
+from fqsolve.errors import (FieldTooLargeError, NotPrimePowerError,
+                            TooLargeError)
 
 # every prime power up to 64
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31,
@@ -171,3 +172,64 @@ def test_matmul_matches_scalar_loop(q):
         got = f.matmul(a, b)
         assert got.shape == ashape[:-1] + bshape[1:]
         assert (got.reshape(want.shape) == want).all()
+
+
+def _scalar_map(f, mat, row):
+    """sum_i mat[j, i] * row[i] for every j, by the scalar add/mul loop."""
+    out = []
+    for mrow in mat:
+        acc = 0
+        for m, x in zip(mrow, row):
+            acc = f.add(acc, f.mul(int(m), int(x)))
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("q", [64, 81, 257, 289])
+def test_compiled_matrix_full_blocks(q):
+    # full q x q blocks, the size of a transform axis pass, on the table
+    # (64 = 2^6, 81 = 3^4), large prime and exp/log (289 = 17^2) branches
+    f = make_field(q)
+    rng = np.random.default_rng(q)
+    mat = rng.integers(0, q, size=(q, q))
+    rows = rng.integers(0, q, size=(40, q))
+    got = f.apply_rows(rows, mat)
+    for r in (0, 17, 39):
+        assert got[r].tolist() == _scalar_map(f, mat, rows[r])
+
+
+@pytest.mark.parametrize("q", [16, 81])
+def test_batched_matmul_long_inner_dimension(q):
+    f = make_field(q)
+    rng = np.random.default_rng(q + 1)
+    a = rng.integers(0, q, size=(4, 8, 96))
+    b = rng.integers(0, q, size=(96, 24))
+    got = f.matmul(a, b)
+    assert got.shape == (4, 8, 24)
+    for i, j in ((0, 0), (1, 5), (3, 7)):
+        assert got[i, j].tolist() == _scalar_map(f, b.T, a[i, j])
+
+
+def test_matmul_is_exact_up_to_the_float64_bound():
+    # every product (p-1)^2 is 1 mod p, so a row of L entries p-1 times a
+    # column of L entries p-1 is L mod p.  L (p-1)^2 is 9.0028e15 at
+    # L = 2^21, and the longest accepted L = 2098176 stays below 2^53, so
+    # float64 holds every partial sum exactly
+    f = make_field(65521)
+    for length, want in ((1 << 21, 480), (2098176, 2098176 % 65521)):
+        a = np.full((1, length), 65520, dtype=np.int64)
+        assert f.matmul(a, a.T).tolist() == [[want]]
+
+
+def test_matmul_past_the_float64_bound_raises():
+    f = make_field(65521)
+    a = np.full((1, 2098177), 65520, dtype=np.int64)
+    assert 2098177 * 65520 ** 2 >= 2 ** 53
+    with pytest.raises(TooLargeError):
+        f.matmul(a, a.T)
+    # the bound counts the digit-expanded length I*k, and it is checked
+    # before anything is allocated: over GF(17^2), I = 2^44 inputs give
+    # I * 2 * 16^2 = 2^53 (the matrix is a zero-byte broadcast view)
+    f = make_field(289)
+    with pytest.raises(TooLargeError):
+        f.compile_matrix(np.broadcast_to(np.int64(0), (1, 1 << 44)))

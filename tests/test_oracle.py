@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import full_grid, random_system
+from conftest import full_grid, random_polynomial, random_system
 from fqsolve import (Polynomial, PolySystem, brute_Z, brute_partial_sum,
                      count_common_roots, eval_indicator, make_field, zdegree)
 from fqsolve.errors import TooLargeError
+from fqsolve.field import FieldSpec
 from fqsolve.oracle import grid_evaluate, grid_interpolate
 
 
@@ -108,3 +109,22 @@ class TestDenseGridHelpers:
         from conftest import random_polynomial
         p = random_polynomial(rng, q, n, n * (q - 1), max_terms=8)
         assert grid_interpolate(make_field(q), grid_evaluate(p), n) == p
+
+    def test_independent_of_the_matrix_kernel(self, monkeypatch):
+        # the oracle is a witness for the solver's matrix kernel, so it must
+        # not go through it: with compile_matrix broken, the dense helpers
+        # still agree with pointwise evaluation
+        def broken(self, mat):
+            raise AssertionError("the oracle called compile_matrix")
+
+        monkeypatch.setattr(FieldSpec, "compile_matrix", broken)
+        rng = np.random.default_rng(5)
+        for q, n in ((2, 4), (4, 2), (9, 2), (257, 1)):
+            p = random_polynomial(rng, q, n, n * (q - 1), max_terms=8)
+            vals = grid_evaluate(p)
+            assert vals.tolist() == [p.evaluate(pt) for pt in full_grid(q, n)]
+            assert grid_interpolate(make_field(q), vals, n) == p
+        system = random_system(rng, 3, 3, 2, 2)
+        want = sum(all(p.evaluate(pt) == 0 for p in system.polys)
+                   for pt in full_grid(3, 3))
+        assert count_common_roots(system).count == want

@@ -167,6 +167,17 @@ class TestMatrices:
         assert (mats["Winv"] == oracle._pow_inverse(f)).all()
 
 
+    @pytest.mark.parametrize("q", [64, 81, 257, 289])
+    def test_compiled_full_blocks_roundtrip(self, q):
+        # the compiled q x q Newton frame and its inverse undo each other
+        f = make_field(q)
+        rows = np.random.default_rng(q).integers(0, q, size=(50, q))
+        vn = transform._compiled_block(f, "VN", q)
+        vninv = transform._compiled_block(f, "VNinv", q)
+        assert (vninv(vn(rows)) == rows).all()
+        assert (vn(vninv(rows)) == rows).all()
+
+
 class TestKeyWidth:
     def test_keys_wider_than_int64_are_rejected(self):
         # n * ceil(log2 q) <= 63: 2^63, 3^31 and 16^15 fit, one more
@@ -224,6 +235,9 @@ class TestSerialization:
         ("evalsx 3 1 1 0\n0\n1\n", SizeMismatchError),  # header word
         # keys wider than int64, refused before the point-set size DP
         ("evals 2 100000000 1 0\n", TooLargeError),
+        # a one-point set over GF(2^16) with two values: the size DP over
+        # q = 65536 is quick, so the mismatch is reported at once
+        ("evals 65536 3 0 0\n0\n0\n", SizeMismatchError),
     ])
     def test_malformed_text_raises_typed_error(self, text, error):
         with pytest.raises(error):
