@@ -148,25 +148,42 @@ class FieldSpec:
         prod = _poly_mod(_poly_mul(da, db, self.p), list(self.irreducible), self.p)
         return sum(c * self.p ** i for i, c in enumerate(prod))
 
+    def _pow_digits(self, a: int, e: int) -> int:
+        out = 1
+        while e:
+            if e & 1:
+                out = self._mul_digits(out, a)
+            a = self._mul_digits(a, a)
+            e >>= 1
+        return out
+
     def _build_exp_log(self) -> tuple[np.ndarray, np.ndarray]:
-        q = self.q
-        for g in range(2, q):
-            seen = np.zeros(q, dtype=bool)
-            exp = np.zeros(q - 1, dtype=np.int64)
-            x = 1
-            ok = True
-            for i in range(q - 1):
-                if seen[x]:
-                    ok = False
-                    break
-                seen[x] = True
-                exp[i] = x
-                x = self._mul_digits(x, g)
-            if ok and x == 1:
-                log = np.zeros(q, dtype=np.int64)
-                log[exp] = np.arange(q - 1, dtype=np.int64)
-                return exp, log
-        raise AssertionError("no multiplicative generator found")  # unreachable
+        """exp[i] = g^i and its inverse log, for g the smallest primitive
+        element index: g^((q-1)/r) != 1 for every prime r dividing q-1."""
+        q, p = self.q, self.p
+        primes, m = [], q - 1
+        for r in range(2, math.isqrt(m) + 1):
+            if m % r == 0:
+                primes.append(r)
+                while m % r == 0:
+                    m //= r
+        if m > 1:
+            primes.append(m)
+        g = next(g for g in range(2, q)
+                 if all(self._pow_digits(g, (q - 1) // r) != 1
+                        for r in primes))
+        # doubling: exp[2^j + i] = exp[i] * g^(2^j), where multiplying by
+        # the fixed element c = g^(2^j) maps digit rows through the F_p
+        # matrix whose row i holds the digits of x^i * c
+        exp, c = np.ones(1, dtype=np.int64), g
+        while len(exp) < q - 1:
+            mat = self.digits[[self._mul_digits(int(b), c) for b in self._ppow]]
+            exp = np.concatenate((exp, self.digits[exp] @ mat % p @ self._ppow))
+            c = self._mul_digits(c, c)
+        exp = exp[:q - 1]
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1, dtype=np.int64)
+        return exp, log
 
     def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
         q, p = self.q, self.p

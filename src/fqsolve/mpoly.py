@@ -4,8 +4,8 @@ Exponents are kept in 0..q-1 per variable.  Arithmetic that would push an
 exponent e past q-1 reduces it with the function-preserving rule
 e -> ((e - 1) mod (q - 1)) + 1, so a polynomial and its reduced form agree
 on every point of GF(q)^n.  Terms are stored sparsely in a dict keyed by
-packed exponent vectors (ceil(log2 q) bits per variable); coefficients are
-nonzero field-element indices.
+exponent tuples of length n (Python ints); coefficients are nonzero
+field-element indices.
 
 The module also owns the canonical point sets: T(m, D) is the set of
 vectors in {0..q-1}^m whose natural-number coordinate sum is at most D,
@@ -15,6 +15,7 @@ significant, optionally crossed with a full grid suffix.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,15 +26,13 @@ from .errors import PesFormatError, TooLargeError
 from .field import FieldSpec, make_field
 
 
-def _bits(q: int) -> int:
-    return max(1, (q - 1).bit_length())
-
-
 def check_key_width(q: int, n: int) -> None:
-    """Packed exponent keys, and so q^n, must fit in an int64."""
-    if n * _bits(q) > 63:
+    """The transform keys every point of GF(q)^n by an int64 (its base-q
+    value), so n variables of ceil(log2 q) bits each must fit in 63 bits."""
+    bits = n * max(1, (q - 1).bit_length())
+    if bits > 63:
         raise TooLargeError(f"{n} variables over GF({q}) need "
-                            f"{n * _bits(q)}-bit keys; the limit is 63")
+                            f"{bits}-bit keys; the limit is 63")
 
 
 class Polynomial:
@@ -41,10 +40,11 @@ class Polynomial:
 
     __slots__ = ("field", "n", "_terms", "_deg")
 
-    def __init__(self, field: FieldSpec, n: int, packed_terms: dict[int, int]):
+    def __init__(self, field: FieldSpec, n: int,
+                 terms: dict[tuple[int, ...], int]):
         self.field = field
         self.n = n
-        self._terms = packed_terms
+        self._terms = terms
         self._deg = None
 
     # -- constructors ---------------------------------------------------------
@@ -55,20 +55,20 @@ class Polynomial:
 
     @classmethod
     def constant(cls, field: FieldSpec, n: int, c: int) -> "Polynomial":
-        return cls(field, n, {0: c} if c else {})
+        return cls(field, n, {(0,) * n: c} if c else {})
 
     @classmethod
     def variable(cls, field: FieldSpec, n: int, i: int) -> "Polynomial":
         """The monomial X_{i+1} (0-based variable index i)."""
         if not 0 <= i < n:
             raise ValueError(f"variable index {i} out of range for arity {n}")
-        return cls(field, n, {1 << (i * _bits(field.q)): 1})
+        return cls(field, n, {tuple(int(j == i) for j in range(n)): 1})
 
     @classmethod
     def from_terms(cls, field: FieldSpec, n: int, pairs) -> "Polynomial":
         """Build from (exponent-tuple, coefficient) pairs, merging duplicates."""
         q = field.q
-        terms: dict[int, int] = {}
+        terms: dict[tuple[int, ...], int] = {}
         for exps, c in pairs:
             if len(exps) != n:
                 raise ValueError("exponent vector arity mismatch")
@@ -76,38 +76,19 @@ class Polynomial:
                 raise ValueError("exponent out of range")
             if not 0 <= c <= q - 1:
                 raise ValueError("coefficient out of range")
-            key = cls._pack(exps, q)
-            c = field.add(terms.get(key, 0), c)
+            key = tuple(map(int, exps))
+            c = field.add(terms.get(key, 0), int(c))
             if c:
                 terms[key] = c
             else:
                 terms.pop(key, None)
         return cls(field, n, terms)
 
-    # -- packing --------------------------------------------------------------
-
-    @staticmethod
-    def _pack(exps, q: int) -> int:
-        b = _bits(q)
-        key = 0
-        for i, e in enumerate(exps):
-            key |= e << (i * b)
-        return key
-
-    @staticmethod
-    def _unpack(key: int, n: int, q: int) -> tuple[int, ...]:
-        b = _bits(q)
-        mask = (1 << b) - 1
-        return tuple((key >> (i * b)) & mask for i in range(n))
-
     # -- inspection -----------------------------------------------------------
 
     def terms(self) -> list[tuple[tuple[int, ...], int]]:
         """(exponents, coefficient) pairs in lexicographic exponent order."""
-        q = self.field.q
-        out = [(self._unpack(k, self.n, q), c) for k, c in self._terms.items()]
-        out.sort(key=lambda t: t[0])
-        return out
+        return sorted(self._terms.items())
 
     def num_terms(self) -> int:
         return len(self._terms)
@@ -118,35 +99,23 @@ class Polynomial:
     def degree(self) -> int:
         """Max total degree of stored monomials; 0 for the zero polynomial."""
         if self._deg is None:
-            if not self._terms:
-                self._deg = 0
-            else:
-                q = self.field.q
-                self._deg = max(sum(self._unpack(k, self.n, q))
-                                for k in self._terms)
+            self._deg = max(map(sum, self._terms), default=0)
         return self._deg
 
-    def packed_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+    def term_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(exponent matrix (T, n), coefficient vector (T,)) as int64."""
         t = len(self._terms)
-        keys = np.fromiter(self._terms.keys(), dtype=np.int64, count=t)
+        exps = np.array(list(self._terms), dtype=np.int64).reshape(t, self.n)
         coeffs = np.fromiter(self._terms.values(), dtype=np.int64, count=t)
-        b = _bits(self.field.q)
-        mask = (1 << b) - 1
-        exps = np.empty((t, self.n), dtype=np.int64)
-        for i in range(self.n):
-            exps[:, i] = (keys >> (i * b)) & mask
         return exps, coeffs
 
     @classmethod
-    def from_packed_arrays(cls, field: FieldSpec, n: int, exps: np.ndarray,
-                           coeffs: np.ndarray) -> "Polynomial":
+    def from_term_arrays(cls, field: FieldSpec, n: int, exps: np.ndarray,
+                         coeffs: np.ndarray) -> "Polynomial":
         """Trusted fast path: distinct in-range exponent rows, nonzero
         coefficients."""
-        b = _bits(field.q)
-        keys = exps @ (np.int64(1) << (b * np.arange(n, dtype=np.int64))) \
-            if n else np.zeros(len(exps), dtype=np.int64)
-        return cls(field, n, dict(zip(keys.tolist(), coeffs.tolist())))
+        return cls(field, n, dict(zip(map(tuple, exps.tolist()),
+                                      coeffs.tolist())))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Polynomial) and self.field is other.field
@@ -198,29 +167,21 @@ class Polynomial:
     def mul(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
         f = self.field
-        q = f.q
-        n = self.n
-        b = _bits(q)
-        mask = (1 << b) - 1
-        red_hi = q - 1  # exponents reduce into 1..q-1 once nonzero
-        out: dict[int, int] = {}
-        aterms = [(self._unpack(k, n, q), c) for k, c in self._terms.items()]
-        for kb, cb in other._terms.items():
-            eb = self._unpack(kb, n, q)
-            for ea, ca in aterms:
+        top = f.q - 1
+        out: dict[tuple[int, ...], int] = {}
+        for eb, cb in other._terms.items():
+            for ea, ca in self._terms.items():
                 c = f.mul(ca, cb)
-                key = 0
-                for i in range(n):
-                    e = ea[i] + eb[i]
-                    if e > red_hi:
-                        e = (e - 1) % red_hi + 1
-                    key |= e << (i * b)
+                # a sum of two exponents in 0..q-1 that passes q-1 reduces
+                # to ((e - 1) mod (q - 1)) + 1 = e - (q - 1)
+                key = tuple([e - top if e > top else e
+                             for e in map(operator.add, ea, eb)])
                 s = f.add(out.get(key, 0), c)
                 if s:
                     out[key] = s
                 else:
                     out.pop(key, None)
-        return Polynomial(f, n, out)
+        return Polynomial(f, self.n, out)
 
     def power(self, e: int) -> "Polynomial":
         if e < 0:
@@ -246,10 +207,8 @@ class Polynomial:
         if len(point) != self.n:
             raise ValueError("point arity mismatch")
         f = self.field
-        q = f.q
         acc = 0
-        for k, c in self._terms.items():
-            exps = self._unpack(k, self.n, q)
+        for exps, c in self._terms.items():
             v = c
             for x, e in zip(point, exps):
                 if e:
@@ -267,9 +226,8 @@ class Polynomial:
             raise ValueError("var_map arity mismatch")
         if len(set(var_map)) != len(var_map):
             raise ValueError("var_map must be injective")
-        q = self.field.q
         pairs = []
-        for exps, c in self.terms():
+        for exps, c in self._terms.items():
             new = [0] * new_n
             for i, e in enumerate(exps):
                 new[var_map[i]] = e

@@ -10,6 +10,7 @@ functions serve as independent witnesses in every equivalence test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -20,46 +21,39 @@ from .mpoly import Polynomial, PolySystem, point_matrix
 COUNT_LIMIT = 10 ** 8
 PARTIAL_LIMIT = 10 ** 7
 
-_POW: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-_POW_INV: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
 
-
+@cache
 def _pow_matrix(field: FieldSpec) -> np.ndarray:
     """pw[x, e] = x^e, the univariate coefficient-to-values map."""
-    key = (field.q, field.irreducible)
-    mat = _POW.get(key)
-    if mat is None:
-        q = field.q
-        mat = np.zeros((q, q), dtype=np.int64)
-        for x in range(q):
-            for e in range(q):
-                mat[x, e] = field.pow(x, e)
-        _POW[key] = mat
+    q = field.q
+    mat = np.zeros((q, q), dtype=np.int64)
+    for x in range(q):
+        for e in range(q):
+            mat[x, e] = field.pow(x, e)
+    mat.setflags(write=False)  # cached: shared by every caller
     return mat
 
 
+@cache
 def _pow_inverse(field: FieldSpec) -> np.ndarray:
     """Inverse of the coefficient-to-values map, by Gauss-Jordan."""
-    key = (field.q, field.irreducible)
-    inv = _POW_INV.get(key)
-    if inv is None:
-        q = field.q
-        a = _pow_matrix(field).copy()
-        inv = np.eye(q, dtype=np.int64)
-        for col in range(q):
-            piv = next(r for r in range(col, q) if a[r, col])
-            if piv != col:
-                a[[col, piv]] = a[[piv, col]]
-                inv[[col, piv]] = inv[[piv, col]]
-            c = field.inv(int(a[col, col]))
-            a[col] = field.vmul(c, a[col])
-            inv[col] = field.vmul(c, inv[col])
-            for r in range(q):
-                if r != col and a[r, col]:
-                    f = int(a[r, col])
-                    a[r] = field.vsub(a[r], field.vmul(f, a[col]))
-                    inv[r] = field.vsub(inv[r], field.vmul(f, inv[col]))
-        _POW_INV[key] = inv
+    q = field.q
+    a = _pow_matrix(field).copy()
+    inv = np.eye(q, dtype=np.int64)
+    for col in range(q):
+        piv = next(r for r in range(col, q) if a[r, col])
+        if piv != col:
+            a[[col, piv]] = a[[piv, col]]
+            inv[[col, piv]] = inv[[piv, col]]
+        c = field.inv(int(a[col, col]))
+        a[col] = field.vmul(c, a[col])
+        inv[col] = field.vmul(c, inv[col])
+        for r in range(q):
+            if r != col and a[r, col]:
+                f = int(a[r, col])
+                a[r] = field.vsub(a[r], field.vmul(f, a[col]))
+                inv[r] = field.vsub(inv[r], field.vmul(f, inv[col]))
+    inv.setflags(write=False)
     return inv
 
 

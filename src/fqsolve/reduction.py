@@ -18,6 +18,7 @@ padding bit to 0.
 
 from __future__ import annotations
 
+import decimal
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,7 +62,10 @@ def parse_dimacs(text: str) -> Cnf:
             m = re.fullmatch(r"p\s+cnf\s+(\d+)\s+(\d+)", line)
             if not m:
                 raise DimacsFormatError(f"malformed header: {line!r}")
-            header = (int(m.group(1)), int(m.group(2)))
+            try:
+                header = (int(m.group(1)), int(m.group(2)))
+            except ValueError as exc:  # more digits than int() converts
+                raise DimacsFormatError("header number too long") from exc
             continue
         if header is None:
             raise DimacsFormatError("clause before header")
@@ -93,14 +97,36 @@ def parse_dimacs(text: str) -> Cnf:
     return Cnf(n_vars, clauses)
 
 
+def _pow2_at_least(x: int, q: int, y: int) -> bool:
+    """2^x >= q^y for positive x and y, decided by comparing x*ln(2) with
+    y*ln(q) at growing decimal precision instead of building either power.
+    The two sides are equal only when q is a power of two, which is
+    compared exactly."""
+    s = q.bit_length() - 1
+    if q == 1 << s:
+        return x >= s * y
+    digits = 40
+    while True:
+        with decimal.localcontext() as ctx:
+            ctx.prec = digits
+            ln2 = Fraction(decimal.Decimal(2).ln())
+            lnq = Fraction(decimal.Decimal(q).ln())
+        # ln is correctly rounded, so each value is within a relative
+        # 10^(1-digits) of the true one: once |gap| exceeds that error,
+        # its sign is the true sign
+        gap = x * ln2 - y * lnq
+        if abs(gap) * 10 ** (digits - 1) > x * ln2 + y * lnq:
+            return gap > 0
+        digits *= 2
+
+
 def _ceil_exact_vars1(q: int, delta: Fraction) -> int:
     """Smallest v with v >= (2/delta) * log2(q): v*a*log2(2) >= 2*b*log2(q)
     for delta = a/b, i.e. 2^(v*a) >= q^(2*b).  The search stops once 2^v,
     and so the block grid q^vars2 >= 2^vars1, exceeds MAX_BLOCK_GRID."""
     a, b = delta.numerator, delta.denominator
-    target = q ** (2 * b)
     v = 1
-    while 2 ** (v * a) < target and 2 ** v <= MAX_BLOCK_GRID:
+    while not _pow2_at_least(v * a, q, 2 * b) and 2 ** v <= MAX_BLOCK_GRID:
         v += 1
     return v
 

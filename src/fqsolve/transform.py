@@ -210,7 +210,7 @@ def evaluate_values(field: FieldSpec, n: int, polys: Sequence[Polynomial],
     arr = np.zeros((len(polys), len(pd.keys)), dtype=np.int64)
     for row, poly in zip(arr, polys):
         if poly.num_terms():
-            exps, coeffs = poly.packed_arrays()
+            exps, coeffs = poly.term_arrays()
             row[np.searchsorted(pd.keys, exps @ pd.strides)] = coeffs
     for axis in range(n - b):
         _apply_axis(field, arr, pd.groups[axis], "MtoN")
@@ -268,7 +268,7 @@ def interpolate_trimmed(ev: TrimmedEvaluation) -> Polynomial:
     for axis in range(n - ps.b):
         _apply_axis(field, arr, pd.groups[axis], "NtoM")
     nz = np.flatnonzero(arr)
-    return Polynomial.from_packed_arrays(field, n, pd.points[nz], arr[nz])
+    return Polynomial.from_term_arrays(field, n, pd.points[nz], arr[nz])
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,17 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    # 2^(v*a) against q^(2*b) for delta = a/b, without building either
+    @pytest.mark.parametrize("delta", ["1/1000000000", "1000000000000",
+                                       "1000000000001/1000000000000"])
+    def test_reduce_cnf_extreme_delta(self, workdir, capsys, delta):
+        code, out, err = run(capsys, ["reduce-cnf", str(workdir / "f.cnf"),
+                                      str(workdir / "out.pes"),
+                                      "--q", "3", "--delta", delta])
+        assert out == ""
+        assert (code, err) == (0, "") or \
+            code == 1 and err.startswith("error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [["count-roots", "{path}"],
                                       ["reduce-cnf", "{path}", "{out}",
                                        "--q", "2", "--delta", "1"]])

@@ -104,6 +104,41 @@ def test_sub_div_neg_roundtrip(q):
         assert f.add(a, f.neg(a)) == 0
 
 
+def _generator_walk(f):
+    """exp/log by walking the powers of g = 2, 3, ... until one has order
+    q - 1."""
+    q = f.q
+    for g in range(2, q):
+        seen = np.zeros(q, dtype=bool)
+        exp = np.zeros(q - 1, dtype=np.int64)
+        x = 1
+        for i in range(q - 1):
+            if seen[x]:
+                break
+            seen[x] = True
+            exp[i] = x
+            x = f._mul_digits(x, g)
+        else:
+            if x == 1:
+                log = np.zeros(q, dtype=np.int64)
+                log[exp] = np.arange(q - 1, dtype=np.int64)
+                return exp, log
+
+
+# every extension order up to 1024
+EXTENSION_ORDERS = [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128, 169,
+                    243, 256, 289, 343, 361, 512, 529, 625, 729, 841, 961,
+                    1024]
+
+
+@pytest.mark.parametrize("q", EXTENSION_ORDERS)
+def test_exp_log_match_generator_walk(q):
+    f = make_field(q)
+    exp, log = _generator_walk(f)
+    assert f._exp.dtype == exp.dtype and (f._exp == exp).all()
+    assert f._log.dtype == log.dtype and (f._log == log).all()
+
+
 def test_large_prime_field_without_tables():
     f = make_field(65521)  # largest prime below 2^16
     assert f.mul_table is None

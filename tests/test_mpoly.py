@@ -7,7 +7,8 @@ from conftest import full_grid, random_polynomial
 from fqsolve import (Polynomial, PolySystem, TrimmedPointSet, enumerate_points,
                      eval_indicator, ext_binom_cum, format_pes, make_field,
                      parse_pes, symbolic_coefficient)
-from fqsolve.errors import PesFormatError
+from fqsolve.errors import FqsolveError, PesFormatError
+from fqsolve.transform import evaluate_trimmed, interpolate_trimmed
 
 
 def P(q, n, pairs):
@@ -198,11 +199,105 @@ class TestSystemValidation:
         assert e.terms() == [((0, 2, 0, 1), 2)]
 
 
-@given(st.integers(0, 3 ** 6 - 1))
-@settings(max_examples=60, deadline=None)
-def test_pack_unpack_roundtrip(seed):
-    q, n = 4, 3
-    rng = np.random.default_rng(seed)
-    exps = tuple(int(v) for v in rng.integers(0, q, size=n))
-    key = Polynomial._pack(exps, q)
-    assert Polynomial._unpack(key, n, q) == exps
+@st.composite
+def _term_pairs(draw, q, n):
+    """(exponents, coefficient) pairs, as Python ints or as numpy ints;
+    exponents stop at 4 so that the transform route stays small at q=257."""
+    pairs = draw(st.lists(st.tuples(
+        st.lists(st.integers(0, min(q - 1, 4)), min_size=n, max_size=n),
+        st.integers(0, q - 1)), max_size=6))
+    if draw(st.booleans()):
+        return [(np.array(e, dtype=np.int64), np.int64(c)) for e, c in pairs]
+    return [(tuple(e), c) for e, c in pairs]
+
+
+@st.composite
+def _polynomials(draw):
+    """A polynomial built by one of the constructors, and a second build
+    of the same polynomial by another route."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 9, 257]))
+    n = draw(st.integers(1, 3))
+    f = make_field(q)
+    pairs = draw(_term_pairs(q, n))
+    a = Polynomial.from_terms(f, n, pairs)
+    route = draw(st.sampled_from(["from_terms", "variable", "constant", "mul",
+                                  "embed", "symbolic", "transform"]))
+    if route == "from_terms":
+        return a, Polynomial.from_terms(f, n, pairs[::-1])
+    if route == "variable":
+        i = draw(st.integers(0, n - 1))
+        x = Polynomial.variable(f, n, i)
+        return x, P(q, n, [(tuple(int(j == i) for j in range(n)), 1)])
+    if route == "constant":
+        c = draw(st.integers(0, q - 1))
+        return Polynomial.constant(f, n, c), P(q, n, [((0,) * n, c)])
+    if route == "mul":
+        b = Polynomial.from_terms(f, n, draw(_term_pairs(q, n)))
+        return a.mul(b), b.mul(a)
+    if route == "embed":
+        extra = draw(st.integers(0, 2))
+        var_map = draw(st.permutations(range(n + extra)))[:n]
+        back = [var_map.index(j) if j in var_map else None
+                for j in range(n + extra)]
+        return a.embed(n + extra, var_map), P(q, n + extra, [
+            (tuple(0 if i is None else e[i] for i in back), c)
+            for e, c in a.terms()])
+    if route == "symbolic":
+        n2 = draw(st.integers(0, n))
+        p1 = symbolic_coefficient(a, n2)
+        return p1, P(q, n - n2, [(e[:n - n2], c) for e, c in a.terms()
+                                 if all(x == q - 1 for x in e[n - n2:])])
+    b = draw(st.integers(0, n))
+    return interpolate_trimmed(evaluate_trimmed(a, a.degree(), b)), a
+
+
+@given(_polynomials())
+@settings(max_examples=300, deadline=None)
+def test_term_keys_are_exponent_tuples(built):
+    p, same = built
+    assert p == same and hash(p) == hash(same)
+    ts = p.terms()
+    assert [e for e, _ in ts] == sorted({e for e, _ in ts})
+    for e, c in ts:
+        assert len(e) == p.n and all(type(x) is int for x in e)
+        assert type(c) is int and 0 < c < p.field.q
+    assert p.degree() == max((sum(e) for e, _ in ts), default=0)
+    assert Polynomial.from_terms(p.field, p.n, ts) == p
+
+
+@st.composite
+def _systems(draw):
+    q = draw(st.sampled_from([2, 3, 4, 7, 8]))
+    n = draw(st.integers(1, 3))
+    f = make_field(q)
+    polys = [Polynomial.from_terms(f, n, draw(_term_pairs(q, n)))
+             for _ in range(draw(st.integers(0, 3)))]
+    return PolySystem(f, n, polys, max([p.degree() for p in polys] + [1]))
+
+
+@given(_systems())
+@settings(max_examples=100, deadline=None)
+def test_pes_text_roundtrips(s):
+    back = parse_pes(format_pes(s))
+    assert (back.field, back.n, back.polys, back.d) == \
+        (s.field, s.n, s.polys, s.d)
+
+
+_TOKEN = st.one_of(st.integers(-3, 10).map(str), st.text(max_size=3))
+
+
+@given(st.one_of(
+    st.text(),
+    st.builds(lambda head, rows: "\n".join(
+        [" ".join(["pes"] + head)] + [" ".join(r) for r in rows]),
+        st.lists(_TOKEN, min_size=3, max_size=4),
+        st.lists(st.one_of(
+            st.builds(lambda t: ["poly", t], _TOKEN),
+            st.lists(_TOKEN, max_size=5)), max_size=8))))
+@settings(max_examples=300, deadline=None)
+def test_arbitrary_text_parses_or_raises_typed_error(text):
+    try:
+        s = parse_pes(text)
+    except FqsolveError:
+        return
+    assert format_pes(parse_pes(format_pes(s))) == format_pes(s)

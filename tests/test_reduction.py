@@ -2,11 +2,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_sat_count, random_cnf
 from fqsolve import count_common_roots, parse_dimacs, reduce_cnf
-from fqsolve.errors import DimacsFormatError
-from fqsolve.reduction import dec_table, make_plan
+from fqsolve.errors import DimacsFormatError, FqsolveError
+from fqsolve.reduction import (MAX_BLOCK_GRID, _ceil_exact_vars1, dec_table,
+                               make_plan)
 
 
 class TestParseDimacs:
@@ -35,6 +38,27 @@ class TestParseDimacs:
         with pytest.raises(DimacsFormatError):
             parse_dimacs(text)
 
+    @given(st.one_of(
+        st.text(),
+        st.builds(lambda head, rows: "\n".join(
+            [head] + [" ".join(r) for r in rows]),
+            st.one_of(st.text(max_size=12),
+                      st.builds("p cnf {} {}".format, st.integers(0, 4),
+                                st.integers(0, 4))),
+            st.lists(st.lists(st.one_of(st.integers(-5, 5).map(str),
+                                        st.text(max_size=2)), max_size=4),
+                     max_size=5))))
+    @example("p cnf " + "1" * 5000 + " 1\n1 0\n")  # past int()'s digit limit
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_text_parses_or_raises_typed_error(self, text):
+        try:
+            cnf = parse_dimacs(text)
+        except FqsolveError:
+            return
+        assert len(cnf.clauses) == cnf.n_clauses
+        assert all(c and all(1 <= abs(x) <= cnf.n_vars for x in c)
+                   for c in cnf.clauses)
+
 
 class TestPlan:
     @pytest.mark.parametrize("q,delta,vars1", [
@@ -48,6 +72,20 @@ class TestPlan:
         assert plan.vars2 == math.ceil(plan.vars1 / math.log2(q))
         assert q ** plan.vars2 >= 2 ** plan.vars1
         assert plan.blocks == math.ceil(10 / plan.vars1)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+    def test_vars1_matches_exact_power_search(self, q):
+        def exact_search(q, delta):  # builds both powers as integers
+            a, b = delta.numerator, delta.denominator
+            v = 1
+            while 2 ** (v * a) < q ** (2 * b) and 2 ** v <= MAX_BLOCK_GRID:
+                v += 1
+            return v
+
+        for a in range(1, 13):
+            for b in range(1, 13):
+                delta = Fraction(a, b)
+                assert _ceil_exact_vars1(q, delta) == exact_search(q, delta)
 
     def test_dec_surjective(self):
         for q, delta in [(2, Fraction(1)), (3, Fraction(1)),
