@@ -27,10 +27,22 @@ EXIT_UNSAT = 20
 
 
 def _fraction(text: str) -> Fraction:
+    # Fraction builds 10^e exactly for text like 1e9999999, so exponents
+    # past int()'s 4300-digit limit are refused before it runs, and terms
+    # longer than that, which no message could print, after
+    _, marker, exponent = text.strip().lower().rpartition("e")
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    if marker and digits.isdigit() and (len(digits) > 4 or int(digits) > 4300):
+        raise argparse.ArgumentTypeError(
+            f"exponent of {text!r} exceeds 4300 in magnitude")
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+    if max(abs(value.numerator), value.denominator) >= 10 ** 4300:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} has a term of over 4300 digits")
+    return value
 
 
 def _add_solver_flags(sub: argparse.ArgumentParser) -> None:

@@ -23,7 +23,9 @@ re-evaluation axis pass is one matrix application for the whole chunk.
 Votes are counted per chunk, and drawing stops once no point's leader
 can be overtaken by the repetitions left.  Every repetition draws from
 its own counter-based stream, so the repetitions skipped change
-nothing and the output equals that of voting over all t.
+nothing and the output equals that of voting over all t.  Isolation
+trials stack the values of their affine equations, one point-matrix
+product, under the system's, which solve_pes evaluates once per leaf set.
 """
 
 from __future__ import annotations
@@ -33,13 +35,14 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 
 import numpy as np
 
 from .errors import InvalidParamsError
 from .field import FieldSpec
-from .mpoly import Polynomial, PolySystem, TrimmedPointSet
-from .randomized import RngStream, rs_coefficients, valiant_vazirani
+from .mpoly import Polynomial, PolySystem, TrimmedPointSet, point_matrix
+from .randomized import RngStream, rs_coefficients, vv_coefficients
 from .transform import (TrimmedEvaluation, evaluate_trimmed, evaluate_values,
                         interpolate_trimmed, reevaluate)
 
@@ -181,65 +184,85 @@ def _vote(field: FieldSpec, levels, i: int, mats: np.ndarray,
     return field.vsum_axis(agreed.reshape(-1, q ** suffix), 1)
 
 
-def partial_sum(system: PolySystem, beta: int, params: SolverParams,
-                rng: RngStream) -> Polynomial:
-    """The partial-sum polynomial over the first n - beta variables;
-    equals the exact one except with probability at most q^-n."""
-    field = system.field
-    q, n = field.q, system.n
-    if not 0 <= beta <= n:
-        raise InvalidParamsError(f"beta {beta} out of range 0..{n}")
-    _, lam = params.resolve(n, system.d)
-    m = len(system.polys)
+def _voted_sum(field: FieldSpec, n: int, d: int, m: int, beta: int,
+               params: SolverParams, rng: RngStream,
+               values_at) -> TrimmedEvaluation:
+    """Values of the partial sum over the first n - beta variables on its
+    trimmed set, for the m-polynomial degree-d system whose values on
+    T(n-b, delta) x GF(q)^b are the rows of values_at(delta, b)."""
+    q = field.q
+    _, lam = params.resolve(n, d)
     if m == 0:
         # empty product: indicator is constantly 1, partial sums are q^beta
-        if beta == 0:
-            return Polynomial.constant(field, n, 1)
-        return Polynomial.constant(field, n - beta, q ** beta % field.p)
-    levels = _levels(m, beta, n, system.d, q, math.ceil(lam * n))
+        return TrimmedEvaluation(field, TrimmedPointSet(q, n - beta, 0, 0),
+                                 np.array([q ** beta % field.p]))
+    levels = _levels(m, beta, n, d, q, math.ceil(lam * n))
     beta_leaf, delta_leaf, _ = levels[-1]
-    base = evaluate_values(field, n, system.polys, delta_leaf, beta_leaf)
+    base = values_at(delta_leaf, beta_leaf)
     if len(levels) == 1:
         zvals = _leaf_sums(field, base[None], beta)[0]
     else:
         zvals = _vote(field, levels, 0, np.eye(m, dtype=np.int64), base,
                       rng, params.repetitions(n, q), n)
-    ev = TrimmedEvaluation(field, TrimmedPointSet(q, n - beta, levels[0][1], 0),
-                           zvals)
-    return interpolate_trimmed(ev)
+    top = TrimmedPointSet(q, n - beta, levels[0][1], 0)
+    return TrimmedEvaluation(field, top, zvals)
+
+
+def _grid_sum(ev: TrimmedEvaluation) -> int:
+    """Field sum over the whole grid of the polynomial with values ev."""
+    zpoly = interpolate_trimmed(ev)
+    values = evaluate_trimmed(zpoly, max(0, zpoly.degree()), zpoly.n).values
+    return ev.field.vsum(values)
+
+
+def partial_sum(system: PolySystem, beta: int, params: SolverParams,
+                rng: RngStream) -> Polynomial:
+    """The partial-sum polynomial over the first n - beta variables;
+    equals the exact one except with probability at most q^-n."""
+    n = system.n
+    if not 0 <= beta <= n:
+        raise InvalidParamsError(f"beta {beta} out of range 0..{n}")
+    return interpolate_trimmed(_voted_sum(
+        system.field, n, system.d, len(system.polys), beta, params, rng,
+        partial(evaluate_values, system.field, n, system.polys)))
 
 
 def full_sum(system: PolySystem, params: SolverParams, rng: RngStream) -> int:
     """The field sum of the indicator over the whole grid, correct except
     with probability at most q^-n."""
-    field = system.field
-    n = system.n
-    kappa, _ = params.resolve(n, system.d)
-    beta = math.floor(kappa * n)
-    zpoly = partial_sum(system, beta, params, rng.child(0))
-    nv = n - beta
-    if nv == 0:
-        return zpoly.evaluate(())
-    values = evaluate_trimmed(zpoly, max(0, zpoly.degree()), nv).values
-    return field.vsum(values)
+    field, n, d = system.field, system.n, system.d
+    beta = math.floor(params.resolve(n, d)[0] * n)
+    return _grid_sum(_voted_sum(
+        field, n, d, len(system.polys), beta, params, rng.child(0),
+        partial(evaluate_values, field, n, system.polys)))
 
 
 def solve_pes(system: PolySystem, params: SolverParams) -> bool:
     """True iff the system has a common root (bounded-error randomized).
 
-    Runs outer_reps independent trials, each appending random affine
-    equations and computing the full sum; answers SAT iff some trial's
-    sum is nonzero.  Unsatisfiable systems stay unsatisfiable under
-    appended equations, so a false SAT requires a partial-sum failure.
+    Runs outer_reps independent trials, each appending the value rows of
+    random affine equations to the system's, evaluated once per leaf set,
+    and computing the full sum; answers SAT iff some trial's sum is
+    nonzero.  Unsatisfiable systems stay unsatisfiable under appended
+    equations, so a false SAT requires a partial-sum failure.
     """
-    n = system.n
-    params.resolve(n, system.d)
+    field, n, d = system.field, system.n, system.d
+    beta = math.floor(params.resolve(n, d)[0] * n)
     reps = params.outer_reps if params.outer_reps is not None else math.ceil(9 * n)
+    system_values = cache(partial(evaluate_values, field, n, system.polys))
     root = RngStream(params.seed)
     for r in range(reps):
         trial = root.child(r)
-        extra = valiant_vazirani(system.field, n, trial.child(0))
-        augmented = system.with_polys(system.polys + tuple(extra))
-        if full_sum(augmented, params, trial.child(1)) != 0:
+        coeffs = vv_coefficients(field.q, n, trial.child(0))
+
+        def values_at(delta, b):
+            affine = field.matmul(point_matrix(field.q, n, delta, b),
+                                  coeffs[:, :n].T).T
+            return np.concatenate([system_values(delta, b),
+                                   field.vadd(affine, coeffs[:, n:])])
+
+        ev = _voted_sum(field, n, d, len(system.polys) + len(coeffs), beta,
+                        params, trial.child(1).child(0), values_at)
+        if _grid_sum(ev) != 0:
             return True
     return False

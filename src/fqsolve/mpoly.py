@@ -278,9 +278,6 @@ class PolySystem:
     def __len__(self) -> int:
         return len(self.polys)
 
-    def with_polys(self, polys) -> "PolySystem":
-        return PolySystem(self.field, self.n, polys, self.d)
-
     def __repr__(self) -> str:  # pragma: no cover
         return (f"PolySystem(q={self.field.q}, n={self.n}, m={len(self.polys)}, "
                 f"d={self.d})")

@@ -87,24 +87,23 @@ def razborov_smolensky(system: PolySystem, mu: int,
     return out
 
 
+def vv_coefficients(q: int, n: int, rng: RngStream) -> np.ndarray:
+    """The (ell, n+1) matrix [a | b] of the affine polynomials a.X + b
+    that valiant_vazirani draws from rng, ell uniform in {0..n}."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    ell = rng.integers(0, n + 1)
+    return rng.integers(0, q, size=(ell, n + 1))
+
+
 def valiant_vazirani(fieldspec: FieldSpec, n: int,
                      rng: RngStream) -> list[Polynomial]:
     """A uniformly random number ell in {0..n} of uniformly random affine
     polynomials a.X + b.  Appending them to a system never adds solutions;
     if the system is satisfiable, the augmented system has exactly one
     solution with probability Omega(1/n)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    ell = rng.integers(0, n + 1)
-    coeffs = rng.integers(0, fieldspec.q, size=(ell, n + 1))
-    polys = []
-    for r in range(ell):
-        pairs = []
-        for i in range(n):
-            if coeffs[r, i]:
-                exps = tuple(1 if j == i else 0 for j in range(n))
-                pairs.append((exps, int(coeffs[r, i])))
-        if coeffs[r, n]:
-            pairs.append((tuple([0] * n), int(coeffs[r, n])))
-        polys.append(Polynomial.from_terms(fieldspec, n, pairs))
-    return polys
+    coeffs = vv_coefficients(fieldspec.q, n, rng)
+    # the exponents of X_1, ..., X_n and of the constant, one per column
+    exps = [tuple(int(j == i) for j in range(n)) for i in range(n + 1)]
+    return [Polynomial.from_terms(fieldspec, n, zip(exps, row))
+            for row in coeffs]

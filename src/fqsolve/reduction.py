@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DimacsFormatError, InvalidParamsError, TooLargeError
 from .field import make_field
-from .mpoly import Polynomial, PolySystem, TrimmedPointSet
+from .mpoly import Polynomial, PolySystem, TrimmedPointSet, check_key_width
 from .transform import TrimmedEvaluation, interpolate_trimmed
 
 MAX_BLOCK_GRID = 1 << 20  # most points q^vars2 a block grid may have
@@ -175,6 +175,13 @@ def make_plan(n_vars: int, k: int, q: int, delta, parsimonious: bool) -> Reducti
         raise TooLargeError(f"delta {delta} over GF({q}) needs a block grid "
                             f"of over {MAX_BLOCK_GRID} points")
     blocks = -(-n_vars // vars1)
+    try:
+        check_key_width(q, blocks * vars2)
+    except TooLargeError as exc:
+        raise TooLargeError(
+            f"{n_vars} Boolean variables reduce to {blocks * vars2} "
+            f"variables over GF({q}), more than fqsolve can read back "
+            f"({exc})") from None
     return ReductionPlan(q, delta, max(k, 1), vars1, vars2, blocks, parsimonious)
 
 

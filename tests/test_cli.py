@@ -1,9 +1,11 @@
 import json
 import pathlib
+import time
+from fractions import Fraction
 
 import pytest
 
-from fqsolve.cli import main
+from fqsolve.cli import build_parser, main
 
 UNSAT_PES = "pes 2 1 2\npoly 1\n1 1\npoly 2\n1 0\n1 1\n"
 SAT_PES = "pes 3 2 1\npoly 2\n1 0 0\n1 1 1\n"  # X1*X2 + 1
@@ -144,6 +146,39 @@ class TestErrors:
         assert out == ""
         assert (code, err) == (0, "") or \
             code == 1 and err.startswith("error:") and err.count("\n") == 1
+
+    # 4,000,000 header variables reduce to 4,000,000 field variables,
+    # which no command reads back: refused before any block is built
+    def test_reduce_cnf_too_many_variables(self, workdir, capsys):
+        cnf, out_path = workdir / "wide.cnf", workdir / "out.pes"
+        cnf.write_text("p cnf 4000000 1\n1 0\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["reduce-cnf", str(cnf), str(out_path),
+                                      "--q", "2", "--delta", "1",
+                                      "--parsimonious"])
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == "" and not out_path.exists()
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    # Fraction would build 10^e exactly; 1e-4300 has a 4301-digit term
+    @pytest.mark.parametrize("argv", [
+        ["reduce-cnf", "{cnf}", "{out}", "--q", "2", "--delta", "1e10000000"],
+        ["full-sum", "{pes}", "--kappa", "1e-10000000"],
+        ["full-sum", "{pes}", "--lambda", "1e-4300"]])
+    def test_rational_with_huge_exponent(self, workdir, capsys, argv):
+        argv = [a.format(cnf=workdir / "f.cnf", out=workdir / "out.pes",
+                         pes=workdir / "sat.pes") for a in argv]
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert time.perf_counter() - start < 0.5
+        assert exc.value.code == 2
+        assert "4300" in capsys.readouterr().err
+
+    def test_rational_in_exponent_notation(self):
+        args = build_parser().parse_args(["full-sum", "x.pes",
+                                          "--kappa", "1e-2"])
+        assert args.kappa == Fraction(1, 100)
 
     @pytest.mark.parametrize("argv", [["count-roots", "{path}"],
                                       ["reduce-cnf", "{path}", "{out}",

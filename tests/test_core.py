@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import full_grid, random_system
 from fqsolve import (Polynomial, PolySystem, RngStream, SolverParams,
-                     brute_Z, brute_partial_sum, eval_indicator, full_sum,
-                     make_field, partial_sum, plurality, solve_pes, zdegree)
+                     brute_Z, brute_partial_sum, core, eval_indicator,
+                     full_sum, make_field, partial_sum, plurality, solve_pes,
+                     valiant_vazirani, zdegree)
 from fqsolve.core import VOTE_CHUNK, streamed_plurality
 from fqsolve.errors import InvalidParamsError
 
@@ -186,7 +187,8 @@ class TestPartialSum:
         wrong = 0
         for t in range(trials):
             combos = razborov_smolensky(system, mu, stream.child(t))
-            zj = brute_partial_sum(system.with_polys(combos), beta_sub)
+            zj = brute_partial_sum(
+                PolySystem(system.field, system.n, combos, system.d), beta_sub)
             wrong += zj.evaluate(y) != truth.evaluate(y)
         p = q ** -2
         sigma = (p * (1 - p) / trials) ** 0.5
@@ -267,3 +269,44 @@ class TestSolvePes:
             prm = SolverParams(kappa=Fraction(3, 10), lam=Fraction(3, 10),
                                t_override=40, seed=trial)
             assert solve_pes(system, prm) == want
+
+    @pytest.mark.parametrize("kappa", [Fraction(1, 100), Fraction(3, 10)])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+    def test_every_trial_matches_polynomial_route(self, q, kappa,
+                                                  monkeypatch):
+        # witness: append the valiant_vazirani polynomials as a new system
+        # and take its full_sum on the trial's stream.  t = 3 makes votes
+        # fail at kappa = 3/10, so a wrong stream would change the sums
+        rng = np.random.default_rng(q)
+        n, reps = 4, 5
+        cases, want, ells, wrong = [], [], set(), 0
+        for seed, m in enumerate((0, 1, 2, 3)):
+            system = random_system(rng, q, n, m, 2)
+            prm = SolverParams(kappa=kappa, t_override=3, outer_reps=reps,
+                               seed=seed)
+            sums = []
+            for r in range(reps):
+                trial = RngStream(seed).child(r)
+                extra = valiant_vazirani(system.field, n, trial.child(0))
+                aug = PolySystem(system.field, n,
+                                 system.polys + tuple(extra), system.d)
+                sums.append(full_sum(aug, prm, trial.child(1)))
+                ells.add(len(extra))
+                wrong += sums[-1] != brute_Z(aug)
+            assert solve_pes(system, prm) == any(sums)
+            cases.append((system, prm))
+            want += sums
+        assert {0, n} <= ells
+        assert (wrong > 0) == (kappa == Fraction(3, 10))
+
+        # every trial's sum as solve_pes computes it, with all trials run
+        got = []
+        grid_sum = core._grid_sum
+
+        def record(ev):
+            got.append(grid_sum(ev))
+            return 0
+        monkeypatch.setattr(core, "_grid_sum", record)
+        for system, prm in cases:
+            assert solve_pes(system, prm) is False
+        assert got == want

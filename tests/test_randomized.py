@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import full_grid, random_system
-from fqsolve import (RngStream, count_common_roots, make_field,
+from fqsolve import (PolySystem, RngStream, count_common_roots, make_field,
                      razborov_smolensky, valiant_vazirani)
+from fqsolve.mpoly import point_matrix
+from fqsolve.randomized import vv_coefficients
 
 
 class TestRngStream:
@@ -107,6 +109,27 @@ class TestValiantVazirani:
             for poly in valiant_vazirani(f, 3, stream.child(t)):
                 assert poly.degree() <= 1
 
+    @pytest.mark.parametrize("q, n, delta, b", [(2, 5, 2, 3), (3, 4, 3, 0),
+                                                (4, 3, 2, 1), (9, 3, 4, 2),
+                                                (16, 2, 3, 1)])
+    def test_coefficient_rows_give_polynomial_values(self, q, n, delta, b):
+        # the rows [a | b] give the values a.x + b of the valiant_vazirani
+        # polynomials drawn from the same stream, at every point of
+        # T(n-b, delta) x GF(q)^b
+        f = make_field(q)
+        pts = point_matrix(q, n, delta, b)
+        for t in range(12):
+            rows_rng, polys_rng = RngStream(4, (t,)), RngStream(4, (t,))
+            coeffs = vv_coefficients(q, n, rows_rng)
+            polys = valiant_vazirani(f, n, polys_rng)
+            values = f.vadd(f.matmul(pts, coeffs[:, :n].T).T, coeffs[:, n:])
+            assert values.shape == (len(polys), len(pts))
+            for row, poly in zip(values, polys):
+                assert row.tolist() == [poly.evaluate(x)
+                                        for x in pts.tolist()]
+            assert rows_rng.integers(0, 1 << 30) == \
+                polys_rng.integers(0, 1 << 30)
+
     def test_unsat_stays_unsat(self):
         from fqsolve import Polynomial, PolySystem
         f = make_field(3)
@@ -116,7 +139,8 @@ class TestValiantVazirani:
         stream = RngStream(7)
         for t in range(40):
             extra = valiant_vazirani(f, 2, stream.child(t))
-            aug = system.with_polys(system.polys + tuple(extra))
+            aug = PolySystem(system.field, system.n,
+                             system.polys + tuple(extra), system.d)
             assert count_common_roots(aug).count == 0
 
     def test_isolation_rate_on_satisfiable_systems(self):
@@ -134,7 +158,8 @@ class TestValiantVazirani:
             for t in range(40):
                 extra = valiant_vazirani(system.field, n,
                                          stream.child(inst * 40 + t))
-                aug = system.with_polys(system.polys + tuple(extra))
+                aug = PolySystem(system.field, system.n,
+                                 system.polys + tuple(extra), system.d)
                 trials += 1
                 isolated += count_common_roots(aug).count == 1
         # measured rate is far above this floor; the contract is Omega(1/n)
