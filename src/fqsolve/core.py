@@ -41,7 +41,8 @@ import numpy as np
 
 from .errors import InvalidParamsError
 from .field import FieldSpec
-from .mpoly import Polynomial, PolySystem, TrimmedPointSet, point_matrix
+from .mpoly import (Polynomial, PolySystem, TrimmedPointSet, check_key_width,
+                    point_matrix)
 from .randomized import RngStream, rs_coefficients, vv_coefficients
 from .transform import (TrimmedEvaluation, evaluate_trimmed, evaluate_values,
                         interpolate_trimmed, reevaluate)
@@ -247,6 +248,7 @@ def solve_pes(system: PolySystem, params: SolverParams) -> bool:
     equations, so a false SAT requires a partial-sum failure.
     """
     field, n, d = system.field, system.n, system.d
+    check_key_width(field.q, n)  # before the trials build point matrices
     beta = math.floor(params.resolve(n, d)[0] * n)
     reps = params.outer_reps if params.outer_reps is not None else math.ceil(9 * n)
     system_values = cache(partial(evaluate_values, field, n, system.polys))

@@ -410,22 +410,18 @@ def parse_pes(text: str) -> PolySystem:
         for _ in range(t):
             if pos >= len(rows):
                 raise PesFormatError("unexpected end of input inside a polynomial")
-            fields = rows[pos]
-            if len(fields) != n + 1:
-                raise PesFormatError(
-                    f"term line needs 1 + {n} integers, got {len(fields)}")
             try:
-                vals = [int(x) for x in fields]
+                c, *exps = map(int, rows[pos])
             except ValueError as exc:
                 raise PesFormatError("non-integer term entry") from exc
-            c, exps = vals[0], tuple(vals[1:])
-            if not 1 <= c <= q - 1:
-                raise PesFormatError(f"coefficient {c} out of range 1..{q - 1}")
-            if any(not 0 <= e <= q - 1 for e in exps):
-                raise PesFormatError("exponent out of range")
+            if c == 0:
+                raise PesFormatError(f"zero coefficient in polynomial {pi + 1}")
             pairs.append((exps, c))
             pos += 1
-        polys.append(Polynomial.from_terms(field, n, pairs))
+        try:
+            polys.append(Polynomial.from_terms(field, n, pairs))
+        except ValueError as exc:
+            raise PesFormatError(f"polynomial {pi + 1}: {exc}") from exc
     if pos != len(rows):
         raise PesFormatError("trailing content after the last polynomial")
     d = max([p.degree() for p in polys] + [1])

@@ -2,9 +2,11 @@
 
 Everything here evaluates polynomials over the full grid GF(q)^n with its
 own dense tensor code (scatter coefficients into a q x ... x q cube, then
-apply the univariate value map along every axis).  No code is shared with
-the solver or the trimmed transform beyond field arithmetic, so these
-functions serve as independent witnesses in every equivalence test.
+apply the univariate value map along every axis).  Every inverse comes
+from one Gauss-Jordan routine, _solve, in elementwise field arithmetic.
+No code is shared with the solver or the trimmed transform beyond field
+arithmetic, so these functions serve as independent witnesses in every
+equivalence test.
 """
 
 from __future__ import annotations
@@ -34,26 +36,31 @@ def _pow_matrix(field: FieldSpec) -> np.ndarray:
     return mat
 
 
-@cache
-def _pow_inverse(field: FieldSpec) -> np.ndarray:
-    """Inverse of the coefficient-to-values map, by Gauss-Jordan."""
-    q = field.q
-    a = _pow_matrix(field).copy()
-    inv = np.eye(q, dtype=np.int64)
-    for col in range(q):
-        piv = next(r for r in range(col, q) if a[r, col])
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            inv[[col, piv]] = inv[[piv, col]]
+def _solve(field: FieldSpec, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with a @ x = rhs, for a square invertible a and a vector or matrix
+    rhs, by Gauss-Jordan elimination with elementwise field arithmetic."""
+    a = np.array(a, dtype=np.int64)
+    x = np.array(rhs, dtype=np.int64).reshape(len(a), -1)
+    for col in range(len(a)):
+        piv = col + int(np.flatnonzero(a[col:, col])[0])
+        a[[col, piv]] = a[[piv, col]]
+        x[[col, piv]] = x[[piv, col]]
         c = field.inv(int(a[col, col]))
         a[col] = field.vmul(c, a[col])
-        inv[col] = field.vmul(c, inv[col])
-        for r in range(q):
-            if r != col and a[r, col]:
-                f = int(a[r, col])
-                a[r] = field.vsub(a[r], field.vmul(f, a[col]))
-                inv[r] = field.vsub(inv[r], field.vmul(f, inv[col]))
-    inv.setflags(write=False)
+        x[col] = field.vmul(c, x[col])
+        rows = np.flatnonzero(a[:, col])
+        rows = rows[rows != col]
+        f = a[rows, col, None]
+        a[rows] = field.vsub(a[rows], field.vmul(f, a[col]))
+        x[rows] = field.vsub(x[rows], field.vmul(f, x[col]))
+    return x.reshape(np.shape(rhs))
+
+
+@cache
+def _pow_inverse(field: FieldSpec) -> np.ndarray:
+    """Inverse of the coefficient-to-values map."""
+    inv = _solve(field, _pow_matrix(field), np.eye(field.q, dtype=np.int64))
+    inv.setflags(write=False)  # cached: shared by every caller
     return inv
 
 
@@ -75,8 +82,6 @@ def grid_evaluate(poly: Polynomial) -> np.ndarray:
     (first variable most significant)."""
     field = poly.field
     q, n = field.q, poly.n
-    if n == 0:
-        return np.array([poly.evaluate(())], dtype=np.int64)
     cube = np.zeros((q,) * n, dtype=np.int64)
     for exps, c in poly.terms():
         cube[exps] = c
@@ -96,15 +101,9 @@ def grid_interpolate(field: FieldSpec, values: np.ndarray, n: int) -> Polynomial
     inv = _pow_inverse(field)
     for axis in range(n):
         cube = _apply_axis_dense(field, cube, axis, inv)
-    flat = cube.reshape(-1)
-    pairs = []
-    for pos in np.flatnonzero(flat):
-        exps = []
-        rem = int(pos)
-        for i in range(n):
-            exps.append(rem // q ** (n - 1 - i))
-            rem %= q ** (n - 1 - i)
-        pairs.append((tuple(exps), int(flat[pos])))
+    # argwhere and the mask both list the nonzero entries in row-major
+    # order, which is the lexicographic exponent order
+    pairs = zip(np.argwhere(cube).tolist(), cube[cube != 0].tolist())
     return Polynomial.from_terms(field, n, pairs)
 
 
@@ -115,52 +114,16 @@ def dense_interpolate(ev) -> Polynomial:
     elimination over the field, O(|T|^3)."""
     field = ev.field
     ps = ev.point_set
-    n = ps.n
-    # coefficient support mirrors the point set: the first n-b exponents sum
-    # to at most delta, the trailing b exponents are unconstrained
-    pts = point_matrix(ps.q, n, ps.delta, ps.b)
-    monos = pts
-    npts, nmono = len(pts), len(monos)
+    # coefficient support mirrors the point set (the first n-b exponents
+    # sum to at most delta, the trailing b are unconstrained), so the system
+    # is square, and invertible because interpolation on T is unique
+    pts = point_matrix(ps.q, ps.n, ps.delta, ps.b)
     pw = _pow_matrix(field)
-    a = np.ones((npts, nmono), dtype=np.int64)
-    for var in range(n):
-        a = field.vmul(a, pw[pts[:, var][:, None], monos[:, var][None, :]])
-    rhs = np.array(ev.values, dtype=np.int64)
-    piv_rows: list[int] = []
-    piv_cols: list[int] = []
-    row = 0
-    for col in range(nmono):
-        sel = None
-        for r in range(row, npts):
-            if a[r, col]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        if sel != row:
-            a[[row, sel]] = a[[sel, row]]
-            rhs[[row, sel]] = rhs[[sel, row]]
-        inv = field.inv(int(a[row, col]))
-        a[row] = field.vmul(inv, a[row])
-        rhs[row] = field.mul(inv, int(rhs[row]))
-        for r in range(npts):
-            if r != row and a[r, col]:
-                c = int(a[r, col])
-                a[r] = field.vsub(a[r], field.vmul(c, a[row]))
-                rhs[r] = field.sub(int(rhs[r]), field.mul(c, int(rhs[row])))
-        piv_rows.append(row)
-        piv_cols.append(col)
-        row += 1
-    for r in range(row, npts):
-        if rhs[r]:
-            raise ValueError("evaluation vector is not consistent with the "
-                             "degree bound")
-    sol = np.zeros(nmono, dtype=np.int64)
-    for r, c in zip(piv_rows, piv_cols):
-        sol[c] = rhs[r]
-    pairs = [(tuple(int(v) for v in monos[i]), int(sol[i]))
-             for i in np.flatnonzero(sol)]
-    return Polynomial.from_terms(field, n, pairs)
+    a = np.ones((len(pts), len(pts)), dtype=np.int64)
+    for var in range(ps.n):
+        a = field.vmul(a, pw[pts[:, var][:, None], pts[:, var][None, :]])
+    sol = _solve(field, a, ev.values)
+    return Polynomial.from_terms(field, ps.n, zip(pts.tolist(), sol.tolist()))
 
 
 @dataclass
@@ -190,10 +153,7 @@ def count_common_roots(system: PolySystem) -> RootCount:
 def brute_Z(system: PolySystem) -> int:
     """Field sum of the indicator over the full grid: the root count
     reduced into the prime subfield."""
-    q, n = system.field.q, system.n
-    if q ** n > COUNT_LIMIT:
-        raise TooLargeError(f"grid size {q}^{n} exceeds {COUNT_LIMIT}")
-    return int(_indicator_values(system).sum() % system.field.p)
+    return count_common_roots(system).count % system.field.p
 
 
 def brute_partial_sum(system: PolySystem, beta: int) -> Polynomial:

@@ -1,10 +1,15 @@
 import json
+import os
 import pathlib
+import resource
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import fqsolve
 from fqsolve.cli import build_parser, main
 
 UNSAT_PES = "pes 2 1 2\npoly 1\n1 1\npoly 2\n1 0\n1 1\n"
@@ -199,6 +204,25 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    # X1 over 70 variables: solve must refuse the 70-bit keys before it
+    # builds any point matrix, so a 1 GiB address space is plenty
+    def test_solve_key_width_checked_before_allocation(self, workdir):
+        pes = workdir / "wide.pes"
+        pes.write_text("pes 2 70 1\npoly 1\n1 1" + " 0" * 69 + "\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(pathlib.Path(fqsolve.__file__).parents[1]))
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "fqsolve.cli", "solve", str(pes)],
+            capture_output=True, text=True, env=env, preexec_fn=limit,
+            timeout=120)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1
+
 
 class TestSeedDomain:
     @pytest.mark.parametrize("seed, env", [("-1", None),
@@ -230,6 +254,16 @@ class TestDeterminism:
         _, first, _ = run(capsys, argv)
         _, second, _ = run(capsys, argv)
         assert first == second
+
+
+class TestSelftest:
+    def test_all_checks_pass(self, capsys):
+        code, out, _ = run(capsys, ["selftest"])
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 11
+        assert all(line.startswith("selftest ") for line in lines[:-1])
+        assert all(line.endswith(": ok") for line in lines[:-1])
+        assert lines[-1] == "selftest: all ok"
 
 
 class TestHelp:

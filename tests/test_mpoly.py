@@ -179,11 +179,21 @@ class TestPesFormat:
         "pes 2 2 1\npoly 2\n1 1 0\n",       # missing term line
         "pes 2 2 1\npoly 1\n1 1\n",         # wrong arity
         "pes 2 2 1\npoly 1\n1 1 0\n1 0 1\n",  # trailing content
+        "pes 3 2 1\npoly 1\n1 1 0 2\n",     # wrong arity
+        "pes 3 2 1\npoly 1\n1 3 0\n",       # exponent = q
+        "pes 3 2 1\npoly 1\n3 1 0\n",       # coefficient = q
+        "pes 3 2 1\npoly 2\n1 1 0\n0 0 1\n",  # coefficient 0
     ])
     def test_rejects_malformed(self, text):
         from fqsolve.errors import NotPrimePowerError
         with pytest.raises((PesFormatError, NotPrimePowerError)):
             parse_pes(text)
+
+    @pytest.mark.parametrize("term", ["1 1", "1 3 0", "3 1 0", "-1 1 0",
+                                      "1 -1 0", "0 1 0"])
+    def test_term_errors_name_the_polynomial(self, term):
+        with pytest.raises(PesFormatError, match="polynomial 2"):
+            parse_pes(f"pes 3 2 2\npoly 0\npoly 1\n{term}\n")
 
 
 class TestSystemValidation:

@@ -157,7 +157,8 @@ class TestMatrices:
         for a, b in (("NtoM", "MtoN"), ("VN", "VNinv"), ("W", "Winv")):
             assert (f.matmul(mats[a], mats[b]) == eye).all()
 
-    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 27])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 27,
+                                   49, 64, 81, 125, 257])
     def test_vandermonde_pair_matches_oracle(self, q):
         # the oracle builds W by scalar powers and inverts it by
         # Gauss-Jordan, independently of the closed forms
