@@ -119,6 +119,15 @@ def _golden_min(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return x, fn(x)
 
 
+def _refine_min(fn, grid, values, tol: float) -> tuple[float, float]:
+    """Golden-section minimum of fn between the neighbours of the grid
+    point with the smallest values[i], fn(grid[i]) or a stand-in for it."""
+    i = int(np.argmin(values))
+    lo = grid[max(0, i - 1)]
+    hi = grid[min(len(grid) - 1, i + 1)]
+    return _golden_min(fn, lo, hi, tol)
+
+
 def entropy_H(q: int, alpha: float) -> float:
     """inf over theta < 0 of the exponential-moment objective; the value
     satisfies ext_binom_cum(n, alpha*(q-1)*n, q) <= q^(H*n)."""
@@ -126,12 +135,8 @@ def entropy_H(q: int, alpha: float) -> float:
         raise ValueError("q must be at least 2")
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must lie in (0, 1/2)")
-    grid = _THETA_GRID
-    vals = -alpha * grid + _g_grid(q)
-    i = int(np.argmin(vals))
-    lo = grid[max(0, i - 1)]
-    hi = grid[min(len(grid) - 1, i + 1)]
-    _, h = _golden_min(lambda t: _h_objective(q, alpha, t), lo, hi, 1e-10)
+    _, h = _refine_min(lambda t: _h_objective(q, alpha, t), _THETA_GRID,
+                       -alpha * _THETA_GRID + _g_grid(q), 1e-10)
     return min(h, 1.0)
 
 
@@ -146,12 +151,8 @@ def gap_I_limit(alpha: float) -> float:
     def neg(theta: float) -> float:
         return -(alpha * theta - math.log(math.expm1(theta) / theta))
 
-    grid = _THETA_GRID
-    vals = np.array([neg(t) for t in grid])
-    i = int(np.argmin(vals))
-    lo = grid[max(0, i - 1)]
-    hi = grid[min(len(grid) - 1, i + 1)]
-    _, v = _golden_min(neg, lo, hi, 1e-12)
+    _, v = _refine_min(neg, _THETA_GRID, [neg(t) for t in _THETA_GRID],
+                       1e-12)
     return -v
 
 
@@ -190,9 +191,6 @@ def _sup_term(q: int, d: int, kappa: float) -> float:
     deltas = np.linspace(0.0, kappa, 257)[1:]
     alphas = deltas * (d - 1) / (1.0 - deltas)
     terms = _entropy_grid(q, alphas) * (1.0 - deltas)
-    i = int(np.argmax(terms))
-    lo = deltas[max(0, i - 1)]
-    hi = deltas[min(len(deltas) - 1, i + 1)]
 
     def neg(delta: float) -> float:
         if delta <= 0.0:
@@ -200,7 +198,7 @@ def _sup_term(q: int, d: int, kappa: float) -> float:
         a = delta * (d - 1) / (1.0 - delta)
         return -entropy_H(q, a) * (1.0 - delta)
 
-    _, v = _golden_min(neg, lo, hi, max(kappa * 1e-9, 1e-16))
+    _, v = _refine_min(neg, deltas, -terms, max(kappa * 1e-9, 1e-16))
     return max(-v, 0.0)
 
 
@@ -224,13 +222,10 @@ def zeta(q: int, d: int) -> ExponentReport:
     # coarse bracket first: f is a max of a decreasing and a nondecreasing
     # function of kappa, hence quasiconvex
     grid = np.linspace(lo, hi, 33)
-    fvals = [f(x) for x in grid]
-    i = int(np.argmin(fvals))
-    blo = grid[max(0, i - 1)]
-    bhi = grid[min(len(grid) - 1, i + 1)]
     # resolution: 1e-5 absolute, but relative for huge d where the whole
     # kappa range is smaller than that
-    kappa_star, z = _golden_min(f, blo, bhi, min(1e-5, kmax * 1e-7))
+    kappa_star, z = _refine_min(f, grid, [f(x) for x in grid],
+                                min(1e-5, kmax * 1e-7))
     return ExponentReport(q, d, kappa_star, z, bound)
 
 

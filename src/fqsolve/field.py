@@ -6,10 +6,10 @@ coordinates of the element in the polynomial basis 1, x, x^2, ...
 Index 0 is the additive identity and index 1 the multiplicative identity,
 so the prime subfield occupies indices 0..p-1 with index arithmetic mod p.
 
-Fields of order up to 256 carry dense q-by-q addition/multiplication
-tables; every extension field additionally carries exp/log tables over a
-multiplicative generator, so scalar and numpy-vectorised operations are
-plain table lookups.  Larger prime fields use modular arithmetic directly.
+Every extension field carries exp/log tables over a multiplicative
+generator, and prime fields use modular arithmetic directly.  Fields of
+order up to 256 also cache dense q-by-q addition/multiplication tables:
+the untabled vadd and vmul over all pairs.
 
 Every matrix product over the field goes through `compile_matrix`, which
 expands the matrix once, by a table gather, into an F_p matrix on base-p
@@ -18,6 +18,10 @@ a reduction mod p.  Both factors have entries in 0..p-1, so every partial
 sum of an inner product of length L is an integer of at most L(p-1)^2,
 exact in float64 while that stays below 2^53; `compile_matrix` refuses
 longer products with `TooLargeError`.
+
+Before allocating, `compile_matrix` checks the IJk^2 entries of the
+expanded matrix and `transform._matrices` the 6q^2 entries of its frames
+against ENTRY_LIMIT (2^26, 512 MiB of float64) and raises TooLargeError.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .errors import FieldTooLargeError, NotPrimePowerError, TooLargeError
 ORDER_LIMIT = 1 << 16  # largest supported field order
 TABLE_LIMIT = 256      # largest order that gets dense q*q tables
 EXACT_LIMIT = 1 << 53  # float64 represents every integer below this
+ENTRY_LIMIT = 1 << 26  # most entries one field-matrix build may allocate
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +130,9 @@ class FieldSpec:
         self.irreducible = tuple(irreducible)
         q = self.q
         self._ppow = np.array([p ** i for i in range(k)], dtype=np.int64)
+        idx = np.arange(q, dtype=np.int64)
         if k >= 2:
             # base-p digit matrix: digits[a, i] = i-th digit of index a
-            idx = np.arange(q, dtype=np.int64)
             self.digits = np.stack(
                 [(idx // p ** i) % p for i in range(k)], axis=1
             )
@@ -136,9 +141,11 @@ class FieldSpec:
         else:
             self.digits = self._fdigits = None
             self._exp = self._log = None
+        # vadd and vmul run untabled while both tables are still None
         self.add_table = self.mul_table = None
         if q <= TABLE_LIMIT:
-            self.add_table, self.mul_table = self._build_tables()
+            self.add_table = self.vadd(idx[:, None], idx)
+            self.mul_table = self.vmul(idx[:, None], idx)
 
     # -- construction helpers ------------------------------------------------
 
@@ -184,20 +191,6 @@ class FieldSpec:
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(q - 1, dtype=np.int64)
         return exp, log
-
-    def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        q, p = self.q, self.p
-        idx = np.arange(q, dtype=np.int64)
-        if self.k == 1:
-            add = (idx[:, None] + idx[None, :]) % p
-            mul = (idx[:, None] * idx[None, :]) % p
-            return add, mul
-        dsum = (self.digits[:, None, :] + self.digits[None, :, :]) % p
-        add = dsum @ self._ppow
-        mul = self._exp[(self._log[:, None] + self._log[None, :]) % (q - 1)]
-        mul[0, :] = 0
-        mul[:, 0] = 0
-        return add, mul
 
     # -- scalar arithmetic ----------------------------------------------------
 
@@ -288,10 +281,7 @@ class FieldSpec:
 
     def vsum(self, a: np.ndarray) -> int:
         """Field sum of all entries."""
-        if self.k == 1:
-            return int(a.sum() % self.p)
-        dig = self.digits[a].reshape(-1, self.k).sum(axis=0) % self.p
-        return int(dig @ self._ppow)
+        return int(self.vsum_axis(np.ravel(a), 0))
 
     def vsum_axis(self, a: np.ndarray, axis: int) -> np.ndarray:
         """Field sum along one axis."""
@@ -326,6 +316,10 @@ class FieldSpec:
             raise TooLargeError(
                 f"an inner product of length {nin * k} over F_{p} can "
                 f"exceed 2^53 and would not be exact in float64")
+        if nout * nin * k * k > ENTRY_LIMIT:
+            raise TooLargeError(
+                f"a {nout}x{nin} matrix over GF({self.q}) expands to "
+                f"{nout * nin * k * k} entries, over {ENTRY_LIMIT}")
         if k == 1:
             mt = (mat.T % p).astype(np.float64)
 

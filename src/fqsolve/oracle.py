@@ -2,11 +2,11 @@
 
 Everything here evaluates polynomials over the full grid GF(q)^n with its
 own dense tensor code (scatter coefficients into a q x ... x q cube, then
-apply the univariate value map along every axis).  Every inverse comes
-from one Gauss-Jordan routine, _solve, in elementwise field arithmetic.
-No code is shared with the solver or the trimmed transform beyond field
-arithmetic, so these functions serve as independent witnesses in every
-equivalence test.
+apply the univariate value map x^e, built by columns, along every axis).
+Every inverse comes from one Gauss-Jordan routine, _solve, in elementwise
+field arithmetic.  No code is shared with the solver or the trimmed
+transform beyond field arithmetic, so these functions serve as
+independent witnesses in every equivalence test.
 """
 
 from __future__ import annotations
@@ -28,10 +28,13 @@ PARTIAL_LIMIT = 10 ** 7
 def _pow_matrix(field: FieldSpec) -> np.ndarray:
     """pw[x, e] = x^e, the univariate coefficient-to-values map."""
     q = field.q
-    mat = np.zeros((q, q), dtype=np.int64)
-    for x in range(q):
-        for e in range(q):
-            mat[x, e] = field.pow(x, e)
+    if q * q > COUNT_LIMIT:
+        raise TooLargeError(f"power table of {q}^2 entries exceeds "
+                            f"{COUNT_LIMIT}")
+    idx = np.arange(q, dtype=np.int64)
+    mat = np.ones((q, q), dtype=np.int64)
+    for e in range(1, q):
+        mat[:, e] = field.vmul(mat[:, e - 1], idx)
     mat.setflags(write=False)  # cached: shared by every caller
     return mat
 

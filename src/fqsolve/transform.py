@@ -34,8 +34,8 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .errors import DegreeTooHighError, SizeMismatchError
-from .field import FieldSpec
+from .errors import DegreeTooHighError, SizeMismatchError, TooLargeError
+from .field import ENTRY_LIMIT, FieldSpec
 from .mpoly import (Polynomial, TrimmedPointSet, check_key_width,
                     point_matrix)
 
@@ -119,6 +119,9 @@ def _positions(q: int, n: int, delta_small: int, b_small: int,
 @cache
 def _matrices(field: FieldSpec) -> dict[str, np.ndarray]:
     q = field.q
+    if 6 * q * q > ENTRY_LIMIT:
+        raise TooLargeError(f"the transform frames of GF({q}) hold "
+                            f"{6 * q * q} entries, over {ENTRY_LIMIT}")
     idx = np.arange(q, dtype=np.int64)
     recip = np.array([0] + [field.inv(a) for a in range(1, q)],
                      dtype=np.int64)

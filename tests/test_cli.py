@@ -32,6 +32,19 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _run_limited(argv: list[str]) -> subprocess.CompletedProcess:
+    """fqsolve argv in a subprocess with a 1 GiB address space."""
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(fqsolve.__file__).parents[1]))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    return subprocess.run([sys.executable, "-m", "fqsolve.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=limit, timeout=120)
+
+
 class TestSolve:
     def test_unsat_exit_20(self, workdir, capsys):
         code, out, _ = run(capsys, ["solve", str(workdir / "unsat.pes")])
@@ -119,9 +132,12 @@ class TestErrors:
         code, _, err = run(capsys, ["count-roots", str(bad)])
         assert code == 1 and "error:" in err
 
-    def test_invalid_params(self, workdir, capsys):
-        code, _, err = run(capsys, ["full-sum", str(workdir / "sat.pes"),
-                                    "--kappa", "1/3"])
+    @pytest.mark.parametrize("command, flag, value", [
+        ("full-sum", "--kappa", "1/3"), ("solve", "--outer-reps", "0")],
+        ids=["kappa", "outer-reps"])
+    def test_invalid_params(self, workdir, capsys, command, flag, value):
+        code, _, err = run(capsys, [command, str(workdir / "sat.pes"),
+                                    flag, value])
         assert code == 1 and "error:" in err
 
     def test_reduce_cnf_delta_zero(self, workdir, capsys):
@@ -180,6 +196,13 @@ class TestErrors:
         assert exc.value.code == 2
         assert "4300" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "1/0"])
+    def test_rational_not_parsed(self, workdir, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["full-sum", str(workdir / "sat.pes"), "--kappa", value])
+        assert exc.value.code == 2
+        assert "not a rational" in capsys.readouterr().err
+
     def test_rational_in_exponent_notation(self):
         args = build_parser().parse_args(["full-sum", "x.pes",
                                           "--kappa", "1e-2"])
@@ -222,6 +245,28 @@ class TestErrors:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error:")
         assert proc.stderr.count("\n") == 1
+
+    # X1 - 1 over the two largest supported orders: the q-by-q power table
+    # of count-roots and the transform frames of the solver commands are
+    # refused before they are allocated, inside a 1 GiB address space
+    @pytest.mark.parametrize("q", [65521, 65536])
+    @pytest.mark.parametrize("command", ["count-roots", "full-sum", "solve",
+                                         "partial-sum --beta 0"])
+    def test_large_order_checked_before_allocation(self, workdir, command, q):
+        pes = workdir / "large.pes"
+        pes.write_text(f"pes {q} 1 1\npoly 2\n1 1\n{q - 1} 0\n")
+        sub, *flags = command.split()
+        proc = _run_limited([sub, str(pes), *flags])
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1
+
+    def test_solve_below_the_entry_limit(self, workdir):
+        pes = workdir / "x1031.pes"
+        pes.write_text("pes 1031 1 1\npoly 2\n1 1\n1030 0\n")
+        proc = _run_limited(["solve", str(pes)])
+        assert proc.returncode == 10
+        assert (proc.stdout, proc.stderr) == ("SAT\n", "")
 
 
 class TestSeedDomain:

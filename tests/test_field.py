@@ -4,6 +4,7 @@ import pytest
 from fqsolve import make_field
 from fqsolve.errors import (FieldTooLargeError, NotPrimePowerError,
                             TooLargeError)
+from fqsolve.field import ENTRY_LIMIT
 
 # every prime power up to 64
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31,
@@ -268,3 +269,15 @@ def test_matmul_past_the_float64_bound_raises():
     f = make_field(289)
     with pytest.raises(TooLargeError):
         f.compile_matrix(np.broadcast_to(np.int64(0), (1, 1 << 44)))
+
+
+# refused before the expanded matrix is allocated (the inputs are zero-byte
+# broadcast views): 8193 * 8192 entries over a prime field, and the
+# 1024-by-1024 full-degree block of GF(2^10), which expands to 1024^2 * 10^2
+@pytest.mark.parametrize("q, shape", [(65521, (8193, 8192)),
+                                      (1024, (1024, 1024))])
+def test_compile_matrix_entry_limit(q, shape):
+    f = make_field(q)
+    assert shape[0] * shape[1] * f.k ** 2 > ENTRY_LIMIT
+    with pytest.raises(TooLargeError, match="entries"):
+        f.compile_matrix(np.broadcast_to(np.int64(0), shape))

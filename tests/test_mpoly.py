@@ -183,6 +183,9 @@ class TestPesFormat:
         "pes 3 2 1\npoly 1\n1 3 0\n",       # exponent = q
         "pes 3 2 1\npoly 1\n3 1 0\n",       # coefficient = q
         "pes 3 2 1\npoly 2\n1 1 0\n0 0 1\n",  # coefficient 0
+        "pes 2 2 1\npoly x\n",              # non-integer term count
+        "pes 2 2 1\npoly -1\n",             # negative term count
+        "pes 2 2 1\npoly 1\n1 a 0\n",       # non-integer term entry
     ])
     def test_rejects_malformed(self, text):
         from fqsolve.errors import NotPrimePowerError

@@ -1,3 +1,4 @@
+import decimal
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from conftest import brute_sat_count, random_cnf
 from fqsolve import count_common_roots, parse_dimacs, reduce_cnf
 from fqsolve.errors import DimacsFormatError, FqsolveError
-from fqsolve.reduction import (MAX_BLOCK_GRID, _ceil_exact_vars1, dec_table,
-                               make_plan)
+from fqsolve.reduction import (MAX_BLOCK_GRID, _ceil_exact_vars1,
+                               _pow2_at_least, dec_table, make_plan)
 
 
 class TestParseDimacs:
@@ -33,6 +34,7 @@ class TestParseDimacs:
         "p cnf 1 2\n1 0\n",           # clause count mismatch
         "p cnf x 1\n1 0\n",           # malformed header
         "p cnf 1 1\n0\n",             # empty clause
+        "p cnf 1 1\np cnf 1 1\n1 0\n",  # duplicate header
     ])
     def test_rejects_malformed(self, text):
         with pytest.raises(DimacsFormatError):
@@ -86,6 +88,24 @@ class TestPlan:
             for b in range(1, 13):
                 delta = Fraction(a, b)
                 assert _ceil_exact_vars1(q, delta) == exact_search(q, delta)
+
+    # consecutive continued-fraction convergents a/b of log2(3), one below
+    # it and one above: a*ln(2) and b*ln(3) agree to about 50 digits, so
+    # the first 40-digit comparison cannot decide and the precision doubles
+    @pytest.mark.parametrize("a, b", [
+        (2727782575569043909543559, 1721039188200292347893905),
+        (2777155680644301964114340, 1752190149218482586763461)])
+    def test_pow2_at_least_doubles_its_precision(self, a, b):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 300
+            ln2, ln3 = decimal.Decimal(2).ln(), decimal.Decimal(3).ln()
+            gap = a * ln2 - b * ln3
+            assert abs(gap) * 10 ** 39 <= a * ln2 + b * ln3
+        above = gap > 0  # 2^a >= 3^b, i.e. a/b >= log2(3)
+        assert _pow2_at_least(a, 3, b) == above
+        # vars1 = 2 exactly when 2*delta >= 2*log2(3)
+        plan = make_plan(4, 3, 3, Fraction(a, b), False)
+        assert plan.vars1 == (2 if above else 3)
 
     def test_dec_surjective(self):
         for q, delta in [(2, Fraction(1)), (3, Fraction(1)),
