@@ -43,7 +43,7 @@ from .errors import InvalidParamsError
 from .field import FieldSpec
 from .mpoly import (Polynomial, PolySystem, TrimmedPointSet, check_key_width,
                     point_matrix)
-from .randomized import RngStream, rs_coefficients, vv_coefficients
+from .randomized import RngStream, rs_chunk, vv_coefficients
 from .transform import (TrimmedEvaluation, evaluate_trimmed, evaluate_values,
                         interpolate_trimmed, reevaluate)
 
@@ -170,8 +170,7 @@ def _vote(field: FieldSpec, levels, i: int, mats: np.ndarray,
     def chunks():
         for start in range(0, t, VOTE_CHUNK):
             reps = range(start, min(start + VOTE_CHUNK, t))
-            rho = np.stack([rs_coefficients(q, mu, m_i, rng.child(2 * j))
-                            for j in reps])
+            rho = rs_chunk(q, mu, m_i, [rng.child(2 * j) for j in reps])
             combos = field.matmul(rho, mats)
             if child_is_leaf:
                 sub = _leaf_sums(field, field.matmul(combos, base), beta_c)

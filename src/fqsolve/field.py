@@ -19,6 +19,23 @@ sum of an inner product of length L is an integer of at most L(p-1)^2,
 exact in float64 while that stays below 2^53; `compile_matrix` refuses
 longer products with `TooLargeError`.
 
+Prime fields reduce the product as int64 with `% p`.  For k >= 2 the
+rows are gathered into digits with `np.take` (a fancy-index gather costs
+over ten times as much), and the float64 product y is reduced in place as
+y - p*floor((y + 1/2) * (1/p)), then recombined by a float64 product with
+the powers of p.  This is exact for every integer 0 <= y < 2^51
+(REDUCE_LIMIT): (y + 1/2)/p lies at least 1/(2p) from the nearest
+integer, since its fractional part is (y mod p + 1/2)/p, while rounding
+1/p and the product moves it by less than 2^-52 (y + 1/2)/p < 1/(2p); so
+the floor is the exact quotient and the rest is exact integer arithmetic.
+`compile_matrix` checks L(p-1)^2 < 2^51 for k >= 2, which its other
+checks already imply: p <= 256 when k >= 2 and q <= ORDER_LIMIT, and
+ENTRY_LIMIT bounds L = Ik by 2^26, so y < 2^26 * 255^2 < 2^42.  The
+integer `% p` stays for k = 1, where p reaches 65521 and products near
+2^53, and where the float reduction measured slower on single rows.
+
+Other digit gathers (`vadd`, `vneg`, `vsum_axis`) use `np.take` too.
+
 Before allocating, `compile_matrix` checks the IJk^2 entries of the
 expanded matrix and `transform._matrices` the 6q^2 entries of its frames
 against ENTRY_LIMIT (2^26, 512 MiB of float64) and raises TooLargeError.
@@ -36,6 +53,7 @@ from .errors import FieldTooLargeError, NotPrimePowerError, TooLargeError
 ORDER_LIMIT = 1 << 16  # largest supported field order
 TABLE_LIMIT = 256      # largest order that gets dense q*q tables
 EXACT_LIMIT = 1 << 53  # float64 represents every integer below this
+REDUCE_LIMIT = 1 << 51  # the float64 mod-p reduction is exact below this
 ENTRY_LIMIT = 1 << 26  # most entries one field-matrix build may allocate
 
 
@@ -259,12 +277,14 @@ class FieldSpec:
             return self.add_table[a, b]
         if self.k == 1:
             return (a + b) % self.p
-        return ((self.digits[a] + self.digits[b]) % self.p) @ self._ppow
+        digits = self.digits
+        return ((np.take(digits, a, axis=0) + np.take(digits, b, axis=0))
+                % self.p) @ self._ppow
 
     def vneg(self, a: np.ndarray) -> np.ndarray:
         if self.k == 1:
             return (-a) % self.p
-        return ((-self.digits[a]) % self.p) @ self._ppow
+        return (-np.take(self.digits, a, axis=0) % self.p) @ self._ppow
 
     def vsub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.vadd(a, self.vneg(b))
@@ -287,7 +307,8 @@ class FieldSpec:
         """Field sum along one axis."""
         if self.k == 1:
             return a.sum(axis=axis) % self.p
-        return self.digits[a].sum(axis=axis) % self.p @ self._ppow
+        return (np.take(self.digits, a, axis=0).sum(axis=axis) % self.p
+                @ self._ppow)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Matrix product a @ b over the field; leading axes of a are a
@@ -299,6 +320,22 @@ class FieldSpec:
         """Row-wise linear map: out[r, j] = sum_i mat[j, i] * rows[r, i]."""
         return self.compile_matrix(mat)(rows)
 
+    def check_matrix_size(self, nout: int, nin: int) -> None:
+        """Raise TooLargeError unless `compile_matrix` can take an
+        nout-by-nin matrix: its products must reduce exactly in float64
+        and its expansion must stay within ENTRY_LIMIT entries."""
+        p, k = self.p, self.k
+        limit = EXACT_LIMIT if k == 1 else REDUCE_LIMIT
+        if nin * k * (p - 1) ** 2 >= limit:
+            raise TooLargeError(
+                f"an inner product of length {nin * k} over F_{p} can "
+                f"exceed 2^{limit.bit_length() - 1} and would not be "
+                f"reduced exactly in float64")
+        if nout * nin * k * k > ENTRY_LIMIT:
+            raise TooLargeError(
+                f"a {nout}x{nin} matrix over GF({self.q}) expands to "
+                f"{nout * nin * k * k} entries, over {ENTRY_LIMIT}")
+
     def compile_matrix(self, mat: np.ndarray):
         """Bake the linear map of a J-by-I matrix into one float64 matmul.
 
@@ -306,20 +343,14 @@ class FieldSpec:
         digit vectors, so the matrix expands to an Ik-by-Jk matrix over
         F_p acting on digit-expanded rows of length I (for k = 1, the
         matrix itself).  The product runs in float64, which is exact
-        because Ik(p-1)^2 < 2^53 is checked here, before anything is
-        allocated; the result is then the same for any BLAS summation
-        order or thread count.
+        because Ik(p-1)^2 < 2^53 (2^51 for k >= 2, see the module
+        docstring) is checked here, before anything is allocated; the
+        result is then the same for any BLAS summation order or thread
+        count.
         """
         p, k = self.p, self.k
         nout, nin = mat.shape
-        if nin * k * (p - 1) ** 2 >= EXACT_LIMIT:
-            raise TooLargeError(
-                f"an inner product of length {nin * k} over F_{p} can "
-                f"exceed 2^53 and would not be exact in float64")
-        if nout * nin * k * k > ENTRY_LIMIT:
-            raise TooLargeError(
-                f"a {nout}x{nin} matrix over GF({self.q}) expands to "
-                f"{nout * nin * k * k} entries, over {ENTRY_LIMIT}")
+        self.check_matrix_size(nout, nin)
         if k == 1:
             mt = (mat.T % p).astype(np.float64)
 
@@ -331,12 +362,20 @@ class FieldSpec:
         # big_t[i, c, j, d] = digit d of mat[j, i] * p^c
         big_t = fdigits[self.vmul(mat[..., None], ppow)].transpose(1, 2, 0, 3)
         big_t = big_t.reshape(nin * k, nout * k)
+        fppow, inv_p = ppow.astype(np.float64), 1.0 / p
 
         def apply(rows: np.ndarray) -> np.ndarray:
             r = rows.shape[0]
-            x = fdigits[rows].reshape(r, nin * k)
-            prod = (x @ big_t).astype(np.int64) % p
-            return prod.reshape(r, nout, k) @ ppow
+            y = np.take(fdigits, rows, axis=0).reshape(r, nin * k) @ big_t
+            # y mod p in place, exact below REDUCE_LIMIT (module docstring)
+            z = y + 0.5
+            z *= inv_p
+            np.floor(z, out=z)
+            z *= p
+            y -= z
+            # 2-D @ 1-D: a stacked (r, nout, k) @ ppow runs ten times slower
+            out = y.reshape(r * nout, k) @ fppow
+            return out.astype(np.int64).reshape(r, nout)
         return apply
 
     def __repr__(self) -> str:  # pragma: no cover

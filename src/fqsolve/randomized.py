@@ -7,6 +7,17 @@ the same draws no matter how the work is scheduled.  Seeds are unsigned
 are random linear combinations of a system's polynomials (complete
 always, sound except with probability q^-mu per point) and random affine
 equations for solution isolation.
+
+A stream's generator is a `Philox` keyed by the first 128 bits of a
+sha256 of (seed, path), with its counter at zero.  Every generator is
+built from the fixed seed 0 and then keyed by setting its `state`: the
+key, a zero counter and an empty output buffer.  That state is all a
+`Philox` and its `Generator` hold, so a generator keyed this way draws
+exactly what a fresh `Philox(key=...)` would, and one generator can be
+keyed again for each stream in turn: `rs_chunk` draws the coefficients
+of a whole vote chunk through one generator that way, instead of
+building one per repetition.  (`Philox(key=...)` alone would also seed a
+throwaway `SeedSequence` from OS entropy for every build.)
 """
 
 from __future__ import annotations
@@ -19,6 +30,25 @@ import numpy as np
 from .errors import InvalidParamsError
 from .field import FieldSpec
 from .mpoly import Polynomial, PolySystem
+
+
+_WORD = (1 << 64) - 1
+
+
+def _new_generator() -> np.random.Generator:
+    """A Philox generator from the fixed seed 0, to be keyed by _rekey."""
+    return np.random.Generator(np.random.Philox(0))
+
+
+def _rekey(gen: np.random.Generator, key: int) -> np.random.Generator:
+    """Reset gen to the Philox stream of a 128-bit key, at counter zero."""
+    zeros = np.zeros(4, dtype=np.uint64)
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": zeros,
+                  "key": np.array([key & _WORD, key >> 64], dtype=np.uint64)},
+        "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen
 
 
 @dataclass
@@ -48,7 +78,7 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         if self._gen is None:
-            self._gen = np.random.Generator(np.random.Philox(key=self._key()))
+            self._gen = _rekey(_new_generator(), self._key())
         return self._gen
 
     def integers(self, low: int, high: int, size=None) -> np.ndarray | int:
@@ -63,6 +93,17 @@ def rs_coefficients(q: int, mu: int, m: int, rng: RngStream) -> np.ndarray:
     if mu < 1:
         raise ValueError("mu must be positive")
     return rng.integers(0, q, size=(mu, m))
+
+
+def rs_chunk(q: int, mu: int, m: int, rngs: list[RngStream]) -> np.ndarray:
+    """The stacked rs_coefficients(q, mu, m, r) of each stream r, drawn
+    through one generator keyed for each stream in turn; the streams
+    themselves are left untouched."""
+    if mu < 1:
+        raise ValueError("mu must be positive")
+    gen = _new_generator()
+    return np.stack([_rekey(gen, rng._key()).integers(0, q, size=(mu, m))
+                     for rng in rngs])
 
 
 def razborov_smolensky(system: PolySystem, mu: int,

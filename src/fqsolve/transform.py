@@ -156,6 +156,9 @@ def _matrices(field: FieldSpec) -> dict[str, np.ndarray]:
 
 @cache
 def _compiled_block(field: FieldSpec, name: str, ln: int):
+    # before _matrices, which near the limit spends seconds and gigabytes
+    # on frames that compile_matrix would then refuse to expand
+    field.check_matrix_size(ln, ln)
     return field.compile_matrix(_matrices(field)[name][:ln, :ln])
 
 
@@ -174,7 +177,7 @@ def _apply_axis(field: FieldSpec, arr: np.ndarray,
         if arr.ndim == 1:
             arr[idx] = fn(arr[idx])
         else:
-            block = arr[:, idx]
+            block = np.take(arr, idx, axis=1)
             arr[:, idx] = fn(block.reshape(-1, ln)).reshape(block.shape)
         FIELD_OPS += batch * idx.shape[0] * ln * ln
 

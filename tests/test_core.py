@@ -241,6 +241,37 @@ class TestFullSum:
         got = full_sum(system, prm, RngStream(5))
         assert got == brute_Z(system)
 
+    def test_one_philox_per_vote_chunk(self, monkeypatch):
+        # the RS draws of a chunk share one bit generator, keyed per
+        # repetition; building one per repetition would take thousands
+        from fqsolve import randomized
+        built, chunks, reps, reads = [0], [0], [0], [0]
+        philox = np.random.Philox
+        rs_chunk = randomized.rs_chunk
+        generator = randomized.RngStream.generator
+
+        def counting_philox(*args, **kwargs):
+            built[0] += 1
+            return philox(*args, **kwargs)
+
+        def counting_chunk(q, mu, m, rngs):
+            chunks[0] += 1
+            reps[0] += len(rngs)
+            return rs_chunk(q, mu, m, rngs)
+
+        def counting_generator(self):
+            reads[0] += self._gen is None
+            return generator(self)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        monkeypatch.setattr(core, "rs_chunk", counting_chunk)
+        monkeypatch.setattr(randomized.RngStream, "generator",
+                            counting_generator)
+        system = random_system(np.random.default_rng(9), 4, 4, 3, 2)
+        assert full_sum(system, _params(4), RngStream(4)) == brute_Z(system)
+        assert 0 < built[0] <= chunks[0] + reads[0]
+        assert 10 * built[0] < reps[0]
+
 
 class TestSolvePes:
     def test_contradiction_is_unsat(self):

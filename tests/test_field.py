@@ -246,6 +246,34 @@ def test_batched_matmul_long_inner_dimension(q):
         assert got[i, j].tolist() == _scalar_map(f, b.T, a[i, j])
 
 
+# q - 1 has every digit p - 1, and the prime-subfield element p - 1 = -1
+# expands to (p - 1) times the identity, so each output digit of that row
+# by that matrix row sums L products (p - 1)^2 = 1 mod p before reduction:
+# a multiple of p when L = jp, one short of it when L = jp - 1.  At
+# p = 103, p * fl(1/p) rounds below 1, so floor(y / p) without the 1/2
+# would already be wrong at y = p
+@pytest.mark.parametrize("q", [4, 9, 103 ** 2, 251 ** 2])
+def test_extension_reduction_at_adversarial_inner_products(q):
+    f = make_field(q)
+    p = f.p
+    rng = np.random.default_rng(q)
+    for length in (p, p - 1, 8 * p, 8 * p - 1):
+        mat = np.full((3, length), p - 1, dtype=np.int64)
+        mat[1:] = rng.integers(0, q, size=(2, length))
+        rows = np.full((3, length), q - 1, dtype=np.int64)
+        rows[1:] = rng.integers(0, q, size=(2, length))
+        got = f.apply_rows(rows, mat)
+        for r in range(3):
+            assert got[r].tolist() == _scalar_map(f, mat, rows[r])
+    # a long row, where every digit sum is L (p - 1)^2 ~ 2^34 at p = 251:
+    # the row is -L (q - 1), which is 0 at L = jp and q - 1 at L = jp - 1
+    jp = p * ((1 << 18) // p)
+    for length, want in ((jp, 0), (jp - 1, q - 1)):
+        mat = np.full((1, length), p - 1, dtype=np.int64)
+        rows = np.full((1, length), q - 1, dtype=np.int64)
+        assert f.apply_rows(rows, mat).tolist() == [[want]]
+
+
 def test_matmul_is_exact_up_to_the_float64_bound():
     # every product (p-1)^2 is 1 mod p, so a row of L entries p-1 times a
     # column of L entries p-1 is L mod p.  L (p-1)^2 is 9.0028e15 at

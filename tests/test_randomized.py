@@ -5,7 +5,7 @@ from conftest import full_grid, random_system
 from fqsolve import (PolySystem, RngStream, count_common_roots, make_field,
                      razborov_smolensky, valiant_vazirani)
 from fqsolve.mpoly import point_matrix
-from fqsolve.randomized import vv_coefficients
+from fqsolve.randomized import rs_chunk, rs_coefficients, vv_coefficients
 
 
 class TestRngStream:
@@ -32,6 +32,21 @@ class TestRngStream:
             with pytest.raises(InvalidParamsError):
                 RngStream(bad)
         assert 0 <= RngStream(2 ** 64 - 1).child(3).integers(0, 5) < 5
+
+    # (3, 5): fifteen draws run past the four words of one Philox block,
+    # which also hold eight 32-bit draws for orders up to 2^32
+    @pytest.mark.parametrize("q", [2, 3, 4, 256, 65521, 65536])
+    def test_chunk_draw_matches_fresh_streams(self, q):
+        for seed in (0, 7, 2 ** 63, 2 ** 64 - 1):
+            rngs = [RngStream(seed, (3, j)) for j in range(6)]
+            for mu, m in ((1, 1), (3, 5)):
+                want = np.stack([rs_coefficients(q, mu, m,
+                                                 RngStream(seed, r.path))
+                                 for r in rngs])
+                got = rs_chunk(q, mu, m, rngs)
+                assert got.dtype == want.dtype and (got == want).all()
+        # the chunk draw leaves its streams where they were
+        assert all(r._gen is None for r in rngs)
 
 
 class TestRazborovSmolensky:

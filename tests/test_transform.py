@@ -178,6 +178,17 @@ class TestMatrices:
         assert (vninv(vn(rows)) == rows).all()
         assert (vn(vninv(rows)) == rows).all()
 
+    def test_oversize_block_refused_before_frames(self, monkeypatch):
+        # GF(2^11): 6q^2 frame entries pass ENTRY_LIMIT, but the full
+        # 2048-by-2048 block expands to 2048^2 * 11^2, so it must be
+        # refused without building the frames at all
+        def no_frames(field):
+            raise AssertionError("frames built for a refused block")
+        transform._compiled_block.cache_clear()
+        monkeypatch.setattr(transform, "_matrices", no_frames)
+        with pytest.raises(TooLargeError, match="entries"):
+            transform._compiled_block(make_field(2048), "VN", 2048)
+
 
 class TestKeyWidth:
     def test_keys_wider_than_int64_are_rejected(self):
