@@ -8,9 +8,11 @@ I(q-1, alpha) = (1 - H(q, alpha)) * ln(q), and the solver exponent
 
     zeta_{q,d} = inf over kappa in (0, 1/(2d-1)) of
                  max(1 - kappa,  sup_{0 <= delta <= kappa}
-                                 H(q, delta*(d-1)/(1-delta)) * (1 - delta)),
+                                 H(q, delta*(d-1)/(1-delta)) * (1 - delta)).
 
-all evaluated numerically in 64-bit floats with explicit tolerances.
+Each of H, I's q -> infinity limit and zeta comes from the root of one
+monotone function (a stationarity condition), found by bisection down to
+adjacent 64-bit floats; there is no grid and no tolerance.
 """
 
 from __future__ import annotations
@@ -20,13 +22,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .field import _factor_prime_power
 from .errors import NotPrimePowerError
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 # ---------------------------------------------------------------------------
 # extended binomial coefficients
@@ -69,63 +66,47 @@ def ext_binom_cum(n: int, delta: int, q: int) -> int:
     return sum(row[: delta + 1])
 
 
-@dataclass
-class ExtBinomTable:
-    """One DP row: monomial counts of every total degree for fixed (n, q)."""
-
-    n: int
-    q: int
-    row: tuple[int, ...]
-
-    @classmethod
-    def build(cls, n: int, q: int) -> "ExtBinomTable":
-        return cls(n, q, _ext_binom_row(n, q))
-
-
 # ---------------------------------------------------------------------------
 # entropy bound H(q, alpha) and the gap function I
 # ---------------------------------------------------------------------------
 
-def _h_objective(q: int, alpha: float, theta: float) -> float:
-    """-alpha*theta + log_q((1 - q^(theta*q/(q-1))) / (1 - q^(theta/(q-1)))).
-
-    Stable form: with v = theta * ln(q) / (q-1) < 0 the ratio equals
-    expm1(q*v) / expm1(v).
-    """
-    v = theta * math.log(q) / (q - 1)
-    ratio = math.expm1(q * v) / math.expm1(v)
-    return -alpha * theta + math.log(ratio) / math.log(q)
-
-
-_THETA_GRID = -np.logspace(math.log10(1e-12), math.log10(50.0), 600)[::-1]
-
-
-def _golden_min(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal fn on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while abs(b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
+def _bisect(fn, lo: float, hi: float) -> float:
+    """Sign change of the increasing fn on [lo, hi], to the last float:
+    halves until no float is left between lo (fn < 0) and hi (fn >= 0),
+    then returns lo.  fn is never called at the endpoints."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo
+        if fn(mid) < 0.0:
+            lo = mid
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    x = (a + b) / 2.0
-    return x, fn(x)
+            hi = mid
 
 
-def _refine_min(fn, grid, values, tol: float) -> tuple[float, float]:
-    """Golden-section minimum of fn between the neighbours of the grid
-    point with the smallest values[i], fn(grid[i]) or a stand-in for it."""
-    i = int(np.argmin(values))
-    lo = grid[max(0, i - 1)]
-    hi = grid[min(len(grid) - 1, i + 1)]
-    return _golden_min(fn, lo, hi, tol)
+def _theta_H(q: int, alpha: float) -> tuple[float, float]:
+    """The minimising theta and the value H of the H objective.
+
+    With u = theta*ln(q)/(q-1) < 0 the objective is
+    (ln sum_{i<q} e^(u*i) - alpha*(q-1)*u) / ln(q), and the sum equals
+    expm1(q*u)/expm1(u).  It is stationary where the mean of i under the
+    weights e^(u*i), q*e^(q*u)/expm1(q*u) - e^u/expm1(u), equals
+    alpha*(q-1).  That mean grows with u, from 0 towards (q-1)/2 at u = 0,
+    so the bracket on u doubles downwards until it holds the root.
+    """
+    target = alpha * (q - 1)
+
+    def excess(u: float) -> float:
+        return (q * math.exp(q * u) / math.expm1(q * u)
+                - math.exp(u) / math.expm1(u) - target)
+
+    lo = -1.0
+    while excess(lo) >= 0.0:
+        lo *= 2.0
+    u = _bisect(excess, lo, 0.0)
+    logq = math.log(q)
+    h = (math.log(math.expm1(q * u) / math.expm1(u)) - target * u) / logq
+    return u * (q - 1) / logq, h
 
 
 def entropy_H(q: int, alpha: float) -> float:
@@ -135,9 +116,7 @@ def entropy_H(q: int, alpha: float) -> float:
         raise ValueError("q must be at least 2")
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must lie in (0, 1/2)")
-    _, h = _refine_min(lambda t: _h_objective(q, alpha, t), _THETA_GRID,
-                       -alpha * _THETA_GRID + _g_grid(q), 1e-10)
-    return min(h, 1.0)
+    return min(_theta_H(q, alpha)[1], 1.0)
 
 
 def gap_I(q_minus_1: int, alpha: float) -> float:
@@ -147,13 +126,18 @@ def gap_I(q_minus_1: int, alpha: float) -> float:
 
 
 def gap_I_limit(alpha: float) -> float:
-    """sup over theta < 0 of alpha*theta - ln((e^theta - 1)/theta)."""
-    def neg(theta: float) -> float:
-        return -(alpha * theta - math.log(math.expm1(theta) / theta))
+    """sup over theta < 0 of alpha*theta - ln((e^theta - 1)/theta), the
+    limit of I as q grows.  The sup sits where the mean of the tilted
+    uniform law on [0, 1], e^theta/(e^theta - 1) - 1/theta, equals alpha;
+    that mean grows with theta from 0 towards 1/2."""
+    def excess(theta: float) -> float:
+        return math.exp(theta) / math.expm1(theta) - 1.0 / theta - alpha
 
-    _, v = _refine_min(neg, _THETA_GRID, [neg(t) for t in _THETA_GRID],
-                       1e-12)
-    return -v
+    lo = -1.0
+    while excess(lo) >= 0.0:
+        lo *= 2.0
+    theta = _bisect(excess, lo, 0.0)
+    return alpha * theta - math.log(math.expm1(theta) / theta)
 
 
 # ---------------------------------------------------------------------------
@@ -169,64 +153,50 @@ class ExponentReport:
     theorem1_bound: float
 
 
-@lru_cache(maxsize=64)
-def _g_grid(q: int) -> np.ndarray:
-    """The alpha-independent part of the H objective on the theta grid."""
-    logq = math.log(q)
-    v = _THETA_GRID * logq / (q - 1)
-    return np.log(np.expm1(q * v) / np.expm1(v)) / logq
-
-
-def _entropy_grid(q: int, alphas: np.ndarray) -> np.ndarray:
-    """Grid-scan approximation of H for a vector of alphas (upper bound on
-    the true infimum; refined by entropy_H where precision matters)."""
-    vals = -np.outer(alphas, _THETA_GRID) + _g_grid(q)[None, :]
-    return np.minimum(vals.min(axis=1), 1.0)
-
-
-def _sup_term(q: int, d: int, kappa: float) -> float:
-    """sup over delta in [0, kappa] of H(q, delta(d-1)/(1-delta))*(1-delta)."""
-    if d == 1 or kappa <= 0.0:
-        return 0.0
-    deltas = np.linspace(0.0, kappa, 257)[1:]
-    alphas = deltas * (d - 1) / (1.0 - deltas)
-    terms = _entropy_grid(q, alphas) * (1.0 - deltas)
-
-    def neg(delta: float) -> float:
-        if delta <= 0.0:
-            return 0.0
-        a = delta * (d - 1) / (1.0 - delta)
-        return -entropy_H(q, a) * (1.0 - delta)
-
-    _, v = _refine_min(neg, deltas, -terms, max(kappa * 1e-9, 1e-16))
-    return max(-v, 0.0)
-
-
 def zeta(q: int, d: int) -> ExponentReport:
-    """Minimise max(1-kappa, sup-term) over kappa in (0, 1/(2d-1))."""
+    """zeta_{q,d} = inf over kappa in (0, 1/(2d-1)) of max(1-kappa, S(kappa)),
+    S(kappa) = sup_{delta <= kappa} g(delta) with
+    g(delta) = H(q, delta(d-1)/(1-delta)) * (1-delta).
+
+    kappa_star is the smallest minimiser, and zeta = 1 - kappa_star.  For
+    d >= 2, g rises to its maximum g* at delta* (the root of
+    g' = -theta*(d-1)/(1-delta) - H, since H'(alpha) = -theta*) and then
+    falls, so S(kappa) = g(min(kappa, delta*)) and kappa_star is the root
+    of the increasing g(min(kappa, delta*)) - (1-kappa), which exists
+    because g falls to g(kmax) = 1 - kmax; it is 1 - g* whenever
+    delta* <= 1 - g*.  For d = 1, g vanishes and the infimum 0
+    is not attained: kappa_star is reported 1e-5 below 1.
+    """
     _factor_prime_power(q)  # raises NotPrimePowerError otherwise
     if d < 1:
         raise ValueError("d must be at least 1")
     bound = 1.0 - min(1.0 / (8.0 * math.log(q)), 1.0 / (4.0 * d))
     kmax = 1.0 / (2 * d - 1)
     if d == 1:
-        # the sup branch vanishes (alpha = 0), so zeta(kappa) = 1 - kappa
+        # g vanishes (alpha = 0), so the objective is 1 - kappa
         kappa_star = kmax - 1e-5
         return ExponentReport(q, d, kappa_star, 1.0 - kappa_star, bound)
 
-    def f(kappa: float) -> float:
-        return max(1.0 - kappa, _sup_term(q, d, kappa))
+    def theta_H(delta: float) -> tuple[float, float]:
+        return _theta_H(q, delta * (d - 1) / (1.0 - delta))
 
-    lo = kmax * 1e-9
-    hi = kmax * (1.0 - 1e-9)
-    # coarse bracket first: f is a max of a decreasing and a nondecreasing
-    # function of kappa, hence quasiconvex
-    grid = np.linspace(lo, hi, 33)
-    # resolution: 1e-5 absolute, but relative for huge d where the whole
-    # kappa range is smaller than that
-    kappa_star, z = _refine_min(f, grid, [f(x) for x in grid],
-                                min(1e-5, kmax * 1e-7))
-    return ExponentReport(q, d, kappa_star, z, bound)
+    def g(delta: float) -> float:
+        return theta_H(delta)[1] * (1.0 - delta)
+
+    def neg_slope(delta: float) -> float:  # -g'(delta)
+        theta, h = theta_H(delta)
+        return theta * (d - 1) / (1.0 - delta) + h
+
+    delta_star = _bisect(neg_slope, 0.0, kmax)
+    g_star = g(delta_star)
+
+    def excess(kappa: float) -> float:
+        # g(min(kappa, delta*)) - (1 - kappa), summed so that 1 - kappa is
+        # never rounded: for large d the root sits within 1e-12 of kmax
+        return (g_star if kappa >= delta_star else g(kappa)) - 1.0 + kappa
+
+    kappa_star = _bisect(excess, 0.0, kmax)
+    return ExponentReport(q, d, kappa_star, 1.0 - kappa_star, bound)
 
 
 def prime_powers(limit: int) -> list[int]:

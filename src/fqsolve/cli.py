@@ -277,7 +277,8 @@ def _selftest() -> int:
           count_common_roots(system).count == sat_count)
 
     rep = analysis.zeta(2, 2)
-    check("exponent-eta22", rep.zeta <= 0.6955 and rep.zeta <= rep.theorem1_bound)
+    check("exponent-eta22",
+          0.6942 <= rep.zeta <= 0.6955 and rep.zeta <= rep.theorem1_bound)
 
     print(f"selftest: {'all ok' if failures == 0 else f'{failures} failures'}")
     return 0 if failures == 0 else 2

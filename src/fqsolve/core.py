@@ -31,7 +31,6 @@ product, under the system's, which solve_pes evaluates once per leaf set.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,14 +100,6 @@ def zdegree(m: int, beta: int, n: int, d: int, q: int) -> int:
     if not 0 <= beta <= n:
         raise ValueError("need 0 <= beta <= n")
     return (min(m * d, n) - beta) * (q - 1)
-
-
-def plurality(values) -> int:
-    """Most frequent value; ties broken by smallest element index."""
-    if len(values) == 0:
-        raise InvalidParamsError("plurality of an empty list")
-    counts = Counter(int(v) for v in values)
-    return min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
 
 
 def streamed_plurality(chunks: Iterable[np.ndarray], q: int,

@@ -261,15 +261,6 @@ class FieldSpec:
         """Embed the integer c as the field element c * 1."""
         return c % self.p
 
-    def fermat_power_sum(self, k: int) -> int:
-        """Sum of x^k over every x in the field, by direct summation."""
-        if not 0 <= k <= self.q - 1:
-            raise ValueError(f"exponent must lie in 0..{self.q - 1}")
-        acc = 0
-        for x in range(self.q):
-            acc = self.add(acc, self.pow(x, k))
-        return acc
-
     # -- vectorised arithmetic on numpy int64 index arrays --------------------
 
     def vadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

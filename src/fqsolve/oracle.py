@@ -6,17 +6,19 @@ apply the univariate value map x^e, built by columns, along every axis).
 Every inverse comes from one Gauss-Jordan routine, _solve, in elementwise
 field arithmetic.  No code is shared with the solver or the trimmed
 transform beyond field arithmetic, so these functions serve as
-independent witnesses in every equivalence test.
+independent witnesses in every equivalence test.  plurality is the
+scalar witness for the solver's column-wise vote, core.streamed_plurality.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
-from .errors import TooLargeError
+from .errors import InvalidParamsError, TooLargeError
 from .field import FieldSpec
 from .mpoly import Polynomial, PolySystem, point_matrix
 
@@ -173,3 +175,11 @@ def brute_partial_sum(system: PolySystem, beta: int) -> Polynomial:
     rows = ind.reshape(q ** (n - beta), q ** beta)
     zvals = rows.sum(axis=1) % field.p
     return grid_interpolate(field, zvals, n - beta)
+
+
+def plurality(values) -> int:
+    """Most frequent value; ties broken by smallest element index."""
+    if len(values) == 0:
+        raise InvalidParamsError("plurality of an empty list")
+    counts = Counter(int(v) for v in values)
+    return min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]

@@ -84,9 +84,9 @@ class TestExtBinom:
         assert row[0] == 1 and row[2] == 6 and row[q - 1] == q * (q + 1) // 2
 
     def test_table_type(self):
-        t = analysis.ExtBinomTable.build(4, 3)
-        assert list(t.row) == [ext_binom(4, d, 3) for d in range(9)]
-        assert sum(t.row) == 3 ** 4
+        row = analysis._ext_binom_row(4, 3)
+        assert list(row) == [ext_binom(4, d, 3) for d in range(9)]
+        assert sum(row) == 3 ** 4
 
 
 class TestEntropyH:
@@ -161,6 +161,53 @@ class TestZeta:
             zeta(6, 2)
         with pytest.raises(ValueError):
             zeta(2, 0)
+
+
+def _delta_grid(d, points=512):
+    """Interior points of (0, 1/(2d-1)), the range of delta for degree d."""
+    kmax = 1 / (2 * d - 1)
+    return [kmax * i / points for i in range(1, points)]
+
+
+class TestZetaExact:
+    # the zeta objective's integrand g(delta) = H(q, alpha)(1 - delta),
+    # alpha = delta(d-1)/(1-delta), on the q <= 16, d <= 6 table
+    PAIRS = [(q, d) for q in analysis.prime_powers(16) for d in range(2, 7)]
+
+    def test_zeta_bounds_the_integrand(self):
+        # zeta = max(1 - kappa*, S(kappa*)) is at least g wherever the
+        # maximiser delta* lies below kappa*, which it does on this table
+        for q, d in self.PAIRS:
+            z = zeta(q, d).zeta
+            worst = max(entropy_H(q, x * (d - 1) / (1 - x)) * (1 - x)
+                        for x in _delta_grid(d))
+            assert worst <= z + 1e-12, (q, d, worst - z)
+
+    def test_slope_changes_sign_once(self):
+        # g' = -theta*(d-1)/(1-delta) - H, with H'(alpha) = -theta*: the
+        # delta* bisection needs g to rise and then fall
+        for q, d in self.PAIRS:
+            signs = []
+            for x in _delta_grid(d):
+                theta, h = analysis._theta_H(q, x * (d - 1) / (1 - x))
+                signs.append(-theta * (d - 1) / (1 - x) - h > 0)
+            assert signs[0] and not signs[-1], (q, d)
+            flips = sum(a != b for a, b in zip(signs, signs[1:]))
+            assert flips == 1, (q, d, flips)
+
+    def test_kappa_star_is_one_minus_zeta(self):
+        for rep in analysis.exponent_table(16, 6):
+            assert abs(rep.kappa_star + rep.zeta - 1) < 1e-12, rep
+
+    def test_dinur_quadratic_binary(self):
+        # Dinur (SODA 2021): 2^(0.6943n) for quadratic systems over F_2
+        assert abs(zeta(2, 2).zeta - 0.694242) < 1e-6
+
+
+class TestGapILimit:
+    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.4, 0.45])
+    def test_matches_gap_at_large_q(self, alpha):
+        assert abs(analysis.gap_I_limit(alpha) - gap_I(65536, alpha)) < 1e-4
 
 
 class TestCsv:

@@ -121,6 +121,14 @@ class TestExponentTable:
         assert float(row[3]) <= 0.6955
 
 
+def test_exponent_table_matches_golden(capsys):
+    code, out, _ = run(capsys, ["exponent-table", "--qmax", "16",
+                                "--dmax", "6"])
+    assert code == 0
+    golden = pathlib.Path(__file__).parent / "golden" / "exponent_table_q16_d6.csv"
+    assert out == golden.read_text()
+
+
 class TestErrors:
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, ["solve", "/no/such/file.pes"])
