@@ -23,7 +23,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .field import _factor_prime_power
-from .errors import NotPrimePowerError
+from .errors import InvalidParamsError, NotPrimePowerError
+
+# The most (q, d) cells an exponent table may span: (qmax - 1) * dmax
+# bounds its rows, and a row (one zeta) takes a few milliseconds.
+TABLE_LIMIT = 4096
 
 # ---------------------------------------------------------------------------
 # extended binomial coefficients
@@ -212,7 +216,14 @@ def prime_powers(limit: int) -> list[int]:
 
 
 def exponent_table(qmax: int, dmax: int) -> list[ExponentReport]:
-    """Exponent reports for every prime power q <= qmax and d = 1..dmax."""
+    """Exponent reports for every prime power q <= qmax and d = 1..dmax;
+    refuses negative bounds and (qmax - 1) * dmax above TABLE_LIMIT."""
+    if qmax < 0 or dmax < 0:
+        raise InvalidParamsError("qmax and dmax must be non-negative")
+    if max(qmax - 1, 0) * dmax > TABLE_LIMIT:
+        raise InvalidParamsError(
+            f"exponent table spans (qmax-1)*dmax = {(qmax - 1) * dmax} "
+            f"cells, more than {TABLE_LIMIT}")
     return [zeta(q, d) for q in prime_powers(qmax) for d in range(1, dmax + 1)]
 
 

@@ -26,6 +26,14 @@ its own counter-based stream, so the repetitions skipped change
 nothing and the output equals that of voting over all t.  Isolation
 trials stack the values of their affine equations, one point-matrix
 product, under the system's, which solve_pes evaluates once per leaf set.
+
+When m*d < n the full sum is 0 and no recursion runs, in full_sum and in
+each isolation trial (whose m counts its affine equations).  The
+recursion would end in the same 0: Z_beta has total degree at most
+delta0 = (min(m*d, n) - beta)*(q-1) < (n-beta)*(q-1), so each of its
+monomials has some exponent below q-1 in one of the n-beta summed
+variables, and sum_{x in GF(q)} x^e = 0 for 0 <= e < q-1.  This is the
+Chevalley-Warning theorem; it holds for any values the votes agree on.
 """
 
 from __future__ import annotations
@@ -206,6 +214,17 @@ def _grid_sum(ev: TrimmedEvaluation) -> int:
     return ev.field.vsum(values)
 
 
+def _indicator_sum(field: FieldSpec, n: int, d: int, m: int, beta: int,
+                   params: SolverParams, rng: RngStream, values_at) -> int:
+    """Field sum over the whole grid of the indicator of the m-polynomial
+    degree-d system of _voted_sum; 0 without a recursion when m*d < n
+    (Chevalley-Warning)."""
+    if m * d < n:
+        return 0
+    return _grid_sum(_voted_sum(field, n, d, m, beta, params, rng,
+                                values_at))
+
+
 def partial_sum(system: PolySystem, beta: int, params: SolverParams,
                 rng: RngStream) -> Polynomial:
     """The partial-sum polynomial over the first n - beta variables;
@@ -223,9 +242,9 @@ def full_sum(system: PolySystem, params: SolverParams, rng: RngStream) -> int:
     with probability at most q^-n."""
     field, n, d = system.field, system.n, system.d
     beta = math.floor(params.resolve(n, d)[0] * n)
-    return _grid_sum(_voted_sum(
-        field, n, d, len(system.polys), beta, params, rng.child(0),
-        partial(evaluate_values, field, n, system.polys)))
+    return _indicator_sum(field, n, d, len(system.polys), beta, params,
+                          rng.child(0),
+                          partial(evaluate_values, field, n, system.polys))
 
 
 def solve_pes(system: PolySystem, params: SolverParams) -> bool:
@@ -253,8 +272,7 @@ def solve_pes(system: PolySystem, params: SolverParams) -> bool:
             return np.concatenate([system_values(delta, b),
                                    field.vadd(affine, coeffs[:, n:])])
 
-        ev = _voted_sum(field, n, d, len(system.polys) + len(coeffs), beta,
-                        params, trial.child(1).child(0), values_at)
-        if _grid_sum(ev) != 0:
+        if _indicator_sum(field, n, d, len(system.polys) + len(coeffs), beta,
+                          params, trial.child(1).child(0), values_at):
             return True
     return False

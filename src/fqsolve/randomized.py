@@ -13,11 +13,22 @@ sha256 of (seed, path), with its counter at zero.  Every generator is
 built from the fixed seed 0 and then keyed by setting its `state`: the
 key, a zero counter and an empty output buffer.  That state is all a
 `Philox` and its `Generator` hold, so a generator keyed this way draws
-exactly what a fresh `Philox(key=...)` would, and one generator can be
-keyed again for each stream in turn: `rs_chunk` draws the coefficients
-of a whole vote chunk through one generator that way, instead of
-building one per repetition.  (`Philox(key=...)` alone would also seed a
-throwaway `SeedSequence` from OS entropy for every build.)
+exactly what a fresh `Philox(key=...)` would.  (`Philox(key=...)` alone
+would also seed a throwaway `SeedSequence` from OS entropy for every
+build.)
+
+`rs_chunk` draws the coefficients of a whole vote chunk, one stream per
+repetition, without a generator: it runs Philox4x64-10 (Salmon et al.,
+"Random123", SC 2011) in numpy with one key per row and reproduces what
+`Generator.integers(0, q)` makes of its output.  numpy's Philox
+increments the counter before each block, so the first block is counter
+1; each 64-bit output is read as two 32-bit draws, low half first; and
+an order q <= 2^32 maps a draw u to (u*q) >> 32, rejecting u when
+(u*q) mod 2^32 < 2^32 mod q (Lemire, ACM TOMACS 2019) and drawing again.
+The 128-bit products of a round are formed from 32-bit halves.  Rows
+with a rejection are rare (at q = 65521 a draw is rejected with
+probability 225/2^32) and are drawn again through a keyed generator,
+which follows numpy's redraws exactly.
 """
 
 from __future__ import annotations
@@ -35,13 +46,10 @@ from .mpoly import Polynomial, PolySystem
 _WORD = (1 << 64) - 1
 
 
-def _new_generator() -> np.random.Generator:
-    """A Philox generator from the fixed seed 0, to be keyed by _rekey."""
-    return np.random.Generator(np.random.Philox(0))
-
-
-def _rekey(gen: np.random.Generator, key: int) -> np.random.Generator:
-    """Reset gen to the Philox stream of a 128-bit key, at counter zero."""
+def _keyed_generator(key: int) -> np.random.Generator:
+    """A Philox generator from the fixed seed 0, reset to the stream of a
+    128-bit key at counter zero."""
+    gen = np.random.Generator(np.random.Philox(0))
     zeros = np.zeros(4, dtype=np.uint64)
     gen.bit_generator.state = {
         "bit_generator": "Philox",
@@ -78,7 +86,7 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         if self._gen is None:
-            self._gen = _rekey(_new_generator(), self._key())
+            self._gen = _keyed_generator(self._key())
         return self._gen
 
     def integers(self, low: int, high: int, size=None) -> np.ndarray | int:
@@ -95,15 +103,69 @@ def rs_coefficients(q: int, mu: int, m: int, rng: RngStream) -> np.ndarray:
     return rng.integers(0, q, size=(mu, m))
 
 
+# Philox4x64-10's multipliers and Weyl key increments, one row for each
+# of the two products of a round.  The masks are 0-d arrays: numpy
+# scalars cost a conversion in every operation.
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157],
+                     dtype=np.uint64).reshape(2, 1, 1)
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B],
+                     dtype=np.uint64).reshape(2, 1, 1)
+_LOW = np.array(0xFFFFFFFF, dtype=np.uint64)
+_32 = np.array(32, dtype=np.uint64)
+_M_LO, _M_HI = _PHILOX_M & _LOW, _PHILOX_M >> _32
+
+
+def _mulhi(b: np.ndarray) -> np.ndarray:
+    """The high 64-bit words of the 128-bit products _PHILOX_M * b, from
+    32-bit halves (Hacker's Delight, mulhu)."""
+    b_lo, b_hi = b & _LOW, b >> _32
+    t = _M_HI * b_lo + ((_M_LO * b_lo) >> _32)
+    w = (t & _LOW) + _M_LO * b_hi
+    return _M_HI * b_hi + (t >> _32) + (w >> _32)
+
+
+def _philox_words(keys: list[int], blocks: int) -> np.ndarray:
+    """The first 8*blocks 32-bit draws of the Philox stream of each
+    128-bit key, one row per key, in the order numpy returns them."""
+    key = np.array([[k & _WORD for k in keys], [k >> 64 for k in keys]],
+                   dtype=np.uint64).reshape(2, -1, 1)
+    # the counter words (c0, c2) and (c1, c3); block i has c0 = i + 1
+    even = np.zeros((2, len(keys), blocks), dtype=np.uint64)
+    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    odd = np.zeros_like(even)
+    for r in range(10):
+        if r:
+            key = key + _PHILOX_W
+        even, odd = _mulhi(even)[::-1] ^ odd ^ key, (_PHILOX_M * even)[::-1]
+    out = np.stack([even, odd], axis=1).reshape(4, len(keys), blocks)
+    out = out.transpose(1, 2, 0)
+    return np.stack([out & _LOW, out >> _32], axis=3).reshape(
+        len(keys), 8 * blocks)
+
+
 def rs_chunk(q: int, mu: int, m: int, rngs: list[RngStream]) -> np.ndarray:
-    """The stacked rs_coefficients(q, mu, m, r) of each stream r, drawn
-    through one generator keyed for each stream in turn; the streams
-    themselves are left untouched."""
+    """The stacked rs_coefficients(q, mu, m, r) of each stream r, for
+    1 <= q <= 2^32; the streams themselves are left untouched.
+
+    The draws are numpy's, reproduced by one vectorised Philox over the
+    chunk (see the module docstring), so they rely on numpy keeping the
+    `Philox` stream and the `Generator.integers` algorithm stable, as its
+    policy on stream compatibility documents.
+    test_chunk_draw_matches_fresh_streams fails if either changes.
+    """
     if mu < 1:
         raise ValueError("mu must be positive")
-    gen = _new_generator()
-    return np.stack([_rekey(gen, rng._key()).integers(0, q, size=(mu, m))
-                     for rng in rngs])
+    if not 1 <= q <= 1 << 32:
+        raise ValueError("q must be in 1..2^32")
+    keys = [rng._key() for rng in rngs]
+    size = mu * m
+    scaled = _philox_words(keys, -(-size // 8))[:, :size] * np.uint64(q)
+    out = (scaled >> _32).astype(np.int64).reshape(len(keys), mu, m)
+    rejected = np.any((scaled & _LOW) < (1 << 32) % q, axis=1)
+    for i in np.flatnonzero(rejected):
+        rng = rngs[i]
+        out[i] = rs_coefficients(q, mu, m, RngStream(rng.seed, rng.path))
+    return out
 
 
 def razborov_smolensky(system: PolySystem, mu: int,

@@ -120,6 +120,25 @@ class TestExponentTable:
         assert row[:2] == ["2", "2"]
         assert float(row[3]) <= 0.6955
 
+    @pytest.mark.parametrize("argv", [["--qmax", "2", "--dmax", "20000"],
+                                      ["--qmax", "10000", "--dmax", "1"],
+                                      ["--qmax", str(10 ** 12)],
+                                      ["--dmax", "-1"], ["--qmax", "-5"]])
+    def test_refused_before_any_row(self, capsys, argv):
+        # (qmax - 1) * dmax above analysis.TABLE_LIMIT = 4096, or negative
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["exponent-table", *argv])
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_table_at_the_limit_is_accepted(self, capsys):
+        from fqsolve.analysis import prime_powers
+        code, out, _ = run(capsys, ["exponent-table", "--qmax", "4097",
+                                    "--dmax", "1"])
+        assert code == 0
+        assert out.count("\n") == 1 + len(prime_powers(4097))
+
 
 def test_exponent_table_matches_golden(capsys):
     code, out, _ = run(capsys, ["exponent-table", "--qmax", "16",

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fqsolve import (Polynomial, PolySystem, RngStream, SolverParams,
                      full_sum, make_field, partial_sum, plurality, solve_pes,
                      valiant_vazirani, zdegree)
 from fqsolve.core import VOTE_CHUNK, streamed_plurality
+from fqsolve.transform import evaluate_values
 from fqsolve.errors import InvalidParamsError
 
 
@@ -242,10 +244,12 @@ class TestFullSum:
         assert got == brute_Z(system)
 
     def test_one_philox_per_vote_chunk(self, monkeypatch):
-        # the RS draws of a chunk share one bit generator, keyed per
-        # repetition; building one per repetition would take thousands
+        # the RS draws of a chunk are one vectorised Philox over all its
+        # repetitions; a bit generator is built only for a stream read
+        # through RngStream.generator (a row with a rejected draw), never
+        # per repetition
         from fqsolve import randomized
-        built, chunks, reps, reads = [0], [0], [0], [0]
+        built, chunks, reads = [0], [0], [0]
         philox = np.random.Philox
         rs_chunk = randomized.rs_chunk
         generator = randomized.RngStream.generator
@@ -256,7 +260,6 @@ class TestFullSum:
 
         def counting_chunk(q, mu, m, rngs):
             chunks[0] += 1
-            reps[0] += len(rngs)
             return rs_chunk(q, mu, m, rngs)
 
         def counting_generator(self):
@@ -269,8 +272,62 @@ class TestFullSum:
                             counting_generator)
         system = random_system(np.random.default_rng(9), 4, 4, 3, 2)
         assert full_sum(system, _params(4), RngStream(4)) == brute_Z(system)
-        assert 0 < built[0] <= chunks[0] + reads[0]
-        assert 10 * built[0] < reps[0]
+        assert chunks[0] > 0
+        assert built[0] <= reads[0]
+
+
+class TestChevalleyWarning:
+    @staticmethod
+    def _old_route(field, n, d, m, beta, params, rng, values_at):
+        # the recursion and final grid sum that m*d < n now skips
+        return core._grid_sum(core._voted_sum(field, n, d, m, beta, params,
+                                              rng, values_at))
+
+    @given(st.sampled_from([2, 3, 4]), st.integers(2, 5),
+           st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_full_sum_is_zero_without_recursion(self, q, n, d, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(0, -(-n // d)))  # m*d < n
+        system = random_system(rng, q, n, m, d)
+        prm = SolverParams(seed=seed % 7, t_override=3)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("rs_chunk", "evaluate_values"):
+                real = getattr(core, name)
+
+                def counted(*args, _real=real, _name=name):
+                    calls.append(_name)
+                    return _real(*args)
+                mp.setattr(core, name, counted)
+            assert full_sum(system, prm, RngStream(seed)) == 0
+        assert calls == []
+        assert brute_Z(system) == 0
+        beta = int(prm.resolve(n, d)[0] * n)
+        assert self._old_route(
+            system.field, n, d, m, beta, prm, RngStream(seed).child(0),
+            partial(evaluate_values, system.field, n, system.polys)) == 0
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_solve_pes_answers_as_before(self, q, monkeypatch):
+        # n = 4, d = 2 and one polynomial: a trial with no affine equation
+        # has m*d = 2 < 4 and takes the short cut
+        indicator_sum = core._indicator_sum
+        shortcut = []
+
+        def new_route(*args):
+            shortcut.append(args[3] * args[2] < args[1])
+            return indicator_sum(*args)
+        rng = np.random.default_rng(20 + q)
+        for seed in range(4):
+            system = random_system(rng, q, 4, 1, 2)
+            prm = SolverParams(kappa=Fraction(3, 10), t_override=8,
+                               outer_reps=6, seed=seed)
+            monkeypatch.setattr(core, "_indicator_sum", new_route)
+            got = solve_pes(system, prm)
+            monkeypatch.setattr(core, "_indicator_sum", self._old_route)
+            assert solve_pes(system, prm) == got
+        assert any(shortcut)
 
 
 class TestSolvePes:
@@ -332,12 +389,12 @@ class TestSolvePes:
 
         # every trial's sum as solve_pes computes it, with all trials run
         got = []
-        grid_sum = core._grid_sum
+        indicator_sum = core._indicator_sum
 
-        def record(ev):
-            got.append(grid_sum(ev))
+        def record(*args):
+            got.append(indicator_sum(*args))
             return 0
-        monkeypatch.setattr(core, "_grid_sum", record)
+        monkeypatch.setattr(core, "_indicator_sum", record)
         for system, prm in cases:
             assert solve_pes(system, prm) is False
         assert got == want

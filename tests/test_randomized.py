@@ -48,6 +48,24 @@ class TestRngStream:
         # the chunk draw leaves its streams where they were
         assert all(r._gen is None for r in rngs)
 
+    # at q = 2^31 + 1 about half of all 32-bit draws are rejected and
+    # drawn again, at q = 2^32 - 1 one in 2^32; field orders are far rarer
+    @pytest.mark.parametrize("q", [2 ** 31 + 1, 2 ** 32 - 1, 2 ** 32])
+    def test_chunk_draw_redraws_rejected_rows(self, q):
+        for seed in (0, 5, 2 ** 64 - 1):
+            rngs = [RngStream(seed, (j,)) for j in range(40)]
+            for mu, m in ((1, 1), (2, 3), (4, 5)):
+                want = np.stack([rs_coefficients(q, mu, m,
+                                                 RngStream(seed, r.path))
+                                 for r in rngs])
+                got = rs_chunk(q, mu, m, rngs)
+                assert got.dtype == want.dtype and (got == want).all()
+            assert all(r._gen is None for r in rngs)
+
+    def test_chunk_draw_refuses_orders_beyond_32_bits(self):
+        with pytest.raises(ValueError):
+            rs_chunk(2 ** 32 + 1, 1, 1, [RngStream(0)])
+
 
 class TestRazborovSmolensky:
     def test_completeness_is_exact(self):
