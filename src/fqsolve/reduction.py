@@ -4,21 +4,24 @@ Boolean variables are grouped into blocks of vars1 = ceil((2/delta) *
 log2(q)) variables, each encoded by vars2 = ceil(vars1 / log2(q)) field
 variables; both ceilings are computed with exact integer arithmetic.  A
 block's tuple, read as a base-q number v (first coordinate most
-significant), decodes to the bits of v mod 2^vars1; one interpolated
-polynomial per bit position recovers each Boolean variable.  A clause
-becomes the product over its literals of "literal is falsified": the bit
-polynomial for a negative literal, one minus it for a positive literal,
-so the product vanishes exactly on encodings of satisfying assignments.
+significant), decodes to the bits of v mod 2^vars1.  A clause becomes the
+product of "literal is falsified" over its literals, built from values:
+inside a block, the AND of those 0/1 values on the block grid,
+interpolated once per distinct set of (bit position, sign) literals;
+across blocks, where factors share no variable, the Cartesian product of
+their terms, with no collision and no exponent to reduce.  Cost: one
+q^vars2-point interpolation per distinct literal set, then terms x out_vars
+entries per product, refused over ENTRY_LIMIT before allocation.
 
-In parsimonious mode two extra families pin the correspondence down to a
-bijection: per-block range polynomials vanishing exactly when v < 2^vars1
-(where the decoding is injective), and one unit constraint forcing each
-padding bit to 0.
+In parsimonious mode a unit clause "not x" forces each padding bit to 0,
+and a one-factor range polynomial per block vanishes exactly when
+v < 2^vars1, where the decoding is injective: roots biject with models.
 """
 
 from __future__ import annotations
 
 import decimal
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimacsFormatError, InvalidParamsError, TooLargeError
-from .field import make_field
+from .field import ENTRY_LIMIT, make_field
 from .mpoly import Polynomial, PolySystem, TrimmedPointSet, check_key_width
 from .transform import TrimmedEvaluation, interpolate_trimmed
 
@@ -194,12 +197,27 @@ def dec_table(plan: ReductionPlan) -> np.ndarray:
     return np.stack([(v >> j) & 1 for j in range(plan.vars1)], axis=1)
 
 
-def _interpolate_block(field, plan: ReductionPlan, values: np.ndarray) -> Polynomial:
-    """Interpolate a function given on the whole vars2-grid."""
-    ps = TrimmedPointSet(plan.q, plan.vars2, plan.vars2 * (plan.q - 1),
-                         plan.vars2)
+def _interpolate_block(field, plan: ReductionPlan, values: np.ndarray):
+    """Term arrays of the polynomial with these values on the vars2-grid."""
+    ps = TrimmedPointSet(plan.q, plan.vars2, plan.vars2 * (plan.q - 1), plan.vars2)
     ev = TrimmedEvaluation(field, ps, np.asarray(values, dtype=np.int64))
-    return interpolate_trimmed(ev)
+    return interpolate_trimmed(ev).term_arrays()
+
+
+def _product(field, plan: ReductionPlan, factors) -> Polynomial:
+    """The product of (block, term arrays) factors on distinct blocks."""
+    shape = [len(coeffs) for _, (_, coeffs) in factors]
+    terms = math.prod(shape)
+    if terms * plan.out_vars > ENTRY_LIMIT:
+        raise TooLargeError(f"a polynomial of {terms} terms x {plan.out_vars} "
+                            f"variables is over {ENTRY_LIMIT} entries")
+    exps = np.zeros((terms, plan.out_vars), dtype=np.int64)
+    coeffs = np.ones(terms, dtype=np.int64)
+    for (block, (e, c)), pick in zip(
+            factors, np.unravel_index(np.arange(terms), shape)):
+        exps[:, block * plan.vars2:(block + 1) * plan.vars2] = e[pick]
+        coeffs = field.vmul(coeffs, c[pick])
+    return Polynomial.from_term_arrays(field, plan.out_vars, exps, coeffs)
 
 
 def reduce_cnf(cnf: Cnf, q: int, delta, parsimonious: bool = False) -> PolySystem:
@@ -209,46 +227,28 @@ def reduce_cnf(cnf: Cnf, q: int, delta, parsimonious: bool = False) -> PolySyste
     plan = make_plan(cnf.n_vars, cnf.width, q, delta, parsimonious)
     field = make_field(q)
     dec = dec_table(plan)
-
-    bit_polys = [_interpolate_block(field, plan, dec[:, j])
-                 for j in range(plan.vars1)]
-    one = Polynomial.constant(field, plan.vars2, 1)
-
-    def literal_poly(lit: int) -> tuple[int, Polynomial]:
-        """(block index, vars2-variate polynomial vanishing iff lit holds)."""
-        var = abs(lit) - 1
-        block, pos = divmod(var, plan.vars1)
-        bit = bit_polys[pos]
-        return block, (one.sub(bit) if lit > 0 else bit)
-
-    def embed(block: int, poly: Polynomial) -> Polynomial:
-        base = block * plan.vars2
-        return poly.embed(plan.out_vars, list(range(base, base + plan.vars2)))
-
+    pads = range(cnf.n_vars + 1, plan.padded_vars + 1) if parsimonious else ()
+    ands = {}  # literal set -> term arrays of its AND inside one block
     polys = []
-    for clause in cnf.clauses:
-        per_block: dict[int, Polynomial] = {}
+    for clause in cnf.clauses + [[-var] for var in pads]:
+        per_block: dict[int, set] = {}
         for lit in clause:
-            block, lp = literal_poly(lit)
-            cur = per_block.get(block)
-            per_block[block] = lp if cur is None else cur.mul(lp)
-        acc = None
-        for block in sorted(per_block):
-            lifted = embed(block, per_block[block])
-            acc = lifted if acc is None else acc.mul(lifted)
-        polys.append(acc)
+            block, pos = divmod(abs(lit) - 1, plan.vars1)
+            per_block.setdefault(block, set()).add((pos, lit < 0))
+        factors = []
+        for block, lits in per_block.items():
+            key = frozenset(lits)
+            if key not in ands:  # lit is falsified where bit == (lit < 0)
+                pos, neg = zip(*key)
+                ands[key] = _interpolate_block(
+                    field, plan, (dec[:, pos] == neg).all(axis=1))
+            factors.append((block, ands[key]))
+        polys.append(_product(field, plan, factors))
 
     if parsimonious:
-        # unit constraints forcing every padding bit to 0
-        for var in range(cnf.n_vars, plan.padded_vars):
-            block, pos = divmod(var, plan.vars1)
-            polys.append(embed(block, bit_polys[pos]))
-        # range constraints: vanish exactly when the block value is below
-        # 2^vars1, where the decoding is a bijection
-        over = (np.arange(plan.q ** plan.vars2, dtype=np.int64)
-                >= (1 << plan.vars1)).astype(np.int64)
-        bound_poly = _interpolate_block(field, plan, over)
-        for block in range(plan.blocks):
-            polys.append(embed(block, bound_poly))
+        bound = _interpolate_block(  # range: zero exactly where v < 2^vars1
+            field, plan, np.arange(plan.q ** plan.vars2) >= (1 << plan.vars1))
+        polys += [_product(field, plan, [(block, bound)])
+                  for block in range(plan.blocks)]
 
     return PolySystem(field, plan.out_vars, polys, plan.degree_bound)

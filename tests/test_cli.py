@@ -184,6 +184,19 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    # three literals in three blocks of 7 variables over GF(3): their
+    # product has 2187^3 terms, refused before any of it is allocated
+    def test_reduce_cnf_wide_clause_too_large(self, tmp_path):
+        cnf, out_path = tmp_path / "wide.cnf", tmp_path / "out.pes"
+        cnf.write_text("p cnf 30 1\n1 11 21 0\n")
+        start = time.perf_counter()
+        proc = _run_limited(["reduce-cnf", str(cnf), str(out_path),
+                             "--q", "3", "--delta", "1/3"])
+        assert time.perf_counter() - start < 1
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert not out_path.exists()
+
     # 2^(v*a) against q^(2*b) for delta = a/b, without building either
     @pytest.mark.parametrize("delta", ["1/1000000000", "1000000000000",
                                        "1000000000001/1000000000000"])

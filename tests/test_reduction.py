@@ -7,10 +7,62 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_sat_count, random_cnf
-from fqsolve import count_common_roots, parse_dimacs, reduce_cnf
-from fqsolve.errors import DimacsFormatError, FqsolveError
+from fqsolve import (Cnf, Polynomial, PolySystem, count_common_roots,
+                     make_field, parse_dimacs, reduce_cnf)
+from fqsolve import reduction
+from fqsolve.errors import DimacsFormatError, FqsolveError, TooLargeError
+from fqsolve.mpoly import TrimmedPointSet, format_pes
 from fqsolve.reduction import (MAX_BLOCK_GRID, _ceil_exact_vars1,
                                _pow2_at_least, dec_table, make_plan)
+from fqsolve.transform import TrimmedEvaluation, interpolate_trimmed
+
+
+def witness_reduce(cnf, q, delta, parsimonious):
+    """The reduction through Polynomial arithmetic: one interpolated
+    polynomial per bit position, the literal polynomials of a clause
+    multiplied with Polynomial.mul inside each block, and the block
+    products embedded into all variables and multiplied again."""
+    plan = make_plan(cnf.n_vars, cnf.width, q, delta, parsimonious)
+    field = make_field(q)
+    grid = TrimmedPointSet(q, plan.vars2, plan.vars2 * (q - 1), plan.vars2)
+
+    def interpolate(values):
+        return interpolate_trimmed(TrimmedEvaluation(
+            field, grid, np.asarray(values, dtype=np.int64)))
+
+    def embed(block, poly):
+        base = block * plan.vars2
+        return poly.embed(plan.out_vars, list(range(base, base + plan.vars2)))
+
+    dec = dec_table(plan)
+    bits = [interpolate(dec[:, j]) for j in range(plan.vars1)]
+    one = Polynomial.constant(field, plan.vars2, 1)
+    polys = []
+    for clause in cnf.clauses:
+        per_block = {}
+        for lit in clause:
+            block, pos = divmod(abs(lit) - 1, plan.vars1)
+            lp = one.sub(bits[pos]) if lit > 0 else bits[pos]
+            per_block[block] = per_block.get(block, one).mul(lp)
+        acc = Polynomial.constant(field, plan.out_vars, 1)
+        for block in sorted(per_block):
+            acc = acc.mul(embed(block, per_block[block]))
+        polys.append(acc)
+    if parsimonious:
+        for var in range(cnf.n_vars, plan.padded_vars):
+            block, pos = divmod(var, plan.vars1)
+            polys.append(embed(block, bits[pos]))
+        over = interpolate(np.arange(q ** plan.vars2) >= (1 << plan.vars1))
+        polys += [embed(block, over) for block in range(plan.blocks)]
+    return PolySystem(field, plan.out_vars, polys, plan.degree_bound)
+
+
+@st.composite
+def small_cnfs(draw):
+    n = draw(st.integers(1, 10))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    return Cnf(n, draw(st.lists(st.lists(lit, min_size=1, max_size=3),
+                                max_size=5)))
 
 
 class TestParseDimacs:
@@ -168,3 +220,61 @@ class TestReduceCnf:
             bound = cnf.width * plan.vars2 * (q - 1)
             assert all(p.degree() <= bound for p in system.polys)
             assert system.d == bound
+
+    @given(q=st.sampled_from([2, 3, 4]),
+           delta=st.sampled_from([Fraction(1), Fraction(1, 2)]),
+           parsimonious=st.booleans(), cnf=small_cnfs())
+    # a repeated literal
+    @example(q=3, delta=Fraction(1), parsimonious=False,
+             cnf=Cnf(3, [[2, 2, -1], [-3, -3]]))
+    # x or not x inside one block: the zero polynomial
+    @example(q=4, delta=Fraction(1, 2), parsimonious=True,
+             cnf=Cnf(2, [[1, -1], [-2, 1, 2]]))
+    @example(q=2, delta=Fraction(1), parsimonious=True, cnf=Cnf(4, []))
+    # 5 variables in blocks of 2 (q = 2, delta = 1): one padding bit
+    @example(q=2, delta=Fraction(1), parsimonious=True,
+             cnf=Cnf(5, [[1, -4, 5], [-5]]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_polynomial_witness(self, q, delta, parsimonious, cnf):
+        system = reduce_cnf(cnf, q, delta, parsimonious=parsimonious)
+        witness = witness_reduce(cnf, q, delta, parsimonious)
+        assert format_pes(system) == format_pes(witness)
+        assert system.d == witness.d
+
+    def test_tautology_in_one_block_is_zero(self):
+        system = reduce_cnf(Cnf(2, [[1, -1]]), 3, 1)
+        assert len(system) == 1 and system.polys[0].is_zero()
+
+    # the reduction builds every polynomial from values: it multiplies,
+    # subtracts and embeds no Polynomial (C6's shapes, checked by counting)
+    def test_reduces_without_polynomial_arithmetic(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Polynomial arithmetic in reduce_cnf")
+
+        rng = np.random.default_rng(1006)
+        cases = []
+        for i in range(12):
+            q = (2, 3, 4)[i % 3]
+            delta = Fraction(1, 2) if i % 4 == 3 else Fraction(1)
+            nmax = 10 if delta == 1 else (8 if q == 2 else 6)
+            cases.append((random_cnf(rng, int(rng.integers(3, nmax + 1)),
+                                     int(rng.integers(1, 21))), q, delta))
+        with monkeypatch.context() as patch:
+            for name in ("mul", "__mul__", "sub", "__sub__", "embed"):
+                patch.setattr(Polynomial, name, refuse)
+            systems = [reduce_cnf(cnf, q, delta, parsimonious=True)
+                       for cnf, q, delta in cases]
+        for (cnf, _, _), system in zip(cases, systems):
+            assert count_common_roots(system).count == brute_sat_count(cnf)
+
+    # a clause polynomial is refused once its terms x variables pass
+    # ENTRY_LIMIT, and built when they reach it exactly
+    def test_product_over_entry_limit(self, monkeypatch):
+        cnf = Cnf(4, [[1, -3, 4]])  # two blocks of 2 over GF(2) at delta 1
+        poly = reduce_cnf(cnf, 2, 1).polys[0]
+        entries = poly.num_terms() * poly.n
+        monkeypatch.setattr(reduction, "ENTRY_LIMIT", entries)
+        assert reduce_cnf(cnf, 2, 1).polys[0] == poly
+        monkeypatch.setattr(reduction, "ENTRY_LIMIT", entries - 1)
+        with pytest.raises(TooLargeError):
+            reduce_cnf(cnf, 2, 1)
