@@ -183,7 +183,8 @@ def main(argv: list[str] | None = None) -> int:
                                    [zp.embed(max(zp.n, 1),
                                              list(range(zp.n)))],
                                    max(zp.degree(), 1))
-            sys.stdout.write(mpoly.format_pes(out))
+            pes = mpoly.format_pes(out)
+            _emit(args, {"partial_sum": pes}, pes.removesuffix("\n"))
             return 0
 
         if args.command == "reduce-cnf":

@@ -9,7 +9,10 @@ so the prime subfield occupies indices 0..p-1 with index arithmetic mod p.
 Every extension field carries exp/log tables over a multiplicative
 generator, and prime fields use modular arithmetic directly.  Fields of
 order up to 256 also cache dense q-by-q addition/multiplication tables:
-the untabled vadd and vmul over all pairs.
+the untabled vadd and vmul over all pairs, kept because a table lookup
+is faster than either formula.  Each operation picks its formula in one
+place, its vector form: the scalar add, neg, sub and mul are vadd, vneg,
+vsub and vmul on one element, which take Python ints as well as arrays.
 
 Every matrix product over the field goes through `compile_matrix`, which
 expands the matrix once, by a table gather, into an F_p matrix on base-p
@@ -213,28 +216,16 @@ class FieldSpec:
     # -- scalar arithmetic ----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.add_table is not None:
-            return int(self.add_table[a, b])
-        if self.k == 1:
-            return (a + b) % self.p
-        return int((self.digits[a] + self.digits[b]) % self.p @ self._ppow)
+        return int(self.vadd(a, b))
 
     def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        return int((-self.digits[a]) % self.p @ self._ppow)
+        return int(self.vneg(a))
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return int(self.vsub(a, b))
 
     def mul(self, a: int, b: int) -> int:
-        if self.mul_table is not None:
-            return int(self.mul_table[a, b])
-        if self.k == 1:
-            return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
-        return int(self._exp[(self._log[a] + self._log[b]) % (self.q - 1)])
+        return int(self.vmul(a, b))
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -261,7 +252,7 @@ class FieldSpec:
         """Embed the integer c as the field element c * 1."""
         return c % self.p
 
-    # -- vectorised arithmetic on numpy int64 index arrays --------------------
+    # -- vectorised arithmetic on int64 index arrays (or ints) ----------------
 
     def vadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.add_table is not None:
@@ -284,7 +275,7 @@ class FieldSpec:
         if self.mul_table is not None:
             return self.mul_table[a, b]
         if self.k == 1:
-            return (np.asarray(a, dtype=np.int64) * b) % self.p
+            return (a * b) % self.p
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         out = self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]

@@ -12,6 +12,7 @@ scalar witness for the solver's column-wise vote, core.streamed_plurality.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidParamsError, TooLargeError
 from .field import FieldSpec
-from .mpoly import Polynomial, PolySystem, point_matrix
+from .mpoly import Polynomial, PolySystem
 
 COUNT_LIMIT = 10 ** 8
 PARTIAL_LIMIT = 10 ** 7
@@ -112,6 +113,16 @@ def grid_interpolate(field: FieldSpec, values: np.ndarray, n: int) -> Polynomial
     return Polynomial.from_terms(field, n, pairs)
 
 
+def trimmed_points(q: int, n: int, delta: int, b: int) -> np.ndarray:
+    """T(n-b, delta) x GF(q)^b as an (N, n) array: the full grid filtered
+    by the sum of the first n-b coordinates, in itertools.product's
+    order, which is lexicographic with the first coordinate most
+    significant."""
+    pts = [p for p in itertools.product(range(q), repeat=n)
+           if sum(p[:n - b]) <= delta]
+    return np.array(pts, dtype=np.int64).reshape(len(pts), n)
+
+
 def dense_interpolate(ev) -> Polynomial:
     """The polynomial that interpolate_trimmed must return for the
     TrimmedEvaluation ev, found without the trimmed transform: solve the
@@ -122,7 +133,7 @@ def dense_interpolate(ev) -> Polynomial:
     # coefficient support mirrors the point set (the first n-b exponents
     # sum to at most delta, the trailing b are unconstrained), so the system
     # is square, and invertible because interpolation on T is unique
-    pts = point_matrix(ps.q, ps.n, ps.delta, ps.b)
+    pts = trimmed_points(ps.q, ps.n, ps.delta, ps.b)
     pw = _pow_matrix(field)
     a = np.ones((len(pts), len(pts)), dtype=np.int64)
     for var in range(ps.n):

@@ -95,14 +95,6 @@ class RngStream:
         return out if size is not None else int(out)
 
 
-def rs_coefficients(q: int, mu: int, m: int, rng: RngStream) -> np.ndarray:
-    """The (mu, m) coefficient matrix of mu random combinations of m
-    polynomials over GF(q), as razborov_smolensky draws it from rng."""
-    if mu < 1:
-        raise ValueError("mu must be positive")
-    return rng.integers(0, q, size=(mu, m))
-
-
 # Philox4x64-10's multipliers and Weyl key increments, one row for each
 # of the two products of a round.  The masks are 0-d arrays: numpy
 # scalars cost a conversion in every operation.
@@ -144,7 +136,8 @@ def _philox_words(keys: list[int], blocks: int) -> np.ndarray:
 
 
 def rs_chunk(q: int, mu: int, m: int, rngs: list[RngStream]) -> np.ndarray:
-    """The stacked rs_coefficients(q, mu, m, r) of each stream r, for
+    """The stacked (mu, m) coefficient matrices that razborov_smolensky
+    draws from each stream r, r.integers(0, q, size=(mu, m)), for
     1 <= q <= 2^32; the streams themselves are left untouched.
 
     The draws are numpy's, reproduced by one vectorised Philox over the
@@ -164,7 +157,7 @@ def rs_chunk(q: int, mu: int, m: int, rngs: list[RngStream]) -> np.ndarray:
     rejected = np.any((scaled & _LOW) < (1 << 32) % q, axis=1)
     for i in np.flatnonzero(rejected):
         rng = rngs[i]
-        out[i] = rs_coefficients(q, mu, m, RngStream(rng.seed, rng.path))
+        out[i] = RngStream(rng.seed, rng.path).integers(0, q, size=(mu, m))
     return out
 
 
@@ -176,9 +169,11 @@ def razborov_smolensky(system: PolySystem, mu: int,
     point where some polynomial is nonzero, all mu combinations vanish
     with probability exactly q^-mu.
     """
+    if mu < 1:
+        raise ValueError("mu must be positive")
     f = system.field
     m = len(system.polys)
-    rho = rs_coefficients(f.q, mu, m, rng)
+    rho = rng.integers(0, f.q, size=(mu, m))
     out = []
     for i in range(mu):
         acc = Polynomial.zero(f, system.n)

@@ -11,7 +11,8 @@ interpolated once per distinct set of (bit position, sign) literals;
 across blocks, where factors share no variable, the Cartesian product of
 their terms, with no collision and no exponent to reduce.  Cost: one
 q^vars2-point interpolation per distinct literal set, then terms x out_vars
-entries per product, refused over ENTRY_LIMIT before allocation.
+entries per product; the whole system's entries are summed and refused
+over ENTRY_LIMIT before any product is built.
 
 In parsimonious mode a unit clause "not x" forces each padding bit to 0,
 and a one-factor range polynomial per block vanishes exactly when
@@ -208,9 +209,6 @@ def _product(field, plan: ReductionPlan, factors) -> Polynomial:
     """The product of (block, term arrays) factors on distinct blocks."""
     shape = [len(coeffs) for _, (_, coeffs) in factors]
     terms = math.prod(shape)
-    if terms * plan.out_vars > ENTRY_LIMIT:
-        raise TooLargeError(f"a polynomial of {terms} terms x {plan.out_vars} "
-                            f"variables is over {ENTRY_LIMIT} entries")
     exps = np.zeros((terms, plan.out_vars), dtype=np.int64)
     coeffs = np.ones(terms, dtype=np.int64)
     for (block, (e, c)), pick in zip(
@@ -229,7 +227,7 @@ def reduce_cnf(cnf: Cnf, q: int, delta, parsimonious: bool = False) -> PolySyste
     dec = dec_table(plan)
     pads = range(cnf.n_vars + 1, plan.padded_vars + 1) if parsimonious else ()
     ands = {}  # literal set -> term arrays of its AND inside one block
-    polys = []
+    products = []
     for clause in cnf.clauses + [[-var] for var in pads]:
         per_block: dict[int, set] = {}
         for lit in clause:
@@ -243,12 +241,17 @@ def reduce_cnf(cnf: Cnf, q: int, delta, parsimonious: bool = False) -> PolySyste
                 ands[key] = _interpolate_block(
                     field, plan, (dec[:, pos] == neg).all(axis=1))
             factors.append((block, ands[key]))
-        polys.append(_product(field, plan, factors))
+        products.append(factors)
 
     if parsimonious:
         bound = _interpolate_block(  # range: zero exactly where v < 2^vars1
             field, plan, np.arange(plan.q ** plan.vars2) >= (1 << plan.vars1))
-        polys += [_product(field, plan, [(block, bound)])
-                  for block in range(plan.blocks)]
+        products += [[(block, bound)] for block in range(plan.blocks)]
 
+    terms = sum(math.prod(len(coeffs) for _, (_, coeffs) in factors)
+                for factors in products)
+    if terms * plan.out_vars > ENTRY_LIMIT:
+        raise TooLargeError(f"the system's {terms} terms x {plan.out_vars} "
+                            f"variables are over {ENTRY_LIMIT} entries")
+    polys = [_product(field, plan, factors) for factors in products]
     return PolySystem(field, plan.out_vars, polys, plan.degree_bound)

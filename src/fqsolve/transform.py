@@ -42,11 +42,6 @@ from .mpoly import (Polynomial, TrimmedPointSet, check_key_width,
 FIELD_OPS = 0
 
 
-def reset_op_counter() -> None:
-    global FIELD_OPS
-    FIELD_OPS = 0
-
-
 @dataclass
 class TrimmedEvaluation:
     """Values of a degree-bounded polynomial in canonical point order."""
@@ -70,7 +65,6 @@ class _PointData:
     __slots__ = ("points", "keys", "strides", "groups")
 
     def __init__(self, q: int, n: int, delta: int, b: int):
-        check_key_width(q, n)
         pts = point_matrix(q, n, delta, b)
         self.points = pts
         self.strides = np.array([q ** (n - 1 - i) for i in range(n)],

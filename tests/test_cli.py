@@ -95,6 +95,14 @@ class TestPartialSum:
         assert out.splitlines()[0].startswith("pes 2 1 1")
         assert out.splitlines()[1] == "poly 0"  # unsatisfiable: zero sum
 
+    def test_json_lines(self, workdir, capsys):
+        argv = ["partial-sum", str(workdir / "sat.pes"), "--beta", "1",
+                "--seed", "1"]
+        _, text, _ = run(capsys, argv)
+        code, out, _ = run(capsys, argv + ["--format", "json-lines"])
+        assert code == 0 and out.count("\n") == 1
+        assert json.loads(out) == {"partial_sum": text}
+
 
 class TestReduceCnf:
     def test_writes_parsable_output(self, workdir, capsys):
@@ -282,6 +290,16 @@ class TestErrors:
             [sys.executable, "-m", "fqsolve.cli", "solve", str(pes)],
             capture_output=True, text=True, env=env, preexec_fn=limit,
             timeout=120)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1
+
+    # X1 over 31 variables of GF(3) fits 63-bit keys, but the solver's
+    # first point set holds 3.4e11 entries: refused before it is built
+    def test_solve_point_set_checked_before_allocation(self, workdir):
+        pes = workdir / "x31.pes"
+        pes.write_text("pes 3 31 1\npoly 1\n1 1" + " 0" * 30 + "\n")
+        proc = _run_limited(["solve", str(pes)])
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error:")
         assert proc.stderr.count("\n") == 1

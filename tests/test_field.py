@@ -165,18 +165,36 @@ def test_large_extension_field_without_tables():
     assert f.add(1, 2) == 0  # characteristic 3 on the prime subfield
 
 
-@pytest.mark.parametrize("q", [3, 4, 9, 8])
+# the reference is digit arithmetic: base-p digits added or negated one by
+# one mod p, and _mul_digits, the digit-polynomial product mod the
+# irreducible; 289 and 65521 lie above TABLE_LIMIT
+@pytest.mark.parametrize("q", [3, 4, 8, 9, 27, 289, 65521])
 def test_vector_ops_match_scalar(q):
     f = make_field(q)
+    p, k = f.p, f.k
     rng = np.random.default_rng(0)
     a = rng.integers(0, q, size=50)
     b = rng.integers(0, q, size=50)
-    assert (f.vadd(a, b) == [f.add(int(x), int(y)) for x, y in zip(a, b)]).all()
-    assert (f.vmul(a, b) == [f.mul(int(x), int(y)) for x, y in zip(a, b)]).all()
-    acc = 0
-    for x in a:
-        acc = f.add(acc, int(x))
-    assert f.vsum(a) == acc
+    a[:3] = b[3:6] = 0
+
+    def digitwise(op, *xs):
+        return sum(op(*(x // p ** i % p for x in xs)) % p * p ** i
+                   for i in range(k))
+
+    pairs = list(zip(a.tolist(), b.tolist()))
+    want = {
+        "add": [digitwise(lambda x, y: x + y, x, y) for x, y in pairs],
+        "sub": [digitwise(lambda x, y: x - y, x, y) for x, y in pairs],
+        "mul": [f._mul_digits(x, y) for x, y in pairs],
+    }
+    for name, expect in want.items():
+        vop, op = getattr(f, "v" + name), getattr(f, name)
+        assert vop(a, b).tolist() == expect, name
+        assert [op(x, y) for x, y in pairs] == expect, name
+    neg = [digitwise(lambda x: -x, x) for x in a.tolist()]
+    assert f.vneg(a).tolist() == neg
+    assert [f.neg(x) for x in a.tolist()] == neg
+    assert f.vsum(a) == digitwise(lambda *ds: sum(ds), *a.tolist())
 
 
 # 243 still has tables; 257 and 289 lie above TABLE_LIMIT: modular and

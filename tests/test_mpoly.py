@@ -7,7 +7,8 @@ from conftest import full_grid, random_polynomial
 from fqsolve import (Polynomial, PolySystem, TrimmedPointSet, enumerate_points,
                      eval_indicator, ext_binom_cum, format_pes, make_field,
                      parse_pes, symbolic_coefficient)
-from fqsolve.errors import FqsolveError, PesFormatError
+from fqsolve import mpoly
+from fqsolve.errors import FqsolveError, PesFormatError, TooLargeError
 from fqsolve.transform import evaluate_trimmed, interpolate_trimmed
 
 
@@ -129,6 +130,22 @@ class TestPointSets:
         assert len(pts) == ps.size() == ext_binom_cum(n - b, delta, q) * q ** b
         assert all(pts[i] < pts[i + 1] for i in range(len(pts) - 1))
         assert all(ps.contains(p) for p in pts)
+
+
+    # point_matrix refuses a set over ENTRY_LIMIT entries, or with keys
+    # over 63 bits, before it builds anything
+    def test_size_checked_before_allocation(self, monkeypatch):
+        entries = TrimmedPointSet(3, 3, 3, 1).size() * 3
+        mpoly.point_matrix.cache_clear()
+        monkeypatch.setattr(mpoly, "ENTRY_LIMIT", entries)
+        assert mpoly.point_matrix(3, 3, 3, 1).size == entries
+        mpoly.point_matrix.cache_clear()
+        monkeypatch.setattr(mpoly, "ENTRY_LIMIT", entries - 1)
+        monkeypatch.setattr(mpoly.np, "hstack", None)
+        with pytest.raises(TooLargeError):
+            mpoly.point_matrix(3, 3, 3, 1)
+        with pytest.raises(TooLargeError):
+            mpoly.point_matrix(16, 16, 0, 0)  # 64-bit keys, one point
 
 
 class TestIndicator:

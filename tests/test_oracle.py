@@ -6,7 +6,8 @@ from fqsolve import (Polynomial, PolySystem, brute_Z, brute_partial_sum,
                      count_common_roots, eval_indicator, make_field, zdegree)
 from fqsolve.errors import TooLargeError
 from fqsolve.field import FieldSpec
-from fqsolve.oracle import grid_evaluate, grid_interpolate
+from fqsolve.mpoly import point_matrix
+from fqsolve.oracle import grid_evaluate, grid_interpolate, trimmed_points
 
 
 class TestCountCommonRoots:
@@ -128,3 +129,16 @@ class TestDenseGridHelpers:
         want = sum(all(p.evaluate(pt) == 0 for p in system.polys)
                    for pt in full_grid(3, 3))
         assert count_common_roots(system).count == want
+
+
+# the solver's point sets against the oracle's own enumeration, for every
+# q <= 5, n <= 4, b, and delta up to one past the largest coordinate sum
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_point_matrix_matches_enumeration(q):
+    for n in range(5):
+        for b in range(n + 1):
+            for delta in range((n - b) * (q - 1) + 2):
+                want = trimmed_points(q, n, delta, b)
+                got = point_matrix(q, n, delta, b)
+                assert got.shape == want.shape, (n, delta, b)
+                assert (got == want).all(), (n, delta, b)

@@ -5,7 +5,7 @@ from conftest import full_grid, random_system
 from fqsolve import (PolySystem, RngStream, count_common_roots, make_field,
                      razborov_smolensky, valiant_vazirani)
 from fqsolve.mpoly import point_matrix
-from fqsolve.randomized import rs_chunk, rs_coefficients, vv_coefficients
+from fqsolve.randomized import rs_chunk, vv_coefficients
 
 
 class TestRngStream:
@@ -40,9 +40,8 @@ class TestRngStream:
         for seed in (0, 7, 2 ** 63, 2 ** 64 - 1):
             rngs = [RngStream(seed, (3, j)) for j in range(6)]
             for mu, m in ((1, 1), (3, 5)):
-                want = np.stack([rs_coefficients(q, mu, m,
-                                                 RngStream(seed, r.path))
-                                 for r in rngs])
+                want = np.stack([RngStream(seed, r.path).integers(
+                    0, q, size=(mu, m)) for r in rngs])
                 got = rs_chunk(q, mu, m, rngs)
                 assert got.dtype == want.dtype and (got == want).all()
         # the chunk draw leaves its streams where they were
@@ -55,9 +54,8 @@ class TestRngStream:
         for seed in (0, 5, 2 ** 64 - 1):
             rngs = [RngStream(seed, (j,)) for j in range(40)]
             for mu, m in ((1, 1), (2, 3), (4, 5)):
-                want = np.stack([rs_coefficients(q, mu, m,
-                                                 RngStream(seed, r.path))
-                                 for r in rngs])
+                want = np.stack([RngStream(seed, r.path).integers(
+                    0, q, size=(mu, m)) for r in rngs])
                 got = rs_chunk(q, mu, m, rngs)
                 assert got.dtype == want.dtype and (got == want).all()
             assert all(r._gen is None for r in rngs)

@@ -278,3 +278,21 @@ class TestReduceCnf:
         monkeypatch.setattr(reduction, "ENTRY_LIMIT", entries - 1)
         with pytest.raises(TooLargeError):
             reduce_cnf(cnf, 2, 1)
+
+    # the limit bounds the whole system: clauses that each fit are refused
+    # together, before any of their polynomials is built
+    def test_system_over_entry_limit(self, monkeypatch):
+        cnf = Cnf(4, [[1, -3, 4], [2, 3], [-1, 2]])
+        system = reduce_cnf(cnf, 2, 1, parsimonious=True)
+        terms = [p.num_terms() for p in system.polys]
+        entries = sum(terms) * system.n
+        assert max(terms) * system.n < entries / 2
+        monkeypatch.setattr(reduction, "ENTRY_LIMIT", entries)
+        assert reduce_cnf(cnf, 2, 1, parsimonious=True).polys == system.polys
+        monkeypatch.setattr(reduction, "ENTRY_LIMIT", entries - 1)
+        built = []
+        monkeypatch.setattr(reduction, "_product",
+                            lambda *args: built.append(args))
+        with pytest.raises(TooLargeError):
+            reduce_cnf(cnf, 2, 1, parsimonious=True)
+        assert built == []
