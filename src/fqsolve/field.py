@@ -8,11 +8,12 @@ so the prime subfield occupies indices 0..p-1 with index arithmetic mod p.
 
 Every extension field carries exp/log tables over a multiplicative
 generator, and prime fields use modular arithmetic directly.  Fields of
-order up to 256 also cache dense q-by-q addition/multiplication tables:
-the untabled vadd and vmul over all pairs, kept because a table lookup
-is faster than either formula.  Each operation picks its formula in one
-place, its vector form: the scalar add, neg, sub and mul are vadd, vneg,
-vsub and vmul on one element, which take Python ints as well as arrays.
+order up to 256 also cache dense q-by-q addition/multiplication tables
+and a q-entry negation table: the untabled vadd, vmul and vneg over all
+elements, kept because a table lookup is faster than each formula.  Each
+operation picks its formula in one place, its vector form: the scalar
+add, neg, sub and mul are vadd, vneg, vsub and vmul on one element,
+which take Python ints as well as arrays.
 
 Every matrix product over the field goes through `compile_matrix`, which
 expands the matrix once, by a table gather, into an F_p matrix on base-p
@@ -162,10 +163,11 @@ class FieldSpec:
         else:
             self.digits = self._fdigits = None
             self._exp = self._log = None
-        # vadd and vmul run untabled while both tables are still None
-        self.add_table = self.mul_table = None
+        # vadd, vneg and vmul run untabled while the tables are still None
+        self.add_table = self.neg_table = self.mul_table = None
         if q <= TABLE_LIMIT:
             self.add_table = self.vadd(idx[:, None], idx)
+            self.neg_table = self.vneg(idx)
             self.mul_table = self.vmul(idx[:, None], idx)
 
     # -- construction helpers ------------------------------------------------
@@ -264,6 +266,8 @@ class FieldSpec:
                 % self.p) @ self._ppow
 
     def vneg(self, a: np.ndarray) -> np.ndarray:
+        if self.neg_table is not None:
+            return self.neg_table[a]
         if self.k == 1:
             return (-a) % self.p
         return (-np.take(self.digits, a, axis=0) % self.p) @ self._ppow

@@ -15,7 +15,9 @@ key, a zero counter and an empty output buffer.  That state is all a
 `Philox` and its `Generator` hold, so a generator keyed this way draws
 exactly what a fresh `Philox(key=...)` would.  (`Philox(key=...)` alone
 would also seed a throwaway `SeedSequence` from OS entropy for every
-build.)
+build.)  A stream keeps the sha256 state of its (seed, path) and a child
+continues a copy of it, so the children of a vote chunk do not each
+re-hash the shared prefix.
 
 `rs_chunk` draws the coefficients of a whole vote chunk, one stream per
 repetition, without a generator: it runs Philox4x64-10 (Salmon et al.,
@@ -67,6 +69,10 @@ class RngStream:
     path: tuple[int, ...] = ()
     _gen: np.random.Generator | None = dc_field(
         default=None, repr=False, compare=False)
+    # sha256 state after (tag, seed, path), built once and copied into
+    # each child, so a child hashes only its own path entry
+    _prefix: object | None = dc_field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.seed < 1 << 64:
@@ -74,15 +80,23 @@ class RngStream:
                 f"seed {self.seed} is outside 0..2^64-1")
 
     def child(self, i: int) -> "RngStream":
-        return RngStream(self.seed, self.path + (i,))
+        out = RngStream(self.seed, self.path + (i,))
+        out._prefix = self._hashed().copy()
+        out._prefix.update(i.to_bytes(8, "little", signed=True))
+        return out
+
+    def _hashed(self):
+        if self._prefix is None:
+            h = hashlib.sha256()
+            h.update(b"fqsolve-stream")
+            h.update(self.seed.to_bytes(8, "little", signed=False))
+            for p in self.path:
+                h.update(p.to_bytes(8, "little", signed=True))
+            self._prefix = h
+        return self._prefix
 
     def _key(self) -> int:
-        h = hashlib.sha256()
-        h.update(b"fqsolve-stream")
-        h.update(self.seed.to_bytes(8, "little", signed=False))
-        for p in self.path:
-            h.update(p.to_bytes(8, "little", signed=True))
-        return int.from_bytes(h.digest()[:16], "little")
+        return int.from_bytes(self._hashed().digest()[:16], "little")
 
     def generator(self) -> np.random.Generator:
         if self._gen is None:

@@ -14,12 +14,35 @@ total-degree filtration, so every one-dimensional slice of the trimmed
 set closes under both passes and the work per axis is one small
 triangular matrix per slice.  Total cost is O(n * |T| * q^b) field
 operations (constants depending on q); FIELD_OPS accumulates the exact
-multiply-accumulate count for scaling measurements.
+multiply-accumulate count of what ran, for scaling measurements: each
+axis pass adds batch * (sum of its slice lengths squared), a composed
+re-evaluation map (below) batch * |T_from| * |T_to|, and a gather 0.
 
 Every axis pass works on the last axis of an array, so a batch of value
 vectors (one row each) goes through each slice length in a single
 application of the field's one matrix kernel, `FieldSpec.compile_matrix`;
 `evaluate_values` and `reevaluate` are the batched forms the solver uses.
+
+`reevaluate` maps the values of polynomials of degree <= dfrom on
+T(n, dfrom) to their values on T(n-b, dto) x GF(q)^b, and takes one of
+three routes, all giving the same values:
+
+  gather    when the target set lies inside the source set, i.e.
+            dto + b(q-1) <= dfrom: values already known need no
+            transform, so it returns the source values at the target's
+            positions;
+  dense     when |T_from| * |T_work| * k^2 <= DENSE_LIMIT, with T_work
+            the set the axis route works on (it contains the target):
+            one product with the map's matrix, cached per (field, n,
+            dfrom, dto, b);
+  axis      otherwise: 2n axis passes, interpolating into the Newton
+            basis on the source set and evaluating from there.
+
+The axis route is the definition; the dense map is only its memo.  It
+is linear over GF(q), so it is the axis route applied once to the rows
+of the identity matrix, compiled by `compile_matrix`; bounding T_work
+rather than the target also bounds the array that build runs on.
+
 The six per-field frames come from closed forms, one column or row per
 vector step, and no matrix is inverted: x N_i = N_{i+1} + sigma_i N_i
 writes monomials in the Newton basis, divided differences invert the
@@ -40,6 +63,11 @@ from .mpoly import (Polynomial, TrimmedPointSet, check_key_width,
                     point_matrix)
 
 FIELD_OPS = 0
+
+# Largest |T_from| * |T_work| * k^2 for which reevaluate composes its axis
+# passes into one cached map: 2^18 float64 entries, 2 MiB a map and at
+# most 128 MiB for the _reevaluation_map cache.  A constant by design.
+DENSE_LIMIT = 1 << 18
 
 
 @dataclass
@@ -228,19 +256,51 @@ def reevaluate(field: FieldSpec, values: np.ndarray, n: int,
     polynomials of total degree <= delta_from that take the values in
     each row of `values` on T(n, delta_from).
 
-    The rows are interpolated into the Newton basis on every axis and
-    evaluated from there, without passing through monomial coefficients.
-    A target set of lower degree than the source is evaluated on the
-    source's degree and restricted.
+    Takes the gather, dense or axis route of the module docstring.
     """
+    global FIELD_OPS
     q = field.q
     dfrom = _effective_delta(q, n, delta_from, 0)
+    dto = _effective_delta(q, n, delta_to, b)
+    rows = np.asarray(values, dtype=np.int64)
+    if rows.ndim == 1:
+        rows = rows[None]
+    if dto + b * (q - 1) <= dfrom:
+        return rows[:, _positions(q, n, dto, b, dfrom, 0)]
+    nfrom = len(_point_data(q, n, dfrom, 0).keys)
+    dwork = _effective_delta(q, n, max(dto, dfrom), b)
+    nwork = len(_point_data(q, n, dwork, b).keys)
+    if nfrom * nwork * field.k ** 2 > DENSE_LIMIT:
+        return _reevaluate_axes(field, rows, n, dfrom, dto, b)
+    out = _reevaluation_map(field, n, dfrom, dto, b)(rows)
+    FIELD_OPS += len(rows) * nfrom * out.shape[1]
+    return out
+
+
+@lru_cache(maxsize=64)
+def _reevaluation_map(field: FieldSpec, n: int, dfrom: int, dto: int,
+                      b: int):
+    """The axis route of reevaluate on effective degrees, compiled as one
+    matrix from its images of the unit vectors."""
+    nfrom = len(_point_data(field.q, n, dfrom, 0).keys)
+    images = _reevaluate_axes(field, np.eye(nfrom, dtype=np.int64), n,
+                              dfrom, dto, b)
+    return field.compile_matrix(images.T)
+
+
+def _reevaluate_axes(field: FieldSpec, values: np.ndarray, n: int,
+                     dfrom: int, dto: int, b: int) -> np.ndarray:
+    """reevaluate's axis route on effective degrees.  The rows are
+    interpolated into the Newton basis on every axis and evaluated from
+    there, without passing through monomial coefficients.  A target set
+    of lower degree than the source is evaluated on the source's degree
+    and restricted."""
+    q = field.q
     src = _point_data(q, n, dfrom, 0)
-    newton = np.array(values, dtype=np.int64, ndmin=2)
+    newton = np.array(values, dtype=np.int64)
     for axis in range(n):
         _apply_axis(field, newton, src.groups[axis], "VNinv")
-    dto = _effective_delta(q, n, delta_to, b)
-    dwork = _effective_delta(q, n, max(delta_to, dfrom), b)
+    dwork = _effective_delta(q, n, max(dto, dfrom), b)
     work = _point_data(q, n, dwork, b)
     out = np.zeros((len(newton), len(work.keys)), dtype=np.int64)
     out[:, _positions(q, n, dfrom, 0, dwork, b)] = newton

@@ -275,6 +275,36 @@ class TestFullSum:
         assert chunks[0] > 0
         assert built[0] <= reads[0]
 
+    @pytest.mark.parametrize("q, n", [(2, 6), (3, 5), (4, 4)])
+    def test_warm_reevaluation_runs_no_axis_pass(self, q, n, monkeypatch):
+        # at the C3 shapes every vote chunk is re-evaluated by a cached
+        # map or a gather once the first full_sum has built the maps; a
+        # fallback to the axis passes must fail here
+        from fqsolve import transform
+        rng = np.random.default_rng(16 + q)
+        params = SolverParams(kappa=Fraction(3, 10), lam=Fraction(3, 20))
+        warm, system = (random_system(rng, q, n, 3, 2, 3, 7)
+                        for _ in range(2))
+        full_sum(warm, params, RngStream(1))
+        inside, passes = [False], [0]
+        reevaluate, apply_axis = core.reevaluate, transform._apply_axis
+
+        def flagged_reevaluate(*args):
+            inside[0] = True
+            try:
+                return reevaluate(*args)
+            finally:
+                inside[0] = False
+
+        def counting_apply_axis(*args):
+            passes[0] += inside[0]
+            return apply_axis(*args)
+
+        monkeypatch.setattr(core, "reevaluate", flagged_reevaluate)
+        monkeypatch.setattr(transform, "_apply_axis", counting_apply_axis)
+        assert full_sum(system, params, RngStream(2)) == brute_Z(system)
+        assert passes[0] == 0
+
 
 class TestChevalleyWarning:
     @staticmethod

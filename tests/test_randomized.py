@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,27 @@ class TestRngStream:
         c = RngStream(43, (0,)).integers(0, 2 ** 30, size=32)
         assert (a != b).any() and (a != c).any()
 
+    def test_keys_match_a_fresh_sha256(self):
+        # children continue a copy of their parent's hash state; every
+        # key must still be the sha256 of (tag, seed, path) from scratch
+        def fresh_key(seed, path):
+            data = b"fqsolve-stream" + seed.to_bytes(8, "little") + b"".join(
+                p.to_bytes(8, "little", signed=True) for p in path)
+            return int.from_bytes(hashlib.sha256(data).digest()[:16],
+                                  "little")
+
+        for seed in (0, 42, 2 ** 64 - 1):
+            root = RngStream(seed, (5,))
+            assert root._key() == fresh_key(seed, (5,))
+            for i in (0, 1, 63, -2, 2 ** 62):
+                child = root.child(i)
+                assert child._key() == fresh_key(seed, (5, i))
+                for j in (0, 7):
+                    assert child.child(j)._key() == fresh_key(seed, (5, i, j))
+                direct = RngStream(seed, (5, i, 3))
+                assert direct._key() == fresh_key(seed, (5, i, 3))
+                assert direct == child.child(3)
+            assert root._key() == fresh_key(seed, (5,))
 
     def test_seed_must_fit_64_bits(self):
         from fqsolve.errors import InvalidParamsError

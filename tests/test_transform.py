@@ -8,6 +8,7 @@ from fqsolve import (Polynomial, TrimmedPointSet, enumerate_points,
                      evaluate_trimmed, format_evaluation, interpolate_trimmed,
                      make_field, parse_evaluation)
 from fqsolve import oracle, transform
+from fqsolve.field import FieldSpec
 from fqsolve.errors import (DegreeTooHighError, FqsolveError,
                             SizeMismatchError, TooLargeError)
 from fqsolve.mpoly import point_matrix
@@ -125,9 +126,13 @@ class TestBatched:
             assert got.tolist() == [[p.evaluate(pt) for pt in pts]
                                     for p in polys]
 
-    def test_reevaluate_matches_naive_evaluation(self):
-        # target sets above, equal to and below the source degree
+    def test_reevaluate_matches_naive_evaluation(self, monkeypatch):
+        # target sets above, equal to and below the source degree, each
+        # through every route that applies: reevaluate's own pick, the
+        # gather or axis route with DENSE_LIMIT = 0, the dense map (built
+        # here past the cache, whatever its size) and the axis route
         rng = np.random.default_rng(14)
+        contained = 0
         for _ in range(40):
             q, n, dfrom, _ = _random_config(rng, size_cap=600)
             b = int(rng.integers(0, n + 1))
@@ -138,10 +143,64 @@ class TestBatched:
                      for _ in range(2)]
             values = np.stack([evaluate_trimmed(p, dfrom, 0).values
                                for p in polys])
-            got = transform.reevaluate(make_field(q), values, n, dfrom, dto, b)
+            f = make_field(q)
             pts = enumerate_points(TrimmedPointSet(q, n, dto, b))
-            assert got.tolist() == [[p.evaluate(pt) for pt in pts]
-                                    for p in polys]
+            want = [[p.evaluate(pt) for pt in pts] for p in polys]
+            efrom = transform._effective_delta(q, n, dfrom, 0)
+            eto = transform._effective_delta(q, n, dto, b)
+            contained += eto + b * (q - 1) <= efrom
+            dense = transform._reevaluation_map.__wrapped__(
+                f, n, efrom, eto, b)
+            routes = {
+                "pick": transform.reevaluate(f, values, n, dfrom, dto, b),
+                "dense": dense(values),
+                "axis": transform._reevaluate_axes(f, values, n, efrom,
+                                                   eto, b)}
+            with monkeypatch.context() as m:
+                m.setattr(transform, "DENSE_LIMIT", 0)
+                routes["limit 0"] = transform.reevaluate(f, values, n, dfrom,
+                                                         dto, b)
+            for route, got in routes.items():
+                assert got.tolist() == want, (route, q, n, dfrom, dto, b)
+        assert 0 < contained < 40
+
+    def test_reevaluate_builds_no_map_over_the_limit(self, monkeypatch):
+        # with DENSE_LIMIT = 4096, compile_matrix runs once per distinct
+        # map within the limit and never for the others; the axis blocks
+        # are compiled beforehand, so every call counted builds a map
+        limit = 4096
+        cases = [(2, 6, 4, 5, 1),   # 57 x 64: within the limit
+                 (3, 3, 2, 4, 1),   # 10 x 27: within the limit
+                 (3, 5, 8, 8, 1),   # 237 x 243: over it
+                 (4, 3, 2, 3, 1),   # 10 x 40, times k^2 = 4: within it
+                 (4, 4, 12, 9, 1),  # the target lies inside the source
+                 (2, 6, 4, 5, 1)]   # the first map, cached
+        rng = np.random.default_rng(15)
+        inputs = []
+        for q, n, dfrom, dto, b in cases:
+            poly = random_polynomial(rng, q, n, dfrom, max_terms=6)
+            values = evaluate_trimmed(poly, dfrom, 0).values[None]
+            want = transform._reevaluate_axes(make_field(q), values, n,
+                                              dfrom, dto, b)
+            inputs.append((q, n, dfrom, dto, b, values, want))
+        shapes = []
+        compile_matrix = FieldSpec.compile_matrix
+
+        def counting_compile(self, mat):
+            shapes.append((mat.shape, self.k))
+            return compile_matrix(self, mat)
+
+        transform._reevaluation_map.cache_clear()
+        monkeypatch.setattr(transform, "DENSE_LIMIT", limit)
+        monkeypatch.setattr(FieldSpec, "compile_matrix", counting_compile)
+        for q, n, dfrom, dto, b, values, want in inputs:
+            got = transform.reevaluate(make_field(q), values, n, dfrom, dto,
+                                       b)
+            assert (got == want).all()
+        transform._reevaluation_map.cache_clear()
+        assert sorted(shapes) == [((27, 10), 1), ((40, 10), 2),
+                                  ((64, 57), 1)]
+        assert all(r * c * k * k <= limit for (r, c), k in shapes)
 
 
 class TestMatrices:
