@@ -16,10 +16,11 @@ The recursion runs on value vectors, not polynomials.  Random
 combinations are linear, so the values of a combination are the same
 combination of the values: the m input polynomials are evaluated once,
 on the point set of the deepest level, and every repetition's system is
-a composed coefficient matrix over them.  Repetitions are processed
-VOTE_CHUNK at a time as (repetition, point) arrays: one field matrix
-product forms the combinations, and each interpolation and
-re-evaluation axis pass is one matrix application for the whole chunk.
+its value rows there: its coefficients times its parent's rows, one
+field product per chunk above the leaf, and per repetition higher up so
+that one chunk of leaf values is alive at a time.  Repetitions are
+processed VOTE_CHUNK at a time as (repetition, point) arrays, and each
+re-evaluation is one matrix application for the whole chunk.
 Votes are counted per chunk, and drawing stops once no point's leader
 can be overtaken by the repetitions left.  Every repetition draws from
 its own counter-based stream, so the repetitions skipped change
@@ -46,8 +47,8 @@ from functools import cache, partial
 
 import numpy as np
 
-from .errors import InvalidParamsError
-from .field import FieldSpec
+from .errors import InvalidParamsError, TooLargeError
+from .field import ENTRY_LIMIT, FieldSpec
 from .mpoly import (Polynomial, PolySystem, TrimmedPointSet, check_key_width,
                     point_matrix)
 from .randomized import RngStream, rs_chunk, vv_coefficients
@@ -155,11 +156,10 @@ def _leaf_sums(field: FieldSpec, values: np.ndarray, b: int) -> np.ndarray:
     return roots.reshape(len(roots), -1, field.q ** b).sum(axis=2) % field.p
 
 
-def _vote(field: FieldSpec, levels, i: int, mats: np.ndarray,
-          base: np.ndarray, rng: RngStream, t: int, n: int) -> np.ndarray:
+def _vote(field: FieldSpec, levels, i: int, values: np.ndarray,
+          rng: RngStream, t: int, n: int) -> np.ndarray:
     """Values of level i's partial sum on T(n - beta_i, delta_i), for the
-    system whose polynomials are the rows of `mats` (coefficients over
-    the input polynomials, whose values on the leaf set are `base`)."""
+    system whose values on the leaf set are the rows of `values`."""
     q = field.q
     beta, delta, m_i = levels[i]
     beta_c, delta_c, mu = levels[i + 1]
@@ -170,17 +170,40 @@ def _vote(field: FieldSpec, levels, i: int, mats: np.ndarray,
         for start in range(0, t, VOTE_CHUNK):
             reps = range(start, min(start + VOTE_CHUNK, t))
             rho = rs_chunk(q, mu, m_i, [rng.child(2 * j) for j in reps])
-            combos = field.matmul(rho, mats)
             if child_is_leaf:
-                sub = _leaf_sums(field, field.matmul(combos, base), beta_c)
+                sub = _leaf_sums(field, field.matmul(rho, values), beta_c)
             else:
-                sub = np.stack([_vote(field, levels, i + 1, c, base,
+                sub = np.stack([_vote(field, levels, i + 1,
+                                      field.matmul(r, values),
                                       rng.child(2 * j + 1), t, n)
-                                for c, j in zip(combos, reps)])
+                                for r, j in zip(rho, reps)])
             yield reevaluate(field, sub, n - beta_c, delta_c, delta, suffix)
 
     agreed = streamed_plurality(chunks(), q, t)
     return field.vsum_axis(agreed.reshape(-1, q ** suffix), 1)
+
+
+def _check_sizes(q: int, n: int, levels, t: int) -> None:
+    """Raise TooLargeError when one of the recursion's arrays would pass
+    ENTRY_LIMIT entries: the input rows on the leaf set, a vote chunk's
+    combinations on it, or a chunk's values on the set a level
+    re-evaluates through, which holds both the child's set and the
+    target."""
+    beta_leaf, delta_leaf, _ = levels[-1]
+    leaf = TrimmedPointSet(q, n, delta_leaf, beta_leaf).size()
+    chunk = min(t, VOTE_CHUNK)
+    m = levels[0][2]
+    sizes = [(m * leaf, f"{m} rows on {leaf} leaf points")]
+    for (beta, delta, _), (beta_c, delta_c, mu) in zip(levels, levels[1:]):
+        work = TrimmedPointSet(q, n - beta_c, max(delta, delta_c),
+                               beta - beta_c).size()
+        sizes += [(chunk * mu * leaf, f"{chunk} repetitions of {mu} "
+                   f"combinations on {leaf} leaf points"),
+                  (chunk * work, f"{chunk} repetitions on {work} points")]
+    for entries, what in sizes:
+        if entries > ENTRY_LIMIT:
+            raise TooLargeError(f"the recursion would hold {entries} "
+                                f"entries for {what}, over {ENTRY_LIMIT}")
 
 
 def _voted_sum(field: FieldSpec, n: int, d: int, m: int, beta: int,
@@ -196,13 +219,14 @@ def _voted_sum(field: FieldSpec, n: int, d: int, m: int, beta: int,
         return TrimmedEvaluation(field, TrimmedPointSet(q, n - beta, 0, 0),
                                  np.array([q ** beta % field.p]))
     levels = _levels(m, beta, n, d, q, math.ceil(lam * n))
+    t = params.repetitions(n, q)
+    _check_sizes(q, n, levels, t)
     beta_leaf, delta_leaf, _ = levels[-1]
     base = values_at(delta_leaf, beta_leaf)
     if len(levels) == 1:
         zvals = _leaf_sums(field, base[None], beta)[0]
     else:
-        zvals = _vote(field, levels, 0, np.eye(m, dtype=np.int64), base,
-                      rng, params.repetitions(n, q), n)
+        zvals = _vote(field, levels, 0, base, rng, t, n)
     top = TrimmedPointSet(q, n - beta, levels[0][1], 0)
     return TrimmedEvaluation(field, top, zvals)
 

@@ -26,7 +26,8 @@ class InvalidParamsError(FqsolveError, ValueError):
 
 
 class TooLargeError(FqsolveError, ValueError):
-    """A brute-force request exceeds the desk-scale guard."""
+    """A request would allocate past a size limit; raised by every size
+    check before the allocation."""
 
 
 class PesFormatError(FqsolveError, ValueError):

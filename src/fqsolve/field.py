@@ -232,9 +232,7 @@ class FieldSpec:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        if self.k == 1:
-            return pow(a, self.p - 2, self.p)
-        return int(self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)])
+        return self.pow(a, self.q - 2)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

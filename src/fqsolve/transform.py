@@ -263,8 +263,6 @@ def reevaluate(field: FieldSpec, values: np.ndarray, n: int,
     dfrom = _effective_delta(q, n, delta_from, 0)
     dto = _effective_delta(q, n, delta_to, b)
     rows = np.asarray(values, dtype=np.int64)
-    if rows.ndim == 1:
-        rows = rows[None]
     if dto + b * (q - 1) <= dfrom:
         return rows[:, _positions(q, n, dto, b, dfrom, 0)]
     nfrom = len(_point_data(q, n, dfrom, 0).keys)

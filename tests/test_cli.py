@@ -327,6 +327,16 @@ class TestErrors:
         assert (proc.stdout, proc.stderr) == ("SAT\n", "")
 
 
+    # the recursion's array sizes are checked before the system is
+    # evaluated: X1*X2 + 1 over GF(3) has 9 leaf points
+    def test_full_sum_vote_sizes_checked(self, workdir, capsys, monkeypatch):
+        from fqsolve import core
+        monkeypatch.setattr(core, "ENTRY_LIMIT", 8)
+        code, out, err = run(capsys, ["full-sum", str(workdir / "sat.pes")])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 class TestSeedDomain:
     @pytest.mark.parametrize("seed, env", [("-1", None),
                                            (str(2 ** 64), None),

@@ -13,7 +13,8 @@ from fqsolve import (Polynomial, PolySystem, RngStream, SolverParams,
                      valiant_vazirani, zdegree)
 from fqsolve.core import VOTE_CHUNK, streamed_plurality
 from fqsolve.transform import evaluate_values
-from fqsolve.errors import InvalidParamsError
+from fqsolve.errors import InvalidParamsError, TooLargeError
+from fqsolve.field import FieldSpec
 
 
 class TestZdegree:
@@ -304,6 +305,46 @@ class TestFullSum:
         monkeypatch.setattr(transform, "_apply_axis", counting_apply_axis)
         assert full_sum(system, params, RngStream(2)) == brute_Z(system)
         assert passes[0] == 0
+
+
+    def test_one_field_product_per_vote_chunk(self, monkeypatch):
+        # with one vote level, a chunk's combinations on the leaf set are
+        # one product of its RS matrices with the input value rows
+        products, chunks = [0], [0]
+        matmul, rs_chunk = FieldSpec.matmul, core.rs_chunk
+
+        def counting_matmul(self, a, b):
+            products[0] += 1
+            return matmul(self, a, b)
+
+        def counting_chunk(*args):
+            chunks[0] += 1
+            return rs_chunk(*args)
+
+        monkeypatch.setattr(FieldSpec, "matmul", counting_matmul)
+        monkeypatch.setattr(core, "rs_chunk", counting_chunk)
+        system = random_system(np.random.default_rng(20), 2, 6, 3, 2, 3, 7)
+        assert full_sum(system, _params(1), RngStream(1)) == brute_Z(system)
+        assert chunks[0] > 0 and products[0] == chunks[0]
+
+
+class TestSizeChecks:
+    # (2,6,3,2) at kappa = 3/10, lambda = 3/20 votes once over t = 400:
+    # its largest array is a chunk's 64 repetitions x 2 combinations x
+    # 57 points of T(6, 4), checked before the system is evaluated
+    LARGEST = 64 * 2 * 57
+
+    def test_full_sum_checked_before_evaluation(self, monkeypatch):
+        system = random_system(np.random.default_rng(21), 2, 6, 3, 2, 3, 7)
+        monkeypatch.setattr(core, "ENTRY_LIMIT", self.LARGEST)
+        assert full_sum(system, _params(2), RngStream(2)) == brute_Z(system)
+        def no_evaluation(*args):
+            raise AssertionError("evaluated before the size check")
+
+        monkeypatch.setattr(core, "ENTRY_LIMIT", self.LARGEST - 1)
+        monkeypatch.setattr(core, "evaluate_values", no_evaluation)
+        with pytest.raises(TooLargeError):
+            full_sum(system, _params(2), RngStream(2))
 
 
 class TestChevalleyWarning:
