@@ -183,24 +183,39 @@ def _vote(field: FieldSpec, levels, i: int, values: np.ndarray,
     return field.vsum_axis(agreed.reshape(-1, q ** suffix), 1)
 
 
-def _check_sizes(q: int, n: int, levels, t: int) -> None:
-    """Raise TooLargeError when one of the recursion's arrays would pass
-    ENTRY_LIMIT entries: the input rows on the leaf set, a vote chunk's
-    combinations on it, or a chunk's values on the set a level
-    re-evaluates through, which holds both the child's set and the
-    target."""
+def _array_sizes(field: FieldSpec, n: int, levels,
+                 t: int) -> dict[tuple[str, int], tuple[int, str]]:
+    """The most entries each kind of the recursion's arrays reaches, keyed
+    by (kind, vote level), with a description: the input rows on the
+    leaf set, and per vote level the compiled map of its rows (k^2
+    entries per row entry over GF(p^k)), a chunk's combinations on the
+    leaf set and a chunk's values on the set the level re-evaluates
+    through, which holds both the child's set and the target.  A chunk's
+    float64 products are k entries wide, so the chunk counts carry k."""
+    q, k = field.q, field.k
     beta_leaf, delta_leaf, _ = levels[-1]
     leaf = TrimmedPointSet(q, n, delta_leaf, beta_leaf).size()
-    chunk = min(t, VOTE_CHUNK)
-    m = levels[0][2]
-    sizes = [(m * leaf, f"{m} rows on {leaf} leaf points")]
-    for (beta, delta, _), (beta_c, delta_c, mu) in zip(levels, levels[1:]):
+    chunk, m = min(t, VOTE_CHUNK), levels[0][2]
+    sizes = {("rows", 0): (m * leaf, f"{m} rows on {leaf} leaf points")}
+    for i, ((beta, delta, m_i), (beta_c, delta_c, mu)) in enumerate(
+            zip(levels, levels[1:])):
         work = TrimmedPointSet(q, n - beta_c, max(delta, delta_c),
                                beta - beta_c).size()
-        sizes += [(chunk * mu * leaf, f"{chunk} repetitions of {mu} "
-                   f"combinations on {leaf} leaf points"),
-                  (chunk * work, f"{chunk} repetitions on {work} points")]
-    for entries, what in sizes:
+        sizes["compiled", i] = (leaf * m_i * k * k, f"the map of {m_i} "
+                                f"rows on {leaf} leaf points over GF({q})")
+        sizes["combinations", i] = (
+            chunk * mu * leaf * k, f"{chunk} repetitions of {mu} "
+            f"combinations on {leaf} leaf points over GF({q})")
+        sizes["re-evaluation", i] = (
+            chunk * work * k,
+            f"{chunk} repetitions on {work} points over GF({q})")
+    return sizes
+
+
+def _check_sizes(field: FieldSpec, n: int, levels, t: int) -> None:
+    """Raise TooLargeError when one of the recursion's arrays would pass
+    ENTRY_LIMIT entries (see _array_sizes)."""
+    for entries, what in _array_sizes(field, n, levels, t).values():
         if entries > ENTRY_LIMIT:
             raise TooLargeError(f"the recursion would hold {entries} "
                                 f"entries for {what}, over {ENTRY_LIMIT}")
@@ -220,7 +235,7 @@ def _voted_sum(field: FieldSpec, n: int, d: int, m: int, beta: int,
                                  np.array([q ** beta % field.p]))
     levels = _levels(m, beta, n, d, q, math.ceil(lam * n))
     t = params.repetitions(n, q)
-    _check_sizes(q, n, levels, t)
+    _check_sizes(field, n, levels, t)
     beta_leaf, delta_leaf, _ = levels[-1]
     base = values_at(delta_leaf, beta_leaf)
     if len(levels) == 1:

@@ -9,15 +9,9 @@ always, sound except with probability q^-mu per point) and random affine
 equations for solution isolation.
 
 A stream's generator is a `Philox` keyed by the first 128 bits of a
-sha256 of (seed, path), with its counter at zero.  Every generator is
-built from the fixed seed 0 and then keyed by setting its `state`: the
-key, a zero counter and an empty output buffer.  That state is all a
-`Philox` and its `Generator` hold, so a generator keyed this way draws
-exactly what a fresh `Philox(key=...)` would.  (`Philox(key=...)` alone
-would also seed a throwaway `SeedSequence` from OS entropy for every
-build.)  A stream keeps the sha256 state of its (seed, path) and a child
-continues a copy of it, so the children of a vote chunk do not each
-re-hash the shared prefix.
+sha256 of (seed, path), with its counter at zero.  A stream keeps the
+sha256 state of its (seed, path) and a child continues a copy of it, so
+the children of a vote chunk do not each re-hash the shared prefix.
 
 `rs_chunk` draws the coefficients of a whole vote chunk, one stream per
 repetition, without a generator: it runs Philox4x64-10 (Salmon et al.,
@@ -46,19 +40,6 @@ from .mpoly import Polynomial, PolySystem
 
 
 _WORD = (1 << 64) - 1
-
-
-def _keyed_generator(key: int) -> np.random.Generator:
-    """A Philox generator from the fixed seed 0, reset to the stream of a
-    128-bit key at counter zero."""
-    gen = np.random.Generator(np.random.Philox(0))
-    zeros = np.zeros(4, dtype=np.uint64)
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": zeros,
-                  "key": np.array([key & _WORD, key >> 64], dtype=np.uint64)},
-        "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return gen
 
 
 @dataclass
@@ -100,7 +81,9 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         if self._gen is None:
-            self._gen = _keyed_generator(self._key())
+            key = self._key()
+            self._gen = np.random.Generator(np.random.Philox(
+                key=np.array([key & _WORD, key >> 64], dtype=np.uint64)))
         return self._gen
 
     def integers(self, low: int, high: int, size=None) -> np.ndarray | int:

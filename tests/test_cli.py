@@ -7,10 +7,16 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fqsolve
+from conftest import random_system
+from fqsolve import PolySystem, make_field
 from fqsolve.cli import build_parser, main
+from fqsolve.mpoly import format_pes
 
 UNSAT_PES = "pes 2 1 2\npoly 1\n1 1\npoly 2\n1 0\n1 1\n"
 SAT_PES = "pes 3 2 1\npoly 2\n1 0 0\n1 1 1\n"  # X1*X2 + 1
@@ -403,3 +409,124 @@ class TestHelp:
         for sub in ("solve", "count-roots", "full-sum", "partial-sum",
                     "reduce-cnf", "exponent-table", "selftest"):
             assert sub in out
+
+
+@st.composite
+def _pes_texts(draw):
+    # one level and no vote: q <= 9 and n <= 3
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    n, m, d = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(
+        st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if m == 0:
+        return format_pes(PolySystem(make_field(q), n, [], d))
+    return format_pes(random_system(rng, q, n, m, d))
+
+
+@st.composite
+def _cnf_texts(draw):
+    n = draw(st.integers(1, 4))
+    clauses = draw(st.lists(st.lists(
+        st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v])),
+        min_size=1, max_size=3), max_size=4))
+    return f"p cnf {n} {len(clauses)}\n" + "".join(
+        " ".join(map(str, c)) + " 0\n" for c in clauses)
+
+
+@st.composite
+def _mutated(draw, texts):
+    data = bytearray(draw(texts).encode())
+    for _ in range(draw(st.integers(1, 4))):
+        op, at = draw(st.sampled_from("rid")), draw(st.integers(0, len(data)))
+        byte = draw(st.integers(0, 255))
+        if op == "i":
+            data.insert(at, byte)
+        elif at < len(data):
+            if op == "r":
+                data[at] = byte
+            else:
+                del data[at]
+    return bytes(data)
+
+
+_JUNK = st.sampled_from(["", "x", "-1", "0", "1e5", "1/0", "--seed",
+                         "é", "99999999999999999999999"])
+_SEEDS = st.none() | st.integers(0, 2 ** 64).map(str) | st.text(
+    st.characters(blacklist_characters="\x00", blacklist_categories=["Cs"]),
+    max_size=30)
+_SOLVER_FLAGS = {
+    "--kappa": ["3/10", "1/5", "1/2", "0", "1"],
+    "--lambda": ["3/20", "1/10", "3/10"],
+    "--t-override": ["1", "3"],
+    "--outer-reps": ["1", "2"],
+    "--seed": ["0", "7", str(2 ** 64 - 1), str(2 ** 64)],
+    "--threads": ["1", "2"],
+    "--format": ["text", "json-lines"],
+}
+_FLAGS = {
+    "solve": _SOLVER_FLAGS,
+    "full-sum": _SOLVER_FLAGS,
+    "partial-sum": dict(_SOLVER_FLAGS, **{"--beta": ["0", "1", "2", "4"]}),
+    "count-roots": {"--format": ["text", "json-lines"]},
+    "reduce-cnf": {"--q": ["2", "3", "4", "5", "6"],
+                   "--delta": ["1/3", "1/2", "1", "2"],
+                   "--parsimonious": []},
+    "exponent-table": {"--qmax": ["2", "5", "16"], "--dmax": ["1", "2", "4"]},
+}
+
+
+def _sometimes(data, junk, usual):
+    """One draw from junk in about a fifth of the draws, else from usual."""
+    return data.draw(junk if data.draw(st.integers(0, 4)) == 0 else usual)
+
+
+class TestRobustness:
+    # every subcommand but selftest, on valid, mutated and random input
+    # files, flags with valid and junk values and any FQSOLVE_SEED: each
+    # run returns an exit code or argparse's SystemExit(2), and exit 1
+    # comes with exactly one `error: ` line
+    @given(st.sampled_from(sorted(_FLAGS)), st.data())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_main_ends_in_a_result_or_one_error_line(self, tmp_path, capsys,
+                                                     sub, data):
+        valid = _cnf_texts() if sub == "reduce-cnf" else _pes_texts()
+        source = tmp_path / "input"
+        source.write_bytes(data.draw(st.one_of(
+            valid.map(str.encode), _mutated(valid), st.binary(max_size=200))))
+        path = _sometimes(data, st.sampled_from(
+            [str(tmp_path / "missing"), str(tmp_path)]), st.just(str(source)))
+        argv = [sub] if sub == "exponent-table" else [sub, path]
+        if sub == "reduce-cnf":
+            argv.append(_sometimes(data, st.just(str(tmp_path)),
+                                   st.just(str(tmp_path / "out.pes"))))
+        flags = _FLAGS[sub]
+        chosen = data.draw(st.lists(st.sampled_from(sorted(flags)),
+                                    max_size=4))
+        required = {"partial-sum": ["--beta"],
+                    "reduce-cnf": ["--q", "--delta"]}.get(sub, [])
+        for flag in _sometimes(data, st.just(chosen),
+                               st.just(required + chosen)):
+            argv.append(flag)
+            if flags[flag]:
+                argv.append(_sometimes(data, _JUNK,
+                                       st.sampled_from(flags[flag])))
+        if data.draw(st.integers(0, 9)) == 0:
+            argv.insert(data.draw(st.integers(0, len(argv))), data.draw(_JUNK))
+        env = data.draw(_SEEDS)
+        with pytest.MonkeyPatch.context() as mp:
+            if env is None:
+                mp.delenv("FQSOLVE_SEED", raising=False)
+            else:
+                mp.setenv("FQSOLVE_SEED", env)
+            capsys.readouterr()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2
+                return
+            err = capsys.readouterr().err
+        assert code in (0, 1, 10, 20)
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert err.endswith("\n")

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from functools import partial
 
@@ -345,6 +346,113 @@ class TestSizeChecks:
         monkeypatch.setattr(core, "evaluate_values", no_evaluation)
         with pytest.raises(TooLargeError):
             full_sum(system, _params(2), RngStream(2))
+
+    def test_digit_expansion_counted(self, monkeypatch):
+        # (4,4,3,2) at the same parameters: a chunk's 64 x 2 combinations
+        # on 256 leaf points are float64 products two digits wide over
+        # GF(4), so they count 64 x 2 x 256 x 2 entries, not 64 x 2 x 256
+        system = random_system(np.random.default_rng(22), 4, 4, 3, 2, 3, 7)
+
+        def no_evaluation(*args):
+            raise AssertionError("evaluated before the size check")
+
+        monkeypatch.setattr(core, "ENTRY_LIMIT", 64 * 2 * 256 * 2 - 1)
+        monkeypatch.setattr(core, "evaluate_values", no_evaluation)
+        with pytest.raises(TooLargeError):
+            full_sum(system, _params(3), RngStream(3))
+
+
+class TestSizeModel:
+    # on the golden multi-level cases every int64 array the recursion
+    # builds stays within the count _array_sizes gives its kind and
+    # level, and the input rows and leaf combinations reach theirs
+    @pytest.mark.parametrize("name", ["two-levels-q3-n7",
+                                      "three-levels-q2-n10"])
+    def test_arrays_within_their_counts(self, name, monkeypatch):
+        from test_golden_seeds import SUM_CASES, _system
+        from test_golden_seeds import _params as golden_params
+        shape, sys_seed, kw = SUM_CASES[name]
+        system = _system(shape, sys_seed)
+        models, seen = [], []
+        array_sizes, evaluate, leaf_sums, reevaluate = (
+            core._array_sizes, core.evaluate_values, core._leaf_sums,
+            core.reevaluate)
+
+        def spied_sizes(field, n, levels, t):
+            models.append((levels, array_sizes(field, n, levels, t)))
+            return models[-1][1]
+
+        def spied_evaluate(*args):
+            out = evaluate(*args)
+            seen.append(("rows", 0, out.size))
+            return out
+
+        def spied_leaf_sums(field, values, b):
+            seen.append(("combinations", len(models[-1][0]) - 2,
+                         values.size))
+            return leaf_sums(field, values, b)
+
+        def spied_reevaluate(field, values, n_from, delta_from, delta_to,
+                             b):
+            levels = models[-1][0]
+            # the level whose child sits at beta = n - n_from
+            i = next(i for i in range(len(levels) - 1)
+                     if levels[i + 1][0] == system.n - n_from)
+            out = reevaluate(field, values, n_from, delta_from, delta_to, b)
+            seen.extend([("re-evaluation", i, values.size),
+                         ("re-evaluation", i, out.size)])
+            return out
+
+        for name_, spy in [("_array_sizes", spied_sizes),
+                           ("evaluate_values", spied_evaluate),
+                           ("_leaf_sums", spied_leaf_sums),
+                           ("reevaluate", spied_reevaluate)]:
+            monkeypatch.setattr(core, name_, spy)
+        # m*d < n here, so full_sum would not recurse
+        beta = math.floor(Fraction(kw["kappa"]) * system.n)
+        partial_sum(system, beta, golden_params(kw), RngStream(kw["seed"]))
+        (levels, sizes), = models
+        largest = {}
+        for kind, i, entries in seen:
+            assert entries <= sizes[kind, i][0]
+            largest[kind, i] = max(largest.get((kind, i), 0), entries)
+        leaf_level = len(levels) - 2
+        for key in [("rows", 0), ("combinations", leaf_level)]:
+            assert largest[key] == sizes[key][0]
+        assert {i for kind, i in largest if kind == "re-evaluation"} == set(
+            range(len(levels) - 1))
+
+
+class TestFoldPrecondition:
+    # _grid_sum's argument always covers the whole grid GF(q)^(n-beta),
+    # so the final sum is the field sum of its values (the fold that
+    # replaces the interpolation and re-evaluation)
+    @given(st.sampled_from([2, 3, 4, 5, 8, 9]), st.integers(1, 5),
+           st.integers(1, 3), st.integers(0, 2), st.integers(1, 5),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_grid_sum_sees_the_whole_grid(self, q, n, d, extra, t, seed):
+        rng = np.random.default_rng(seed)
+        m = -(-n // d) + extra  # m*d >= n
+        system = random_system(rng, q, n, m, min(d, n * (q - 1)))
+        params = SolverParams(seed=seed % 7, t_override=t, outer_reps=2)
+        beta = math.floor(params.resolve(n, system.d)[0] * n)
+        received = []
+        grid_sum = core._grid_sum
+
+        def checked(ev):
+            assert ev.point_set.n == n - beta
+            assert ev.point_set.size() == q ** (n - beta)
+            out = grid_sum(ev)
+            assert out == ev.field.vsum(ev.values)
+            received.append(ev)
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_grid_sum", checked)
+            full_sum(system, params, RngStream(seed))
+            solve_pes(system, params)
+        assert received
 
 
 class TestChevalleyWarning:
