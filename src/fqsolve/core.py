@@ -16,17 +16,21 @@ The recursion runs on value vectors, not polynomials.  Random
 combinations are linear, so the values of a combination are the same
 combination of the values: the m input polynomials are evaluated once,
 on the point set of the deepest level, and every repetition's system is
-its value rows there: its coefficients times its parent's rows, one
-field product per chunk above the leaf, and per repetition higher up so
-that one chunk of leaf values is alive at a time.  Repetitions are
-processed VOTE_CHUNK at a time as (repetition, point) arrays, and each
-re-evaluation is one matrix application for the whole chunk.
-Votes are counted per chunk, and drawing stops once no point's leader
-can be overtaken by the repetitions left.  Every repetition draws from
-its own counter-based stream, so the repetitions skipped change
+its value rows there: its coefficients times its parent's rows.  Each
+vote compiles its rows' map once and applies it once per chunk above
+the leaf, and once per repetition higher up so that one chunk of leaf
+values is alive at a time.  Repetitions are processed VOTE_CHUNK at a
+time as (repetition, point) arrays, and each re-evaluation is one
+matrix application for the whole chunk.  Votes are counted per chunk,
+and voting stops once no point's leader can be overtaken by the
+repetitions left.  Every repetition draws from its own counter-based
+stream, so a vote draws the coefficients of every chunk before the
+first one where it can stop in one Philox pass, and each later chunk
+in one more; the repetitions drawn or skipped past the stop change
 nothing and the output equals that of voting over all t.  Isolation
-trials stack the values of their affine equations, one point-matrix
-product, under the system's, which solve_pes evaluates once per leaf set.
+trials draw their affine equations VOTE_CHUNK trials per pass and stack
+their values, one point-matrix product, under the system's, which
+solve_pes evaluates once per leaf set.
 
 When m*d < n the full sum is 0 and no recursion runs, in full_sum and in
 each isolation trial (whose m counts its affine equations).  The
@@ -51,7 +55,7 @@ from .errors import InvalidParamsError, TooLargeError
 from .field import ENTRY_LIMIT, FieldSpec
 from .mpoly import (Polynomial, PolySystem, TrimmedPointSet, check_key_width,
                     point_matrix)
-from .randomized import RngStream, rs_chunk, vv_coefficients
+from .randomized import RngStream, rs_draw, vv_draw
 from .transform import (TrimmedEvaluation, evaluate_trimmed, evaluate_values,
                         interpolate_trimmed, reevaluate)
 
@@ -156,6 +160,28 @@ def _leaf_sums(field: FieldSpec, values: np.ndarray, b: int) -> np.ndarray:
     return roots.reshape(len(roots), -1, field.q ** b).sum(axis=2) % field.p
 
 
+def _first_pass(t: int) -> int:
+    """The repetitions a vote over t draws in its first pass: the stop of
+    streamed_plurality cannot fire before floor(t/2) + 1 rows, so every
+    chunk up to that row."""
+    return min(t, -(-(t // 2 + 1) // VOTE_CHUNK) * VOTE_CHUNK)
+
+
+def _rs_chunks(q: int, mu: int, m: int, rng: RngStream, t: int):
+    """(j, rho): the (repetitions, mu, m) RS coefficients of a vote's
+    repetitions j, j+1, ..., VOTE_CHUNK at a time; repetition j draws from
+    rng.child(2*j).  The first _first_pass(t) are drawn in one pass, the
+    rest one chunk per pass, when the vote asks for them."""
+    first = _first_pass(t)
+    start = 0
+    while start < t:
+        end = first if start == 0 else min(start + VOTE_CHUNK, t)
+        rho = rs_draw(q, mu, m, rng.child_keys(range(2 * start, 2 * end, 2)))
+        for i in range(0, end - start, VOTE_CHUNK):
+            yield start + i, rho[i:i + VOTE_CHUNK]
+        start = end
+
+
 def _vote(field: FieldSpec, levels, i: int, values: np.ndarray,
           rng: RngStream, t: int, n: int) -> np.ndarray:
     """Values of level i's partial sum on T(n - beta_i, delta_i), for the
@@ -165,18 +191,17 @@ def _vote(field: FieldSpec, levels, i: int, values: np.ndarray,
     beta_c, delta_c, mu = levels[i + 1]
     child_is_leaf = i + 2 == len(levels)
     suffix = beta - beta_c
+    combine = field.compile_matrix(values.T)
 
     def chunks():
-        for start in range(0, t, VOTE_CHUNK):
-            reps = range(start, min(start + VOTE_CHUNK, t))
-            rho = rs_chunk(q, mu, m_i, [rng.child(2 * j) for j in reps])
+        for start, rho in _rs_chunks(q, mu, m_i, rng, t):
             if child_is_leaf:
-                sub = _leaf_sums(field, field.matmul(rho, values), beta_c)
+                sub = combine(rho.reshape(-1, m_i)).reshape(len(rho), mu, -1)
+                sub = _leaf_sums(field, sub, beta_c)
             else:
-                sub = np.stack([_vote(field, levels, i + 1,
-                                      field.matmul(r, values),
+                sub = np.stack([_vote(field, levels, i + 1, combine(r),
                                       rng.child(2 * j + 1), t, n)
-                                for r, j in zip(rho, reps)])
+                                for j, r in enumerate(rho, start)])
             yield reevaluate(field, sub, n - beta_c, delta_c, delta, suffix)
 
     agreed = streamed_plurality(chunks(), q, t)
@@ -188,24 +213,33 @@ def _array_sizes(field: FieldSpec, n: int, levels,
     """The most entries each kind of the recursion's arrays reaches, keyed
     by (kind, vote level), with a description: the input rows on the
     leaf set, and per vote level the compiled map of its rows (k^2
-    entries per row entry over GF(p^k)), a chunk's combinations on the
-    leaf set and a chunk's values on the set the level re-evaluates
-    through, which holds both the child's set and the target.  A chunk's
-    float64 products are k entries wide, so the chunk counts carry k."""
+    entries per row entry over GF(p^k)), the 32-bit draws of its first
+    RS pass (see _rs_chunks), its combinations on the leaf set (a chunk
+    of repetitions' at the level next to the leaf, one repetition's
+    above it) and a chunk's values on the set the level re-evaluates
+    through, which holds both the child's set and the target.  The
+    float64 products of the combinations and of a chunk are k entries
+    wide, so their counts carry k."""
     q, k = field.q, field.k
     beta_leaf, delta_leaf, _ = levels[-1]
     leaf = TrimmedPointSet(q, n, delta_leaf, beta_leaf).size()
     chunk, m = min(t, VOTE_CHUNK), levels[0][2]
+    first = _first_pass(t)
     sizes = {("rows", 0): (m * leaf, f"{m} rows on {leaf} leaf points")}
     for i, ((beta, delta, m_i), (beta_c, delta_c, mu)) in enumerate(
             zip(levels, levels[1:])):
         work = TrimmedPointSet(q, n - beta_c, max(delta, delta_c),
                                beta - beta_c).size()
+        reps = chunk if i + 2 == len(levels) else 1
+        whose = f"{reps} repetitions" if reps > 1 else "one repetition"
         sizes["compiled", i] = (leaf * m_i * k * k, f"the map of {m_i} "
                                 f"rows on {leaf} leaf points over GF({q})")
+        sizes["draws", i] = (first * 8 * -(-mu * m_i // 8), f"the draws of "
+                             f"{first} repetitions of {mu}x{m_i} "
+                             f"coefficients")
         sizes["combinations", i] = (
-            chunk * mu * leaf * k, f"{chunk} repetitions of {mu} "
-            f"combinations on {leaf} leaf points over GF({q})")
+            reps * mu * leaf * k, f"{whose} of {mu} combinations on "
+            f"{leaf} leaf points over GF({q})")
         sizes["re-evaluation", i] = (
             chunk * work * k,
             f"{chunk} repetitions on {work} points over GF({q})")
@@ -301,17 +335,19 @@ def solve_pes(system: PolySystem, params: SolverParams) -> bool:
     reps = params.outer_reps if params.outer_reps is not None else math.ceil(9 * n)
     system_values = cache(partial(evaluate_values, field, n, system.polys))
     root = RngStream(params.seed)
-    for r in range(reps):
-        trial = root.child(r)
-        coeffs = vv_coefficients(field.q, n, trial.child(0))
+    for start in range(0, reps, VOTE_CHUNK):
+        trials = range(start, min(start + VOTE_CHUNK, reps))
+        drawn = vv_draw(field.q, n, root.child_keys(trials, (0,)))
+        for r, coeffs in zip(trials, drawn):
 
-        def values_at(delta, b):
-            affine = field.matmul(point_matrix(field.q, n, delta, b),
-                                  coeffs[:, :n].T).T
-            return np.concatenate([system_values(delta, b),
-                                   field.vadd(affine, coeffs[:, n:])])
+            def values_at(delta, b):
+                affine = field.matmul(point_matrix(field.q, n, delta, b),
+                                      coeffs[:, :n].T).T
+                return np.concatenate([system_values(delta, b),
+                                       field.vadd(affine, coeffs[:, n:])])
 
-        if _indicator_sum(field, n, d, len(system.polys) + len(coeffs), beta,
-                          params, trial.child(1).child(0), values_at):
-            return True
+            if _indicator_sum(field, n, d, len(system.polys) + len(coeffs),
+                              beta, params, root.child(r).child(1).child(0),
+                              values_at):
+                return True
     return False

@@ -3,7 +3,8 @@
 Everything here evaluates polynomials over the full grid GF(q)^n with its
 own dense tensor code (scatter coefficients into a q x ... x q cube, then
 apply the univariate value map x^e, built by columns, along every axis).
-Every inverse comes from one Gauss-Jordan routine, _solve, in elementwise
+The univariate inverse is in closed form, from the power table; the
+trimmed one comes from a Gauss-Jordan routine, _solve, in elementwise
 field arithmetic.  No code is shared with the solver or the trimmed
 transform beyond field arithmetic, so these functions serve as
 independent witnesses in every equivalence test.  plurality is the
@@ -64,8 +65,14 @@ def _solve(field: FieldSpec, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 @cache
 def _pow_inverse(field: FieldSpec) -> np.ndarray:
-    """Inverse of the coefficient-to-values map."""
-    inv = _solve(field, _pow_matrix(field), np.eye(field.q, dtype=np.int64))
+    """Inverse of the coefficient-to-values map, in closed form: the
+    coefficient of x^0 is the value at 0, and for e >= 1 that of x^e is
+    -sum_a f(a) a^(q-1-e) (with 0^0 = 1), since sum_a a^j is -1 for
+    j = q-1 and 0 for 0 <= j < q-1."""
+    q = field.q
+    inv = np.zeros((q, q), dtype=np.int64)
+    inv[0, 0] = 1
+    inv[1:] = field.vneg(_pow_matrix(field)[:, q - 2::-1].T)
     inv.setflags(write=False)  # cached: shared by every caller
     return inv
 

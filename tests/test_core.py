@@ -246,36 +246,37 @@ class TestFullSum:
         assert got == brute_Z(system)
 
     def test_one_philox_per_vote_chunk(self, monkeypatch):
-        # the RS draws of a chunk are one vectorised Philox over all its
-        # repetitions; a bit generator is built only for a stream read
-        # through RngStream.generator (a row with a rejected draw), never
-        # per repetition
+        # each RS draw is one vectorised Philox over all its repetitions:
+        # a vote draws the chunks before its early stop can fire in one
+        # pass and the rest one chunk per pass.  At q = 4 no draw is ever
+        # rejected, so no bit generator is built, per repetition or not
         from fqsolve import randomized
-        built, chunks, reads = [0], [0], [0]
-        philox = np.random.Philox
-        rs_chunk = randomized.rs_chunk
-        generator = randomized.RngStream.generator
+        built, draws, passes = [0], [], [0]
+        philox, philox_words = np.random.Philox, randomized._philox_words
+        rs_draw = core.rs_draw
 
         def counting_philox(*args, **kwargs):
             built[0] += 1
             return philox(*args, **kwargs)
 
-        def counting_chunk(q, mu, m, rngs):
-            chunks[0] += 1
-            return rs_chunk(q, mu, m, rngs)
+        def counting_words(keys, blocks):
+            passes[0] += 1
+            return philox_words(keys, blocks)
 
-        def counting_generator(self):
-            reads[0] += self._gen is None
-            return generator(self)
+        def counting_draw(q, mu, m, keys):
+            draws.append(len(keys))
+            return rs_draw(q, mu, m, keys)
 
         monkeypatch.setattr(np.random, "Philox", counting_philox)
-        monkeypatch.setattr(core, "rs_chunk", counting_chunk)
-        monkeypatch.setattr(randomized.RngStream, "generator",
-                            counting_generator)
+        monkeypatch.setattr(randomized, "_philox_words", counting_words)
+        monkeypatch.setattr(core, "rs_draw", counting_draw)
         system = random_system(np.random.default_rng(9), 4, 4, 3, 2)
         assert full_sum(system, _params(4), RngStream(4)) == brute_Z(system)
-        assert chunks[0] > 0
-        assert built[0] <= reads[0]
+        # one vote over t = 533: rows 0..319 hold the first possible stop
+        assert draws[0] == 5 * VOTE_CHUNK
+        assert all(n <= VOTE_CHUNK for n in draws[1:])
+        assert passes[0] == len(draws)
+        assert built[0] == 0
 
     @pytest.mark.parametrize("q, n", [(2, 6), (3, 5), (4, 4)])
     def test_warm_reevaluation_runs_no_axis_pass(self, q, n, monkeypatch):
@@ -309,24 +310,71 @@ class TestFullSum:
 
 
     def test_one_field_product_per_vote_chunk(self, monkeypatch):
-        # with one vote level, a chunk's combinations on the leaf set are
-        # one product of its RS matrices with the input value rows
-        products, chunks = [0], [0]
-        matmul, rs_chunk = FieldSpec.matmul, core.rs_chunk
+        # with one vote level, the input value rows are compiled once and
+        # a chunk's combinations on the leaf set are one application of
+        # that map to its RS matrices
+        base, compiled, applied, chunks = [], [0], [0], [0]
+        compile_matrix, evaluate = FieldSpec.compile_matrix, core.evaluate_values
+        rs_chunks = core._rs_chunks
 
-        def counting_matmul(self, a, b):
-            products[0] += 1
-            return matmul(self, a, b)
+        def spied_evaluate(*args):
+            base.append(evaluate(*args))
+            return base[-1]
 
-        def counting_chunk(*args):
-            chunks[0] += 1
-            return rs_chunk(*args)
+        def counting_compile(self, mat):
+            apply = compile_matrix(self, mat)
+            if not any(np.shares_memory(mat, b) for b in base):
+                return apply
+            compiled[0] += 1
 
-        monkeypatch.setattr(FieldSpec, "matmul", counting_matmul)
-        monkeypatch.setattr(core, "rs_chunk", counting_chunk)
+            def counting_apply(rows):
+                applied[0] += 1
+                return apply(rows)
+            return counting_apply
+
+        def counting_chunks(*args):
+            for chunk in rs_chunks(*args):
+                chunks[0] += 1
+                yield chunk
+
+        monkeypatch.setattr(core, "evaluate_values", spied_evaluate)
+        monkeypatch.setattr(FieldSpec, "compile_matrix", counting_compile)
+        monkeypatch.setattr(core, "_rs_chunks", counting_chunks)
         system = random_system(np.random.default_rng(20), 2, 6, 3, 2, 3, 7)
         assert full_sum(system, _params(1), RngStream(1)) == brute_Z(system)
-        assert chunks[0] > 0 and products[0] == chunks[0]
+        assert chunks[0] > 1 and compiled[0] == 1
+        assert applied[0] == chunks[0]
+
+
+class TestVoteDraws:
+    # a vote's RS coefficients, drawn many repetitions per Philox pass,
+    # are those of one fresh stream per repetition.  At q = 65521, seed
+    # 1003 has a rejected draw at repetition 39 (in the first pass of
+    # t = 200, which ends at 128) and seed 20369 at repetition 170
+    @pytest.mark.parametrize("q", [2, 3, 4, 65521])
+    @pytest.mark.parametrize("t", [1, 64, 65, 200])
+    def test_whole_vote_draw_matches_fresh_streams(self, q, t, monkeypatch):
+        from fqsolve import randomized
+        keyed, redrawn = randomized._keyed_generator, []
+        mu, m = 3, 5
+        seeds = (0, 1003, 20369, 2 ** 64 - 1)
+        got = {}
+        with monkeypatch.context() as mp:
+            mp.setattr(randomized, "_keyed_generator",
+                       lambda key: redrawn.append(key) or keyed(key))
+            for seed in seeds:
+                got[seed] = list(core._rs_chunks(q, mu, m,
+                                                 RngStream(seed, (4,)), t))
+        for seed in seeds:
+            starts, chunks = zip(*got[seed])
+            assert list(starts) == list(range(0, t, VOTE_CHUNK))
+            assert [len(c) for c in chunks] == [
+                len(range(s, t)[:VOTE_CHUNK]) for s in starts]
+            want = np.stack([RngStream(seed, (4, 2 * j)).integers(
+                0, q, size=(mu, m)) for j in range(t)])
+            drawn = np.concatenate(chunks)
+            assert drawn.dtype == want.dtype and (drawn == want).all()
+        assert len(redrawn) == (q == 65521) * ((t > 39) + (t > 170))
 
 
 class TestSizeChecks:
@@ -360,6 +408,50 @@ class TestSizeChecks:
         monkeypatch.setattr(core, "evaluate_values", no_evaluation)
         with pytest.raises(TooLargeError):
             full_sum(system, _params(3), RngStream(3))
+
+    def test_first_draw_pass_counted(self, monkeypatch):
+        # at t = 2000 a vote draws its first 1024 repetitions in one pass,
+        # 1024 x 8 words for 2 x 3 coefficients each, over LARGEST
+        system = random_system(np.random.default_rng(21), 2, 6, 3, 2, 3, 7)
+
+        def no_evaluation(*args):
+            raise AssertionError("evaluated before the size check")
+
+        monkeypatch.setattr(core, "ENTRY_LIMIT", self.LARGEST)
+        monkeypatch.setattr(core, "evaluate_values", no_evaluation)
+        with pytest.raises(TooLargeError, match="draws of 1024"):
+            full_sum(system, _params(2, t_override=2000), RngStream(2))
+
+    def test_levels_above_the_leaf_hold_one_repetition(self, monkeypatch):
+        # the golden three-levels-q2-n10 system at t = 64: only the level
+        # next to the leaf combines a chunk at a time, 64 x 2 x 386 =
+        # 49,408 entries, the largest array; level 0 holds one repetition
+        # of 4 combinations, not 64 x 4 x 386 = 98,816.  The whole call
+        # runs 64^2 leaf votes (about a minute), so it stops after the
+        # first of them
+        from test_golden_seeds import SUM_CASES, _system
+        from test_golden_seeds import _params as golden_params
+        shape, sys_seed, kw = SUM_CASES["three-levels-q2-n10"]
+        system = _system(shape, sys_seed)
+        monkeypatch.setattr(core, "ENTRY_LIMIT", 64 * 2 * 386)
+        entered, vote = set(), core._vote
+
+        class FirstLeafVote(Exception):
+            pass
+
+        def one_leaf_vote(field, levels, i, *args):
+            entered.add(i)
+            out = vote(field, levels, i, *args)
+            if i + 2 == len(levels):
+                raise FirstLeafVote
+            return out
+
+        monkeypatch.setattr(core, "_vote", one_leaf_vote)
+        beta = math.floor(Fraction(kw["kappa"]) * system.n)
+        with pytest.raises(FirstLeafVote):
+            partial_sum(system, beta, golden_params(dict(kw, t=64)),
+                        RngStream(kw["seed"]))
+        assert entered == {0, 1, 2}
 
 
 class TestSizeModel:
@@ -472,7 +564,7 @@ class TestChevalleyWarning:
         prm = SolverParams(seed=seed % 7, t_override=3)
         calls = []
         with pytest.MonkeyPatch.context() as mp:
-            for name in ("rs_chunk", "evaluate_values"):
+            for name in ("rs_draw", "evaluate_values"):
                 real = getattr(core, name)
 
                 def counted(*args, _real=real, _name=name):
@@ -536,6 +628,27 @@ class TestSolvePes:
             prm = SolverParams(kappa=Fraction(3, 10), lam=Fraction(3, 10),
                                t_override=40, seed=trial)
             assert solve_pes(system, prm) == want
+
+    def test_trials_drawn_a_chunk_per_pass(self, monkeypatch):
+        # 70 failing trials draw their affine equations in two Philox
+        # passes, 64 trials and 6, and build no bit generator at q = 2
+        draws, built = [], [0]
+        vv_draw, philox = core.vv_draw, np.random.Philox
+
+        def counting_draw(q, n, keys):
+            draws.append(len(keys))
+            return vv_draw(q, n, keys)
+
+        def counting_philox(*args, **kwargs):
+            built[0] += 1
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(core, "vv_draw", counting_draw)
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        monkeypatch.setattr(core, "_indicator_sum", lambda *args: 0)
+        system = random_system(np.random.default_rng(23), 2, 5, 2, 2)
+        assert solve_pes(system, _params(outer_reps=70)) is False
+        assert draws == [VOTE_CHUNK, 70 - VOTE_CHUNK] and built[0] == 0
 
     @pytest.mark.parametrize("kappa", [Fraction(1, 100), Fraction(3, 10)])
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])

@@ -7,7 +7,8 @@ from fqsolve import (Polynomial, PolySystem, brute_Z, brute_partial_sum,
 from fqsolve.errors import TooLargeError
 from fqsolve.field import FieldSpec
 from fqsolve.mpoly import point_matrix
-from fqsolve.oracle import grid_evaluate, grid_interpolate, trimmed_points
+from fqsolve.oracle import (_pow_inverse, _pow_matrix, grid_evaluate,
+                            grid_interpolate, trimmed_points)
 
 
 class TestCountCommonRoots:
@@ -95,6 +96,12 @@ class TestBrutePartialSum:
 
 
 class TestDenseGridHelpers:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 257])
+    def test_pow_inverse_inverts_the_power_table(self, q):
+        f = make_field(q)
+        product = f.matmul(_pow_inverse(f), _pow_matrix(f))
+        assert (product == np.eye(q, dtype=np.int64)).all()
+
     @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 2), (9, 2)])
     def test_grid_evaluate_matches_pointwise(self, q, n):
         rng = np.random.default_rng(q + n)
