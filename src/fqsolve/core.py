@@ -28,9 +28,8 @@ stream, so a vote draws the coefficients of every chunk before the
 first one where it can stop in one Philox pass, and each later chunk
 in one more; the repetitions drawn or skipped past the stop change
 nothing and the output equals that of voting over all t.  Isolation
-trials draw their affine equations VOTE_CHUNK trials per pass and stack
-their values, one point-matrix product, under the system's, which
-solve_pes evaluates once per leaf set.
+trials stack the values of their affine equations, one point-matrix
+product, under the system's, which solve_pes evaluates once per leaf set.
 
 When m*d < n the full sum is 0 and no recursion runs, in full_sum and in
 each isolation trial (whose m counts its affine equations).  The
@@ -55,7 +54,7 @@ from .errors import InvalidParamsError, TooLargeError
 from .field import ENTRY_LIMIT, FieldSpec
 from .mpoly import (Polynomial, PolySystem, TrimmedPointSet, check_key_width,
                     point_matrix)
-from .randomized import RngStream, rs_draw, vv_draw
+from .randomized import RngStream, rs_draw, vv_coefficients
 from .transform import (TrimmedEvaluation, evaluate_trimmed, evaluate_values,
                         interpolate_trimmed, reevaluate)
 
@@ -212,28 +211,34 @@ def _array_sizes(field: FieldSpec, n: int, levels,
                  t: int) -> dict[tuple[str, int], tuple[int, str]]:
     """The most entries each kind of the recursion's arrays reaches, keyed
     by (kind, vote level), with a description: the input rows on the
-    leaf set, and per vote level the compiled map of its rows (k^2
-    entries per row entry over GF(p^k)), the 32-bit draws of its first
-    RS pass (see _rs_chunks), its combinations on the leaf set (a chunk
-    of repetitions' at the level next to the leaf, one repetition's
-    above it) and a chunk's values on the set the level re-evaluates
-    through, which holds both the child's set and the target.  The
-    float64 products of the combinations and of a chunk are k entries
-    wide, so their counts carry k."""
+    leaf set, and per vote level the compiled maps of its rows and of
+    every level above it (k^2 entries per row entry over GF(p^k)), which
+    a vote keeps until it returns, so all are alive at once; the 32-bit
+    draws of its first RS pass (see _rs_chunks), not counting rs_draw's
+    temporaries, which peak at three to four times the draws; its
+    combinations on the leaf set (a chunk of repetitions' at the level
+    next to the leaf, one repetition's above it) and a chunk's values on
+    the set the level re-evaluates through, which holds both the child's
+    set and the target.  The float64 products of the combinations and of
+    a chunk are k entries wide, so their counts carry k."""
     q, k = field.q, field.k
     beta_leaf, delta_leaf, _ = levels[-1]
     leaf = TrimmedPointSet(q, n, delta_leaf, beta_leaf).size()
     chunk, m = min(t, VOTE_CHUNK), levels[0][2]
     first = _first_pass(t)
     sizes = {("rows", 0): (m * leaf, f"{m} rows on {leaf} leaf points")}
+    rows = 0
     for i, ((beta, delta, m_i), (beta_c, delta_c, mu)) in enumerate(
             zip(levels, levels[1:])):
         work = TrimmedPointSet(q, n - beta_c, max(delta, delta_c),
                                beta - beta_c).size()
         reps = chunk if i + 2 == len(levels) else 1
         whose = f"{reps} repetitions" if reps > 1 else "one repetition"
-        sizes["compiled", i] = (leaf * m_i * k * k, f"the map of {m_i} "
-                                f"rows on {leaf} leaf points over GF({q})")
+        rows += m_i
+        maps = (f"the map of {m_i} rows" if i == 0 else
+                f"the maps of vote levels 0-{i}, {rows} rows")
+        sizes["compiled", i] = (leaf * rows * k * k, f"{maps} on {leaf} "
+                                f"leaf points over GF({q})")
         sizes["draws", i] = (first * 8 * -(-mu * m_i // 8), f"the draws of "
                              f"{first} repetitions of {mu}x{m_i} "
                              f"coefficients")
@@ -335,19 +340,17 @@ def solve_pes(system: PolySystem, params: SolverParams) -> bool:
     reps = params.outer_reps if params.outer_reps is not None else math.ceil(9 * n)
     system_values = cache(partial(evaluate_values, field, n, system.polys))
     root = RngStream(params.seed)
-    for start in range(0, reps, VOTE_CHUNK):
-        trials = range(start, min(start + VOTE_CHUNK, reps))
-        drawn = vv_draw(field.q, n, root.child_keys(trials, (0,)))
-        for r, coeffs in zip(trials, drawn):
+    for r in range(reps):
+        trial = root.child(r)
+        coeffs = vv_coefficients(field.q, n, trial.child(0))
 
-            def values_at(delta, b):
-                affine = field.matmul(point_matrix(field.q, n, delta, b),
-                                      coeffs[:, :n].T).T
-                return np.concatenate([system_values(delta, b),
-                                       field.vadd(affine, coeffs[:, n:])])
+        def values_at(delta, b):
+            affine = field.matmul(point_matrix(field.q, n, delta, b),
+                                  coeffs[:, :n].T).T
+            return np.concatenate([system_values(delta, b),
+                                   field.vadd(affine, coeffs[:, n:])])
 
-            if _indicator_sum(field, n, d, len(system.polys) + len(coeffs),
-                              beta, params, root.child(r).child(1).child(0),
-                              values_at):
-                return True
+        if _indicator_sum(field, n, d, len(system.polys) + len(coeffs), beta,
+                          params, trial.child(1).child(0), values_at):
+            return True
     return False

@@ -15,24 +15,21 @@ sha256 state of its (seed, path); a child continues a copy of it, and
 without building a stream for each, so no key re-hashes the shared
 prefix.
 
-The batched draws take keys, not streams: `rs_draw` draws the
-coefficients of many repetitions, and `vv_draw` the affine equations of
-many isolation trials, each in one pass of Philox4x64-10 (Salmon et
-al., "Random123", SC 2011) run in numpy with one key per row, and
-reproduce what `Generator.integers` makes of its output.  numpy's
-Philox increments the counter before each block, so the first block is
-counter 1; each 64-bit output is read as two 32-bit draws, low half
-first, and the high half is kept for the next 32-bit draw even across
-calls to `integers`, so a trial's ell comes from draw 0 and its
-equations start at draw 1.  A range r <= 2^32 maps a draw u to
-(u*r) >> 32, rejecting u when (u*r) mod 2^32 < 2^32 mod r (Lemire, ACM
-TOMACS 2019) and drawing again.  The 128-bit products of a round are
-formed from 32-bit halves.  Rows with a rejection are rare (at q =
-65521 a draw is rejected with probability 225/2^32) and are drawn again
-through a generator keyed from their key, which follows numpy's redraws
-exactly.  Since every repetition has its own key, a vote draws all the
-repetitions before the first point where its early stop can fire in one
-pass; drawing ones the stop never reads changes no output.
+`rs_draw` draws the coefficients of many repetitions from their keys in
+one pass of Philox4x64-10 (Salmon et al., "Random123", SC 2011) run in
+numpy with one key per row, and reproduces what
+`Generator.integers(0, q)` makes of its output.  numpy's Philox
+increments the counter before each block, so the first block is counter
+1; each 64-bit output is read as two 32-bit draws, low half first; and
+an order q <= 2^32 maps a draw u to (u*q) >> 32, rejecting u when
+(u*q) mod 2^32 < 2^32 mod q (Lemire, ACM TOMACS 2019) and drawing again.
+The 128-bit products of a round are formed from 32-bit halves.  Rows
+with a rejection are rare (at q = 65521 a draw is rejected with
+probability 225/2^32) and are drawn again through a generator keyed
+from their key, which follows numpy's redraws exactly.  Since every
+repetition has its own key, a vote draws all the repetitions before the
+first point where its early stop can fire in one pass; drawing ones the
+stop never reads changes no output.
 """
 
 from __future__ import annotations
@@ -94,17 +91,14 @@ class RngStream:
     def _key(self) -> int:
         return int.from_bytes(self._hashed().digest()[:16], "little")
 
-    def child_keys(self, indices: Iterable[int],
-                   tail: tuple[int, ...] = ()) -> list[int]:
-        """The keys of the streams at path + (i,) + tail, one for each i
-        in indices: self.child(i).child(tail[0])..., without building
-        them."""
+    def child_keys(self, indices: Iterable[int]) -> list[int]:
+        """The keys of self.child(i) for each i in indices, without
+        building the children."""
         prefix = self._hashed()
-        suffix = b"".join(j.to_bytes(8, "little", signed=True) for j in tail)
         keys = []
         for i in indices:
             h = prefix.copy()
-            h.update(i.to_bytes(8, "little", signed=True) + suffix)
+            h.update(i.to_bytes(8, "little", signed=True))
             keys.append(int.from_bytes(h.digest()[:16], "little"))
         return keys
 
@@ -159,18 +153,6 @@ def _philox_words(keys: list[int], blocks: int) -> np.ndarray:
         len(keys), 8 * blocks)
 
 
-def _bounded(words: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Generator.integers(0, r) of each 32-bit draw in `words`, and
-    whether numpy would reject that draw and draw again."""
-    scaled = words * np.uint64(r)
-    return (scaled >> _32).astype(np.int64), (scaled & _LOW) < (1 << 32) % r
-
-
-def _check_order(q: int) -> None:
-    if not 1 <= q <= 1 << 32:
-        raise ValueError("q must be in 1..2^32")
-
-
 def rs_draw(q: int, mu: int, m: int, keys: list[int]) -> np.ndarray:
     """The stacked (mu, m) coefficient matrices that razborov_smolensky
     draws from the stream of each key, integers(0, q, size=(mu, m)), for
@@ -184,11 +166,13 @@ def rs_draw(q: int, mu: int, m: int, keys: list[int]) -> np.ndarray:
     """
     if mu < 1:
         raise ValueError("mu must be positive")
-    _check_order(q)
+    if not 1 <= q <= 1 << 32:
+        raise ValueError("q must be in 1..2^32")
     size = mu * m
-    out, rejected = _bounded(_philox_words(keys, -(-size // 8))[:, :size], q)
-    out = out.reshape(len(keys), mu, m)
-    for i in np.flatnonzero(np.any(rejected, axis=1)):
+    scaled = _philox_words(keys, -(-size // 8))[:, :size] * np.uint64(q)
+    out = (scaled >> _32).astype(np.int64).reshape(len(keys), mu, m)
+    rejected = np.any((scaled & _LOW) < (1 << 32) % q, axis=1)
+    for i in np.flatnonzero(rejected):
         out[i] = _keyed_generator(keys[i]).integers(0, q, size=(mu, m))
     return out
 
@@ -223,36 +207,13 @@ def razborov_smolensky(system: PolySystem, mu: int,
     return out
 
 
-def _vv_rows(gen: np.random.Generator, q: int, n: int) -> np.ndarray:
-    ell = int(gen.integers(0, n + 1))
-    return gen.integers(0, q, size=(ell, n + 1))
-
-
 def vv_coefficients(q: int, n: int, rng: RngStream) -> np.ndarray:
     """The (ell, n+1) matrix [a | b] of the affine polynomials a.X + b
     that valiant_vazirani draws from rng, ell uniform in {0..n}."""
     if n < 1:
         raise ValueError("n must be positive")
-    return _vv_rows(rng.generator(), q, n)
-
-
-def vv_draw(q: int, n: int, keys: list[int]) -> list[np.ndarray]:
-    """vv_coefficients(q, n, s) for the fresh stream s of each key, for
-    1 <= q <= 2^32, from one vectorised Philox over all keys: ell is
-    draw 0 of its stream and the equations are draws 1..ell*(n+1)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    _check_order(q)
-    words = _philox_words(keys, -(-(1 + n * (n + 1)) // 8))
-    ells, bad_ell = _bounded(words[:, 0], n + 1)
-    rows, bad = _bounded(words[:, 1:1 + n * (n + 1)], q)
-    # only the draws a trial reads can make it draw again
-    bad &= np.arange(n * (n + 1)) < ells[:, None] * (n + 1)
-    redraw = bad_ell | np.any(bad, axis=1)
-    return [_vv_rows(_keyed_generator(key), q, n) if again
-            else row[:ell * (n + 1)].reshape(ell, n + 1)
-            for key, ell, row, again in zip(keys, ells.tolist(), rows,
-                                            redraw.tolist())]
+    ell = rng.integers(0, n + 1)
+    return rng.integers(0, q, size=(ell, n + 1))
 
 
 def valiant_vazirani(fieldspec: FieldSpec, n: int,

@@ -453,6 +453,31 @@ class TestSizeChecks:
                         RngStream(kw["seed"]))
         assert entered == {0, 1, 2}
 
+    def test_compiled_maps_of_all_levels_counted_together(self,
+                                                          monkeypatch):
+        # the golden three-levels-q2-n10 system at its t = 3: each vote
+        # keeps its map until it returns, so the leaf-adjacent vote runs
+        # with the maps of 3, 4 and 3 rows on 386 leaf points alive, 3,860
+        # entries.  Each map alone (at most 1,544) and every other array
+        # (at most 2,316) fits 3,859
+        from test_golden_seeds import SUM_CASES, _system
+        from test_golden_seeds import _params as golden_params
+        shape, sys_seed, kw = SUM_CASES["three-levels-q2-n10"]
+        system = _system(shape, sys_seed)
+        beta = math.floor(Fraction(kw["kappa"]) * system.n)
+        run = partial(partial_sum, system, beta, golden_params(kw),
+                      RngStream(kw["seed"]))
+        monkeypatch.setattr(core, "ENTRY_LIMIT", 10 * 386)
+        run()
+
+        def no_evaluation(*args):
+            raise AssertionError("evaluated before the size check")
+
+        monkeypatch.setattr(core, "ENTRY_LIMIT", 10 * 386 - 1)
+        monkeypatch.setattr(core, "evaluate_values", no_evaluation)
+        with pytest.raises(TooLargeError, match="maps of vote levels 0-2"):
+            run()
+
 
 class TestSizeModel:
     # on the golden multi-level cases every int64 array the recursion
@@ -628,27 +653,6 @@ class TestSolvePes:
             prm = SolverParams(kappa=Fraction(3, 10), lam=Fraction(3, 10),
                                t_override=40, seed=trial)
             assert solve_pes(system, prm) == want
-
-    def test_trials_drawn_a_chunk_per_pass(self, monkeypatch):
-        # 70 failing trials draw their affine equations in two Philox
-        # passes, 64 trials and 6, and build no bit generator at q = 2
-        draws, built = [], [0]
-        vv_draw, philox = core.vv_draw, np.random.Philox
-
-        def counting_draw(q, n, keys):
-            draws.append(len(keys))
-            return vv_draw(q, n, keys)
-
-        def counting_philox(*args, **kwargs):
-            built[0] += 1
-            return philox(*args, **kwargs)
-
-        monkeypatch.setattr(core, "vv_draw", counting_draw)
-        monkeypatch.setattr(np.random, "Philox", counting_philox)
-        monkeypatch.setattr(core, "_indicator_sum", lambda *args: 0)
-        system = random_system(np.random.default_rng(23), 2, 5, 2, 2)
-        assert solve_pes(system, _params(outer_reps=70)) is False
-        assert draws == [VOTE_CHUNK, 70 - VOTE_CHUNK] and built[0] == 0
 
     @pytest.mark.parametrize("kappa", [Fraction(1, 100), Fraction(3, 10)])
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])

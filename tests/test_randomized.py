@@ -7,7 +7,7 @@ from conftest import full_grid, random_system
 from fqsolve import (PolySystem, RngStream, count_common_roots, make_field,
                      razborov_smolensky, valiant_vazirani)
 from fqsolve.mpoly import point_matrix
-from fqsolve.randomized import rs_chunk, vv_coefficients, vv_draw
+from fqsolve.randomized import rs_chunk, vv_coefficients
 
 
 class TestRngStream:
@@ -54,8 +54,6 @@ class TestRngStream:
             root = RngStream(seed, (5,))
             ix = [0, 1, 63, -2, 2 ** 62]
             assert root.child_keys(ix) == [root.child(i)._key() for i in ix]
-            assert root.child_keys(ix, (1, 0)) == [
-                root.child(i).child(1).child(0)._key() for i in ix]
 
     def test_seed_must_fit_64_bits(self):
         from fqsolve.errors import InvalidParamsError
@@ -191,53 +189,6 @@ class TestValiantVazirani:
                                         for x in pts.tolist()]
             assert rows_rng.integers(0, 1 << 30) == \
                 polys_rng.integers(0, 1 << 30)
-
-    # a batch of trials drawn in one Philox pass gives each trial the
-    # matrix of its own fresh stream.  At q = 65521, seed 21697 has a
-    # rejected draw in trial 8 at n = 6; at q = 2^31 + 1 about half of
-    # all draws are rejected
-    @pytest.mark.parametrize("q", [2, 3, 4, 65521, 2 ** 31 + 1])
-    def test_batched_draw_matches_fresh_streams(self, q, monkeypatch):
-        from fqsolve import randomized
-        keyed, redrawn = randomized._keyed_generator, []
-        for n in (1, 2, 6):
-            for seed in (0, 21697, 2 ** 64 - 1):
-                root = RngStream(seed)
-                with monkeypatch.context() as mp:
-                    mp.setattr(randomized, "_keyed_generator",
-                               lambda key: redrawn.append((n, seed))
-                               or keyed(key))
-                    got = vv_draw(q, n, root.child_keys(range(64), (0,)))
-                assert len(got) == 64
-                for r, coeffs in enumerate(got):
-                    want = vv_coefficients(q, n, root.child(r).child(0))
-                    assert coeffs.dtype == want.dtype
-                    assert coeffs.shape == want.shape
-                    assert (coeffs == want).all()
-        if q == 65521:
-            assert (6, 21697) in redrawn
-        assert bool(redrawn) == (q > 4)
-
-    def test_batched_draw_redraws_a_rejected_ell(self, monkeypatch):
-        # ell's range n + 1 = 7 rejects the 32-bit draws u with
-        # 7u mod 2^32 < 2^32 mod 7 = 4, such as u = 0; rows whose draw 0
-        # is set to 0 must come from their stream, not from ell = 0
-        from fqsolve import randomized
-        philox_words = randomized._philox_words
-
-        def zero_first_draws(keys, blocks):
-            words = philox_words(keys, blocks)
-            words[::2, 0] = 0
-            return words
-
-        monkeypatch.setattr(randomized, "_philox_words", zero_first_draws)
-        root = RngStream(3)
-        got = vv_draw(5, 6, root.child_keys(range(16), (0,)))
-        want = [vv_coefficients(5, 6, root.child(r).child(0))
-                for r in range(16)]
-        assert all(a.shape == b.shape and (a == b).all()
-                   for a, b in zip(got, want))
-        assert any(len(b) for b in want[::2])
 
     def test_unsat_stays_unsat(self):
         from fqsolve import Polynomial, PolySystem
