@@ -16,8 +16,14 @@ The recursion runs on value vectors, not polynomials.  Random
 combinations are linear, so the values of a combination are the same
 combination of the values: the m input polynomials are evaluated once,
 on the point set of the deepest level, and every repetition's system is
-its value rows there: its coefficients times its parent's rows.  Each
-vote compiles its rows' map once and applies it once per chunk above
+its value rows there: its coefficients times its parent's rows.  A
+point's leaf indicator depends only on its column of m input values, so
+the rows are split once (np.unique) into their C <= min(q^m, |leaf|)
+distinct columns and each point's column index, and every combination
+is formed on the C columns only; the level next to the leaf tests its
+chunk's combinations for zero there and gathers the (repetition,
+column) root table onto the leaf points before the suffix sum.  Each
+vote compiles its columns' map once and applies it once per chunk above
 the leaf, and once per repetition higher up so that one chunk of leaf
 values is alive at a time.  Repetitions are processed VOTE_CHUNK at a
 time as (repetition, point) arrays, and each re-evaluation is one
@@ -152,11 +158,17 @@ def _levels(m: int, beta: int, n: int, d: int, q: int,
         m = beta + 2
 
 
-def _leaf_sums(field: FieldSpec, values: np.ndarray, b: int) -> np.ndarray:
+def _leaf_sums(field: FieldSpec, values: np.ndarray, cls: np.ndarray | slice,
+               b: int) -> np.ndarray:
     """Indicator sums over the grid suffix of b variables: `values` holds
-    (system, polynomial, point) values on T(n-b, delta) x GF(q)^b."""
-    roots = np.all(values == 0, axis=1)
-    return roots.reshape(len(roots), -1, field.q ** b).sum(axis=2) % field.p
+    (system, polynomial, column) values on the distinct value columns of
+    T(n-b, delta) x GF(q)^b, and cls the column of each point, an index
+    array or, when the columns are the points, slice(None)."""
+    roots = np.all(values == 0, axis=1)[:, cls]
+    sums = roots.reshape(len(roots), -1, field.q ** b).sum(axis=2)
+    # with b = 0 each sum is 0 or 1, reduced already; numpy's integer %
+    # costs about 10 ns an entry, more than the rest of this function
+    return sums % field.p if b else sums
 
 
 def _first_pass(t: int) -> int:
@@ -181,24 +193,25 @@ def _rs_chunks(q: int, mu: int, m: int, rng: RngStream, t: int):
         start = end
 
 
-def _vote(field: FieldSpec, levels, i: int, values: np.ndarray,
-          rng: RngStream, t: int, n: int) -> np.ndarray:
+def _vote(field: FieldSpec, levels, i: int, cols: np.ndarray,
+          cls: np.ndarray, rng: RngStream, t: int, n: int) -> np.ndarray:
     """Values of level i's partial sum on T(n - beta_i, delta_i), for the
-    system whose values on the leaf set are the rows of `values`."""
+    system whose values on the leaf set's distinct input columns are the
+    rows of `cols`; leaf point x has column cls[x]."""
     q = field.q
     beta, delta, m_i = levels[i]
     beta_c, delta_c, mu = levels[i + 1]
     child_is_leaf = i + 2 == len(levels)
     suffix = beta - beta_c
-    combine = field.compile_matrix(values.T)
+    combine = field.compile_matrix(cols.T)
 
     def chunks():
         for start, rho in _rs_chunks(q, mu, m_i, rng, t):
             if child_is_leaf:
                 sub = combine(rho.reshape(-1, m_i)).reshape(len(rho), mu, -1)
-                sub = _leaf_sums(field, sub, beta_c)
+                sub = _leaf_sums(field, sub, cls, beta_c)
             else:
-                sub = np.stack([_vote(field, levels, i + 1, combine(r),
+                sub = np.stack([_vote(field, levels, i + 1, combine(r), cls,
                                       rng.child(2 * j + 1), t, n)
                                 for j, r in enumerate(rho, start)])
             yield reevaluate(field, sub, n - beta_c, delta_c, delta, suffix)
@@ -210,41 +223,51 @@ def _vote(field: FieldSpec, levels, i: int, values: np.ndarray,
 def _array_sizes(field: FieldSpec, n: int, levels,
                  t: int) -> dict[tuple[str, int], tuple[int, str]]:
     """The most entries each kind of the recursion's arrays reaches, keyed
-    by (kind, vote level), with a description: the input rows on the
-    leaf set, and per vote level the compiled maps of its rows and of
-    every level above it (k^2 entries per row entry over GF(p^k)), which
-    a vote keeps until it returns, so all are alive at once; the 32-bit
-    draws of its first RS pass (see _rs_chunks), not counting rs_draw's
-    temporaries, which peak at three to four times the draws; its
-    combinations on the leaf set (a chunk of repetitions' at the level
-    next to the leaf, one repetition's above it) and a chunk's values on
-    the set the level re-evaluates through, which holds both the child's
-    set and the target.  The float64 products of the combinations and of
-    a chunk are k entries wide, so their counts carry k."""
+    by (kind, vote level), with a description.  The votes run on the C <=
+    min(q^m, |leaf|) distinct value columns of the m input rows on the
+    leaf set.  Counted are the input rows on the leaf set and, per vote
+    level, the compiled maps of its rows and of every level above it on
+    the C columns (k^2 entries per row entry over GF(p^k)), which a vote
+    keeps until it returns, so all are alive at once; the 32-bit draws of
+    its first RS pass (see _rs_chunks); its combinations on the C columns
+    (a chunk of repetitions' at the level next to the leaf, one
+    repetition's above it); at the level next to the leaf a chunk's root
+    table gathered onto the leaf points; and a chunk's values on the set
+    the level re-evaluates through, which holds both the child's set and
+    the target.  The float64 products of the combinations and of a chunk
+    are k entries wide, so their counts carry k.  Temporaries are not
+    counted: rs_draw's, which peak at three to four times the draws, and
+    np.unique's copies of the input rows when it splits off their
+    columns."""
     q, k = field.q, field.k
     beta_leaf, delta_leaf, _ = levels[-1]
     leaf = TrimmedPointSet(q, n, delta_leaf, beta_leaf).size()
     chunk, m = min(t, VOTE_CHUNK), levels[0][2]
     first = _first_pass(t)
+    cols = min(q ** m, leaf)
     sizes = {("rows", 0): (m * leaf, f"{m} rows on {leaf} leaf points")}
+    on_cols = f"at most {cols} distinct columns over GF({q})"
     rows = 0
     for i, ((beta, delta, m_i), (beta_c, delta_c, mu)) in enumerate(
             zip(levels, levels[1:])):
         work = TrimmedPointSet(q, n - beta_c, max(delta, delta_c),
                                beta - beta_c).size()
-        reps = chunk if i + 2 == len(levels) else 1
+        at_leaf = i + 2 == len(levels)
+        reps = chunk if at_leaf else 1
         whose = f"{reps} repetitions" if reps > 1 else "one repetition"
         rows += m_i
         maps = (f"the map of {m_i} rows" if i == 0 else
                 f"the maps of vote levels 0-{i}, {rows} rows")
-        sizes["compiled", i] = (leaf * rows * k * k, f"{maps} on {leaf} "
-                                f"leaf points over GF({q})")
+        sizes["compiled", i] = (cols * rows * k * k, f"{maps} on {on_cols}")
         sizes["draws", i] = (first * 8 * -(-mu * m_i // 8), f"the draws of "
                              f"{first} repetitions of {mu}x{m_i} "
                              f"coefficients")
         sizes["combinations", i] = (
-            reps * mu * leaf * k, f"{whose} of {mu} combinations on "
-            f"{leaf} leaf points over GF({q})")
+            reps * mu * cols * k, f"{whose} of {mu} combinations on "
+            f"{on_cols}")
+        if at_leaf:
+            sizes["roots", i] = (chunk * leaf, f"the roots of {whose} on "
+                                 f"{leaf} leaf points")
         sizes["re-evaluation", i] = (
             chunk * work * k,
             f"{chunk} repetitions on {work} points over GF({q})")
@@ -278,9 +301,11 @@ def _voted_sum(field: FieldSpec, n: int, d: int, m: int, beta: int,
     beta_leaf, delta_leaf, _ = levels[-1]
     base = values_at(delta_leaf, beta_leaf)
     if len(levels) == 1:
-        zvals = _leaf_sums(field, base[None], beta)[0]
+        zvals = _leaf_sums(field, base[None], slice(None), beta)[0]
     else:
-        zvals = _vote(field, levels, 0, base, rng, t, n)
+        # numpy 2.0.0 returns the inverse of an axis split 2-D
+        cols, cls = np.unique(base, axis=1, return_inverse=True)
+        zvals = _vote(field, levels, 0, cols, cls.reshape(-1), rng, t, n)
     top = TrimmedPointSet(q, n - beta, levels[0][1], 0)
     return TrimmedEvaluation(field, top, zvals)
 

@@ -177,12 +177,6 @@ def rs_draw(q: int, mu: int, m: int, keys: list[int]) -> np.ndarray:
     return out
 
 
-def rs_chunk(q: int, mu: int, m: int, rngs: list[RngStream]) -> np.ndarray:
-    """rs_draw on the keys of the streams rngs, which are left untouched:
-    out[i] is rngs[i].integers(0, q, size=(mu, m)) from a fresh stream."""
-    return rs_draw(q, mu, m, [rng._key() for rng in rngs])
-
-
 def razborov_smolensky(system: PolySystem, mu: int,
                        rng: RngStream) -> list[Polynomial]:
     """mu random linear combinations of the system's polynomials.

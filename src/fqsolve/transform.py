@@ -225,6 +225,8 @@ def evaluate_values(field: FieldSpec, n: int, polys: Sequence[Polynomial],
 
     Degrees above delta are allowed: the polynomials are then evaluated on
     the set of their own degree, which contains this one, and restricted.
+    Before allocating, raises TooLargeError when the rows on that set
+    would pass ENTRY_LIMIT entries.
     """
     q = field.q
     if not 0 <= b <= n:
@@ -234,6 +236,12 @@ def evaluate_values(field: FieldSpec, n: int, polys: Sequence[Polynomial],
     deff = _effective_delta(q, n, delta, b)
     dwork = _effective_delta(
         q, n, max([delta] + [p.degree() for p in polys]), b)
+    check_key_width(q, n)
+    entries = len(polys) * TrimmedPointSet(q, n, dwork, b).size()
+    if entries > ENTRY_LIMIT:
+        raise TooLargeError(f"{len(polys)} rows on T({n - b}, {dwork}) x "
+                            f"GF({q})^{b} hold {entries} entries, over "
+                            f"{ENTRY_LIMIT}")
     pd = _point_data(q, n, dwork, b)
     arr = np.zeros((len(polys), len(pd.keys)), dtype=np.int64)
     for row, poly in zip(arr, polys):

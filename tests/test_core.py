@@ -310,10 +310,10 @@ class TestFullSum:
 
 
     def test_one_field_product_per_vote_chunk(self, monkeypatch):
-        # with one vote level, the input value rows are compiled once and
-        # a chunk's combinations on the leaf set are one application of
-        # that map to its RS matrices
-        base, compiled, applied, chunks = [], [0], [0], [0]
+        # with one vote level, the distinct columns of the input value rows
+        # are compiled once and a chunk's combinations on them are one
+        # application of that map to its RS matrices
+        base, compiled, applied, chunks = [], [], [0], [0]
         compile_matrix, evaluate = FieldSpec.compile_matrix, core.evaluate_values
         rs_chunks = core._rs_chunks
 
@@ -323,9 +323,10 @@ class TestFullSum:
 
         def counting_compile(self, mat):
             apply = compile_matrix(self, mat)
-            if not any(np.shares_memory(mat, b) for b in base):
+            if not any(mat.shape[1] == len(b) and np.array_equal(
+                    mat, np.unique(b, axis=1).T) for b in base):
                 return apply
-            compiled[0] += 1
+            compiled.append(len(mat))
 
             def counting_apply(rows):
                 applied[0] += 1
@@ -342,8 +343,67 @@ class TestFullSum:
         monkeypatch.setattr(core, "_rs_chunks", counting_chunks)
         system = random_system(np.random.default_rng(20), 2, 6, 3, 2, 3, 7)
         assert full_sum(system, _params(1), RngStream(1)) == brute_Z(system)
-        assert chunks[0] > 1 and compiled[0] == 1
+        assert chunks[0] > 1 and len(compiled) == 1
         assert applied[0] == chunks[0]
+        # C <= min(q^m, |leaf|) = min(2^3, 57) distinct columns
+        (b,) = base
+        assert compiled[0] <= min(system.field.q ** len(b), b.shape[1])
+
+
+class TestDistinctColumns:
+    # a vote runs its combinations on the leaf set's distinct value
+    # columns: whether all of a repetition's combinations vanish at a point
+    # depends only on the point's column of input values, so the root
+    # table of the columns, gathered by class, is that of the points
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+    def test_leaf_sums_from_distinct_columns(self, q):
+        field = make_field(q)
+        rng = np.random.default_rng(30 + q)
+        m, mu, reps = 3, 2, 9
+        for b in (0, 1):
+            # 6 columns, one of them zero, repeated over the points
+            pool = rng.integers(0, q, size=(m, 6))
+            pool[:, 0] = 0
+            values = pool[:, rng.integers(0, 6, size=5 * q ** b)]
+            rho = rng.integers(0, q, size=(reps, mu, m))
+            cols, cls = np.unique(values, axis=1, return_inverse=True)
+            combine = field.compile_matrix(cols.T)
+            on_cols = combine(rho.reshape(-1, m)).reshape(reps, mu, -1)
+            on_points = np.stack([field.matmul(r, values) for r in rho])
+            got = core._leaf_sums(field, on_cols, cls.reshape(-1), b)
+            want = core._leaf_sums(field, on_points, slice(None), b)
+            assert got.shape == (reps, 5) and (got == want).all()
+
+    def test_partial_sums_match_the_oracle(self, monkeypatch):
+        # with few distinct columns (3 rows over GF(3), two vote levels)
+        # and with one column per leaf point (X_i plus squares of earlier
+        # variables plus c_i: the values determine the point)
+        widths, vote = [], core._vote
+
+        def spied_vote(field, levels, i, cols, cls, *args):
+            if i == 0:
+                widths.append((cols.shape[1], len(cls)))
+            return vote(field, levels, i, cols, cls, *args)
+
+        monkeypatch.setattr(core, "_vote", spied_vote)
+        few = random_system(np.random.default_rng(40), 3, 7, 3, 2)
+        prm = SolverParams(kappa=Fraction(3, 10), lam=Fraction(1, 7),
+                           t_override=15, seed=0)
+        assert partial_sum(few, 2, prm, RngStream(0)) == \
+            brute_partial_sum(few, 2)
+        assert widths[-1][0] <= 3 ** 3 < widths[-1][1]
+
+        f, n = make_field(3), 4
+        rng = np.random.default_rng(41)
+        unit = [tuple(2 * (j == i) for j in range(n)) for i in range(n)]
+        tri = PolySystem(f, n, [Polynomial.from_terms(
+            f, n, [(tuple(e // 2 for e in unit[i]), 1),
+                   ((0,) * n, int(rng.integers(0, 3)))]
+            + [(unit[j], int(rng.integers(1, 3))) for j in range(i)])
+            for i in range(n)], 2)
+        assert partial_sum(tri, 1, _params(1, t_override=60),
+                           RngStream(1)) == brute_partial_sum(tri, 1)
+        assert widths[-1] == (81, 81)
 
 
 class TestVoteDraws:
@@ -379,9 +439,10 @@ class TestVoteDraws:
 
 class TestSizeChecks:
     # (2,6,3,2) at kappa = 3/10, lambda = 3/20 votes once over t = 400:
-    # its largest array is a chunk's 64 repetitions x 2 combinations x
-    # 57 points of T(6, 4), checked before the system is evaluated
-    LARGEST = 64 * 2 * 57
+    # its largest array is a chunk's 64 repetitions on the 64 points of
+    # T(5, 5) x GF(2) it re-evaluates through, checked before the system
+    # is evaluated
+    LARGEST = 64 * 64
 
     def test_full_sum_checked_before_evaluation(self, monkeypatch):
         system = random_system(np.random.default_rng(21), 2, 6, 3, 2, 3, 7)
@@ -396,15 +457,16 @@ class TestSizeChecks:
             full_sum(system, _params(2), RngStream(2))
 
     def test_digit_expansion_counted(self, monkeypatch):
-        # (4,4,3,2) at the same parameters: a chunk's 64 x 2 combinations
-        # on 256 leaf points are float64 products two digits wide over
-        # GF(4), so they count 64 x 2 x 256 x 2 entries, not 64 x 2 x 256
+        # (4,4,3,2) at the same parameters: a chunk's 64 repetitions on the
+        # 256 points of T(3, 12) x GF(4) it re-evaluates through are
+        # float64 products two digits wide over GF(4), so they count
+        # 64 x 256 x 2 entries, not 64 x 256; every other array fits
         system = random_system(np.random.default_rng(22), 4, 4, 3, 2, 3, 7)
 
         def no_evaluation(*args):
             raise AssertionError("evaluated before the size check")
 
-        monkeypatch.setattr(core, "ENTRY_LIMIT", 64 * 2 * 256 * 2 - 1)
+        monkeypatch.setattr(core, "ENTRY_LIMIT", 64 * 256 * 2 - 1)
         monkeypatch.setattr(core, "evaluate_values", no_evaluation)
         with pytest.raises(TooLargeError):
             full_sum(system, _params(3), RngStream(3))
@@ -455,25 +517,26 @@ class TestSizeChecks:
 
     def test_compiled_maps_of_all_levels_counted_together(self,
                                                           monkeypatch):
-        # the golden three-levels-q2-n10 system at its t = 3: each vote
-        # keeps its map until it returns, so the leaf-adjacent vote runs
-        # with the maps of 3, 4 and 3 rows on 386 leaf points alive, 3,860
-        # entries.  Each map alone (at most 1,544) and every other array
-        # (at most 2,316) fits 3,859
-        from test_golden_seeds import SUM_CASES, _system
+        # a (2,10,9,2) system at the parameters of the golden
+        # three-levels-q2-n10 case: each vote keeps its map until it
+        # returns, so the leaf-adjacent vote runs with the maps of 9, 4
+        # and 3 rows alive, on at most min(2^9, 386) = 386 distinct leaf
+        # columns, 6,176 entries.  The maps of levels 0-1 (5,018) and
+        # every other array (at most 3,474) fit 6,175
+        from test_golden_seeds import SUM_CASES
         from test_golden_seeds import _params as golden_params
-        shape, sys_seed, kw = SUM_CASES["three-levels-q2-n10"]
-        system = _system(shape, sys_seed)
+        _, sys_seed, kw = SUM_CASES["three-levels-q2-n10"]
+        system = random_system(np.random.default_rng(sys_seed), 2, 10, 9, 2)
         beta = math.floor(Fraction(kw["kappa"]) * system.n)
         run = partial(partial_sum, system, beta, golden_params(kw),
                       RngStream(kw["seed"]))
-        monkeypatch.setattr(core, "ENTRY_LIMIT", 10 * 386)
+        monkeypatch.setattr(core, "ENTRY_LIMIT", 16 * 386)
         run()
 
         def no_evaluation(*args):
             raise AssertionError("evaluated before the size check")
 
-        monkeypatch.setattr(core, "ENTRY_LIMIT", 10 * 386 - 1)
+        monkeypatch.setattr(core, "ENTRY_LIMIT", 16 * 386 - 1)
         monkeypatch.setattr(core, "evaluate_values", no_evaluation)
         with pytest.raises(TooLargeError, match="maps of vote levels 0-2"):
             run()
@@ -482,7 +545,8 @@ class TestSizeChecks:
 class TestSizeModel:
     # on the golden multi-level cases every int64 array the recursion
     # builds stays within the count _array_sizes gives its kind and
-    # level, and the input rows and leaf combinations reach theirs
+    # level, and the input rows and the leaf-level combinations and
+    # roots reach theirs
     @pytest.mark.parametrize("name", ["two-levels-q3-n7",
                                       "three-levels-q2-n10"])
     def test_arrays_within_their_counts(self, name, monkeypatch):
@@ -491,9 +555,9 @@ class TestSizeModel:
         shape, sys_seed, kw = SUM_CASES[name]
         system = _system(shape, sys_seed)
         models, seen = [], []
-        array_sizes, evaluate, leaf_sums, reevaluate = (
-            core._array_sizes, core.evaluate_values, core._leaf_sums,
-            core.reevaluate)
+        array_sizes, evaluate, vote, leaf_sums, reevaluate = (
+            core._array_sizes, core.evaluate_values, core._vote,
+            core._leaf_sums, core.reevaluate)
 
         def spied_sizes(field, n, levels, t):
             models.append((levels, array_sizes(field, n, levels, t)))
@@ -504,10 +568,20 @@ class TestSizeModel:
             seen.append(("rows", 0, out.size))
             return out
 
-        def spied_leaf_sums(field, values, b):
-            seen.append(("combinations", len(models[-1][0]) - 2,
-                         values.size))
-            return leaf_sums(field, values, b)
+        def spied_vote(field, levels, i, cols, *args):
+            # level i's input columns: the distinct input columns at
+            # level 0, one repetition's combinations of level i-1 below it
+            seen.append(("rows", 0, cols.size) if i == 0 else
+                        ("combinations", i - 1, cols.size))
+            return vote(field, levels, i, cols, *args)
+
+        def spied_leaf_sums(field, values, cls, b):
+            leaf_level = len(models[-1][0]) - 2
+            # the combinations on the distinct columns, and their root
+            # table gathered onto the leaf points
+            seen.extend([("combinations", leaf_level, values.size),
+                         ("roots", leaf_level, len(values) * len(cls))])
+            return leaf_sums(field, values, cls, b)
 
         def spied_reevaluate(field, values, n_from, delta_from, delta_to,
                              b):
@@ -522,6 +596,7 @@ class TestSizeModel:
 
         for name_, spy in [("_array_sizes", spied_sizes),
                            ("evaluate_values", spied_evaluate),
+                           ("_vote", spied_vote),
                            ("_leaf_sums", spied_leaf_sums),
                            ("reevaluate", spied_reevaluate)]:
             monkeypatch.setattr(core, name_, spy)
@@ -534,7 +609,8 @@ class TestSizeModel:
             assert entries <= sizes[kind, i][0]
             largest[kind, i] = max(largest.get((kind, i), 0), entries)
         leaf_level = len(levels) - 2
-        for key in [("rows", 0), ("combinations", leaf_level)]:
+        for key in [("rows", 0), ("combinations", leaf_level),
+                    ("roots", leaf_level)]:
             assert largest[key] == sizes[key][0]
         assert {i for kind, i in largest if kind == "re-evaluation"} == set(
             range(len(levels) - 1))

@@ -7,7 +7,7 @@ from conftest import full_grid, random_system
 from fqsolve import (PolySystem, RngStream, count_common_roots, make_field,
                      razborov_smolensky, valiant_vazirani)
 from fqsolve.mpoly import point_matrix
-from fqsolve.randomized import rs_chunk, vv_coefficients
+from fqsolve.randomized import rs_draw, vv_coefficients
 
 
 class TestRngStream:
@@ -71,9 +71,9 @@ class TestRngStream:
             for mu, m in ((1, 1), (3, 5)):
                 want = np.stack([RngStream(seed, r.path).integers(
                     0, q, size=(mu, m)) for r in rngs])
-                got = rs_chunk(q, mu, m, rngs)
+                got = rs_draw(q, mu, m, [r._key() for r in rngs])
                 assert got.dtype == want.dtype and (got == want).all()
-        # the chunk draw leaves its streams where they were
+        # drawing from their keys leaves the streams where they were
         assert all(r._gen is None for r in rngs)
 
     # at q = 2^31 + 1 about half of all 32-bit draws are rejected and
@@ -85,13 +85,13 @@ class TestRngStream:
             for mu, m in ((1, 1), (2, 3), (4, 5)):
                 want = np.stack([RngStream(seed, r.path).integers(
                     0, q, size=(mu, m)) for r in rngs])
-                got = rs_chunk(q, mu, m, rngs)
+                got = rs_draw(q, mu, m, [r._key() for r in rngs])
                 assert got.dtype == want.dtype and (got == want).all()
             assert all(r._gen is None for r in rngs)
 
     def test_chunk_draw_refuses_orders_beyond_32_bits(self):
         with pytest.raises(ValueError):
-            rs_chunk(2 ** 32 + 1, 1, 1, [RngStream(0)])
+            rs_draw(2 ** 32 + 1, 1, 1, [RngStream(0)._key()])
 
 
 class TestRazborovSmolensky:

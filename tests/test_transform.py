@@ -126,6 +126,24 @@ class TestBatched:
             assert got.tolist() == [[p.evaluate(pt) for pt in pts]
                                     for p in polys]
 
+    def test_evaluate_values_sized_before_allocation(self, monkeypatch):
+        # rows of degree 8 on T(4, 1) over GF(3) are evaluated on the 81
+        # points of their own degree's set, not the 5 of T(4, 1): 3 x 81
+        # entries are counted against ENTRY_LIMIT before anything is built
+        f = make_field(3)
+        top = Polynomial.from_terms(f, 4, [((2, 2, 2, 2), 1)])
+        polys = [top, top.scale(2), Polynomial.variable(f, 4, 0)]
+        monkeypatch.setattr(transform, "ENTRY_LIMIT", 3 * 81)
+        assert transform.evaluate_values(f, 4, polys, 1, 0).shape == (3, 5)
+
+        def no_points(*args):
+            raise AssertionError("point set built before the size check")
+
+        monkeypatch.setattr(transform, "ENTRY_LIMIT", 3 * 81 - 1)
+        monkeypatch.setattr(transform, "_point_data", no_points)
+        with pytest.raises(TooLargeError, match="243 entries"):
+            transform.evaluate_values(f, 4, polys, 1, 0)
+
     def test_reevaluate_matches_naive_evaluation(self, monkeypatch):
         # target sets above, equal to and below the source degree, each
         # through every route that applies: reevaluate's own pick, the
