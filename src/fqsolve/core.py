@@ -10,7 +10,9 @@ recoverable from its values on a trimmed point set.  The recursion
 shrinks beta by ceil(lambda*n) per level, replaces the system by
 beta'+2 random combinations per repetition, corrects the per-point
 errors with plurality votes over t = ceil(96*n*ln q) repetitions, sums
-over the freed suffix grid and re-interpolates.
+over the freed suffix grid and re-evaluates.  When m*d >= n, delta0 =
+(n-beta)*(q-1), so the top set T(n-beta, delta0) is the whole grid and
+the full sum is the field sum of the voted top values.
 
 The recursion runs on value vectors, not polynomials.  Random
 combinations are linear, so the values of a combination are the same
@@ -61,7 +63,7 @@ from .field import ENTRY_LIMIT, FieldSpec
 from .mpoly import (Polynomial, PolySystem, TrimmedPointSet, check_key_width,
                     point_matrix)
 from .randomized import RngStream, rs_draw, vv_coefficients
-from .transform import (TrimmedEvaluation, evaluate_trimmed, evaluate_values,
+from .transform import (TrimmedEvaluation, evaluate_values,
                         interpolate_trimmed, reevaluate)
 
 # Repetitions per batch.  Chunks bound the working arrays: on the C3
@@ -310,22 +312,17 @@ def _voted_sum(field: FieldSpec, n: int, d: int, m: int, beta: int,
     return TrimmedEvaluation(field, top, zvals)
 
 
-def _grid_sum(ev: TrimmedEvaluation) -> int:
-    """Field sum over the whole grid of the polynomial with values ev."""
-    zpoly = interpolate_trimmed(ev)
-    values = evaluate_trimmed(zpoly, max(0, zpoly.degree()), zpoly.n).values
-    return ev.field.vsum(values)
-
-
 def _indicator_sum(field: FieldSpec, n: int, d: int, m: int, beta: int,
                    params: SolverParams, rng: RngStream, values_at) -> int:
     """Field sum over the whole grid of the indicator of the m-polynomial
     degree-d system of _voted_sum; 0 without a recursion when m*d < n
-    (Chevalley-Warning)."""
+    (Chevalley-Warning).  Otherwise the top set T(n-beta, (n-beta)(q-1))
+    is the whole grid GF(q)^(n-beta), so the sum is the field sum of the
+    voted values."""
     if m * d < n:
         return 0
-    return _grid_sum(_voted_sum(field, n, d, m, beta, params, rng,
-                                values_at))
+    return field.vsum(_voted_sum(field, n, d, m, beta, params, rng,
+                                 values_at).values)
 
 
 def partial_sum(system: PolySystem, beta: int, params: SolverParams,

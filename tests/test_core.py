@@ -13,7 +13,8 @@ from fqsolve import (Polynomial, PolySystem, RngStream, SolverParams,
                      full_sum, make_field, partial_sum, plurality, solve_pes,
                      valiant_vazirani, zdegree)
 from fqsolve.core import VOTE_CHUNK, streamed_plurality
-from fqsolve.transform import evaluate_values
+from fqsolve.transform import (evaluate_trimmed, evaluate_values,
+                               interpolate_trimmed)
 from fqsolve.errors import InvalidParamsError, TooLargeError
 from fqsolve.field import FieldSpec
 
@@ -616,44 +617,81 @@ class TestSizeModel:
             range(len(levels) - 1))
 
 
+def _grid_sum(ev):
+    """Witness of the final sum: interpolate the values ev, evaluate the
+    polynomial on the whole grid and take the field sum there."""
+    zpoly = interpolate_trimmed(ev)
+    values = evaluate_trimmed(zpoly, max(0, zpoly.degree()), zpoly.n).values
+    return ev.field.vsum(values)
+
+
 class TestFoldPrecondition:
-    # _grid_sum's argument always covers the whole grid GF(q)^(n-beta),
-    # so the final sum is the field sum of its values (the fold that
-    # replaces the interpolation and re-evaluation)
+    # with m*d >= n the voted values cover the whole grid GF(q)^(n-beta),
+    # so their field sum is the witness's interpolate and re-evaluate
+    # route; with m*d < n both are 0
     @given(st.sampled_from([2, 3, 4, 5, 8, 9]), st.integers(1, 5),
-           st.integers(1, 3), st.integers(0, 2), st.integers(1, 5),
+           st.integers(1, 3), st.integers(-2, 2), st.integers(1, 5),
            st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
-    def test_grid_sum_sees_the_whole_grid(self, q, n, d, extra, t, seed):
+    def test_indicator_sum_is_the_field_sum_of_the_votes(self, q, n, d,
+                                                         extra, t, seed):
         rng = np.random.default_rng(seed)
-        m = -(-n // d) + extra  # m*d >= n
+        m = max(0, -(-n // d) + extra)  # m*d >= n iff extra >= 0
         system = random_system(rng, q, n, m, min(d, n * (q - 1)))
         params = SolverParams(seed=seed % 7, t_override=t, outer_reps=2)
-        beta = math.floor(params.resolve(n, system.d)[0] * n)
-        received = []
-        grid_sum = core._grid_sum
+        indicator_sum, voted_sum = core._indicator_sum, core._voted_sum
+        voted, recursed = [], []
 
-        def checked(ev):
-            assert ev.point_set.n == n - beta
-            assert ev.point_set.size() == q ** (n - beta)
-            out = grid_sum(ev)
-            assert out == ev.field.vsum(ev.values)
-            received.append(ev)
+        def spied_voted_sum(*args):
+            voted.append(voted_sum(*args))
+            return voted[-1]
+
+        def checked(field, n, d, m, beta, *rest):
+            voted.clear()
+            out = indicator_sum(field, n, d, m, beta, *rest)
+            if m * d >= n:
+                (ev,) = voted
+                assert ev.point_set.n == n - beta
+                assert ev.point_set.size() == field.q ** (n - beta)
+            else:
+                assert voted == [] and out == 0
+                ev = voted_sum(field, n, d, m, beta, *rest)
+            assert out == _grid_sum(ev)
+            recursed.append(m * d >= n)
             return out
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core, "_grid_sum", checked)
+            mp.setattr(core, "_voted_sum", spied_voted_sum)
+            mp.setattr(core, "_indicator_sum", checked)
+            full_sum(system, params, RngStream(seed))
+            assert recursed == [extra >= 0]
+            solve_pes(system, params)
+        assert len(recursed) > 1
+
+    @pytest.mark.parametrize("kappa", [Fraction(3, 10), Fraction(1, 100)])
+    @pytest.mark.parametrize("q,n", [(2, 6), (3, 5), (4, 4)])
+    def test_no_polynomial_past_parsing(self, q, n, kappa, monkeypatch):
+        # kappa = 3/10 recurses one level; kappa = lambda = 1/100 gives
+        # beta = 0, the leaf-only path
+        rng = np.random.default_rng(q)
+        systems = [random_system(rng, q, n, 3, 2) for _ in range(2)]
+        params = SolverParams(kappa=kappa, lam=min(kappa, Fraction(3, 20)),
+                              t_override=8, outer_reps=3, seed=q)
+
+        def refuse(*args):
+            raise AssertionError("Polynomial built")
+        monkeypatch.setattr(Polynomial, "__init__", refuse)
+        for seed, system in enumerate(systems):
             full_sum(system, params, RngStream(seed))
             solve_pes(system, params)
-        assert received
 
 
 class TestChevalleyWarning:
     @staticmethod
     def _old_route(field, n, d, m, beta, params, rng, values_at):
         # the recursion and final grid sum that m*d < n now skips
-        return core._grid_sum(core._voted_sum(field, n, d, m, beta, params,
-                                              rng, values_at))
+        return _grid_sum(core._voted_sum(field, n, d, m, beta, params, rng,
+                                         values_at))
 
     @given(st.sampled_from([2, 3, 4]), st.integers(2, 5),
            st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
