@@ -20,7 +20,7 @@ combination of the values: the m input polynomials are evaluated once,
 on the point set of the deepest level, and every repetition's system is
 its value rows there: its coefficients times its parent's rows.  A
 point's leaf indicator depends only on its column of m input values, so
-the rows are split once (np.unique) into their C <= min(q^m, |leaf|)
+the rows are split once (row by row) into their C <= min(q^m, |leaf|)
 distinct columns and each point's column index, and every combination
 is formed on the C columns only; the level next to the leaf tests its
 chunk's combinations for zero there and gathers the (repetition,
@@ -239,8 +239,7 @@ def _array_sizes(field: FieldSpec, n: int, levels,
     the target.  The float64 products of the combinations and of a chunk
     are k entries wide, so their counts carry k.  Temporaries are not
     counted: rs_draw's, which peak at three to four times the draws, and
-    np.unique's copies of the input rows when it splits off their
-    columns."""
+    _distinct_columns' few point-length vectors."""
     q, k = field.q, field.k
     beta_leaf, delta_leaf, _ = levels[-1]
     leaf = TrimmedPointSet(q, n, delta_leaf, beta_leaf).size()
@@ -276,6 +275,21 @@ def _array_sizes(field: FieldSpec, n: int, levels,
     return sizes
 
 
+def _distinct_columns(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(base, axis=1, return_inverse=True) for rows of field
+    elements: the distinct columns in lexicographic order and each
+    column's index among them.  Ranks the columns one row at a time, so
+    each key stays below base.shape[1] * q and the split holds a few
+    point-length vectors, not copies of the rows."""
+    cls = np.zeros(base.shape[1], dtype=np.int64)
+    for row in base:
+        cls = np.unique(cls * (row.max() + 1) + row, return_inverse=True)[1]
+    # equal columns share a class, so any point of a class stands for it
+    rep = np.empty(cls.max() + 1, dtype=np.int64)
+    rep[cls] = np.arange(len(cls))
+    return base[:, rep], cls
+
+
 def _check_sizes(field: FieldSpec, n: int, levels, t: int) -> None:
     """Raise TooLargeError when one of the recursion's arrays would pass
     ENTRY_LIMIT entries (see _array_sizes)."""
@@ -305,9 +319,8 @@ def _voted_sum(field: FieldSpec, n: int, d: int, m: int, beta: int,
     if len(levels) == 1:
         zvals = _leaf_sums(field, base[None], slice(None), beta)[0]
     else:
-        # numpy 2.0.0 returns the inverse of an axis split 2-D
-        cols, cls = np.unique(base, axis=1, return_inverse=True)
-        zvals = _vote(field, levels, 0, cols, cls.reshape(-1), rng, t, n)
+        cols, cls = _distinct_columns(base)
+        zvals = _vote(field, levels, 0, cols, cls, rng, t, n)
     top = TrimmedPointSet(q, n - beta, levels[0][1], 0)
     return TrimmedEvaluation(field, top, zvals)
 

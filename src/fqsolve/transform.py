@@ -15,8 +15,8 @@ set closes under both passes and the work per axis is one small
 triangular matrix per slice.  Total cost is O(n * |T| * q^b) field
 operations (constants depending on q); FIELD_OPS accumulates the exact
 multiply-accumulate count of what ran, for scaling measurements: each
-axis pass adds batch * (sum of its slice lengths squared), a composed
-re-evaluation map (below) batch * |T_from| * |T_to|, and a gather 0.
+axis pass adds batch * (sum of its slice lengths squared), a fresh-point
+map (below) batch * |T_from| * |fresh|, and a gather 0.
 
 Every axis pass works on the last axis of an array, so a batch of value
 vectors (one row each) goes through each slice length in a single
@@ -24,24 +24,26 @@ application of the field's one matrix kernel, `FieldSpec.compile_matrix`;
 `evaluate_values` and `reevaluate` are the batched forms the solver uses.
 
 `reevaluate` maps the values of polynomials of degree <= dfrom on
-T(n, dfrom) to their values on T(n-b, dto) x GF(q)^b, and takes one of
-three routes, all giving the same values:
+T_from = T(n, dfrom) to their values on the target T(n-b, dto) x
+GF(q)^b.  Trimmed sets nest: a source point lies in every set of degree
+at least its own, with the value it already has, since it is the same
+polynomial.  So the target splits into its known points, which lie in
+the source, and the fresh rest, and reevaluate takes one of two routes,
+both giving the same values:
 
-  gather    when the target set lies inside the source set, i.e.
-            dto + b(q-1) <= dfrom: values already known need no
-            transform, so it returns the source values at the target's
-            positions;
-  dense     when |T_from| * |T_work| * k^2 <= DENSE_LIMIT, with T_work
-            the set the axis route works on (it contains the target):
-            one product with the map's matrix, cached per (field, n,
-            dfrom, dto, b);
+  gather    when |T_from| * |fresh| * k^2 <= DENSE_LIMIT: the known
+            values are copied from their source positions, and the fresh
+            ones are one product with a |T_from| x |fresh| map, cached
+            per (field, n, dfrom, dto, b); with no fresh point (dto +
+            b(q-1) <= dfrom) no map is built and nothing is computed;
   axis      otherwise: 2n axis passes, interpolating into the Newton
             basis on the source set and evaluating from there.
 
-The axis route is the definition; the dense map is only its memo.  It
-is linear over GF(q), so it is the axis route applied once to the rows
-of the identity matrix, compiled by `compile_matrix`; bounding T_work
-rather than the target also bounds the array that build runs on.
+The axis route is the definition; the fresh-point map is only its memo.
+It is linear over GF(q), so it is the axis route applied to the rows of
+the identity matrix, 64 rows at a time, keeping the fresh columns and
+compiled by `compile_matrix`; the build never holds a map onto the
+whole set the axis route works on.
 
 The six per-field frames come from closed forms, one column or row per
 vector step, and no matrix is inverted: x N_i = N_{i+1} + sigma_i N_i
@@ -64,9 +66,10 @@ from .mpoly import (Polynomial, TrimmedPointSet, check_key_width,
 
 FIELD_OPS = 0
 
-# Largest |T_from| * |T_work| * k^2 for which reevaluate composes its axis
-# passes into one cached map: 2^18 float64 entries, 2 MiB a map and at
-# most 128 MiB for the _reevaluation_map cache.  A constant by design.
+# Largest |T_from| * |fresh| * k^2 for which reevaluate composes its axis
+# passes onto the fresh points into one cached map: 2^18 float64 entries,
+# 2 MiB a map and at most 128 MiB for the _fresh_map cache.  A constant
+# by design.
 DENSE_LIMIT = 1 << 18
 
 
@@ -264,33 +267,52 @@ def reevaluate(field: FieldSpec, values: np.ndarray, n: int,
     polynomials of total degree <= delta_from that take the values in
     each row of `values` on T(n, delta_from).
 
-    Takes the gather, dense or axis route of the module docstring.
+    Takes the gather or axis route of the module docstring.
     """
     global FIELD_OPS
     q = field.q
     dfrom = _effective_delta(q, n, delta_from, 0)
     dto = _effective_delta(q, n, delta_to, b)
     rows = np.asarray(values, dtype=np.int64)
-    if dto + b * (q - 1) <= dfrom:
-        return rows[:, _positions(q, n, dto, b, dfrom, 0)]
-    nfrom = len(_point_data(q, n, dfrom, 0).keys)
-    dwork = _effective_delta(q, n, max(dto, dfrom), b)
-    nwork = len(_point_data(q, n, dwork, b).keys)
-    if nfrom * nwork * field.k ** 2 > DENSE_LIMIT:
+    fresh, order = _split(q, n, dfrom, dto, b)
+    if not len(fresh):
+        return rows[:, order]
+    nfrom = rows.shape[1]
+    if nfrom * len(fresh) * field.k ** 2 > DENSE_LIMIT:
         return _reevaluate_axes(field, rows, n, dfrom, dto, b)
-    out = _reevaluation_map(field, n, dfrom, dto, b)(rows)
-    FIELD_OPS += len(rows) * nfrom * out.shape[1]
-    return out
+    FIELD_OPS += len(rows) * nfrom * len(fresh)
+    computed = _fresh_map(field, n, dfrom, dto, b)(rows)
+    return np.concatenate([rows, computed], axis=1)[:, order]
+
+
+@lru_cache(maxsize=512)
+def _split(q: int, n: int, dfrom: int, dto: int,
+           b: int) -> tuple[np.ndarray, np.ndarray]:
+    """(fresh, order) for effective degrees: the positions in T(n-b, dto)
+    x GF(q)^b of the points outside T(n, dfrom), and for every target
+    point its position among the source values followed by the fresh
+    ones, found by key."""
+    src_keys = _point_data(q, n, dfrom, 0).keys
+    to_keys = _point_data(q, n, dto, b).keys
+    order = np.searchsorted(src_keys, to_keys)
+    fresh = np.flatnonzero(
+        src_keys[np.minimum(order, len(src_keys) - 1)] != to_keys)
+    order[fresh] = len(src_keys) + np.arange(len(fresh))
+    return fresh, order
 
 
 @lru_cache(maxsize=64)
-def _reevaluation_map(field: FieldSpec, n: int, dfrom: int, dto: int,
-                      b: int):
-    """The axis route of reevaluate on effective degrees, compiled as one
-    matrix from its images of the unit vectors."""
+def _fresh_map(field: FieldSpec, n: int, dfrom: int, dto: int, b: int):
+    """The axis route of reevaluate on effective degrees, restricted to
+    the fresh target points and compiled as one matrix from its images
+    of the unit vectors, 64 of them per axis-route call."""
     nfrom = len(_point_data(field.q, n, dfrom, 0).keys)
-    images = _reevaluate_axes(field, np.eye(nfrom, dtype=np.int64), n,
-                              dfrom, dto, b)
+    fresh = _split(field.q, n, dfrom, dto, b)[0]
+    images = np.empty((nfrom, len(fresh)), dtype=np.int64)
+    for start in range(0, nfrom, 64):
+        units = np.eye(min(64, nfrom - start), nfrom, start, dtype=np.int64)
+        images[start:start + len(units)] = _reevaluate_axes(
+            field, units, n, dfrom, dto, b)[:, fresh]
     return field.compile_matrix(images.T)
 
 

@@ -4,7 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import full_grid, random_system
@@ -374,6 +374,24 @@ class TestDistinctColumns:
             got = core._leaf_sums(field, on_cols, cls.reshape(-1), b)
             want = core._leaf_sums(field, on_points, slice(None), b)
             assert got.shape == (reps, 5) and (got == want).all()
+
+    @given(st.sampled_from([2, 4, 65521]), st.integers(1, 4),
+           st.integers(1, 40), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    @example(65521, 1, 1, 1, 0)   # a single point
+    @example(2, 1, 30, 2, 1)      # m = 1
+    @example(4, 3, 25, 1, 2)      # all columns equal
+    @settings(max_examples=60, deadline=None)
+    def test_split_matches_numpy_unique(self, q, m, npts, pool, seed):
+        # the row-by-row ranking gives np.unique's columns, in its order,
+        # and its inverse; the columns come from a pool of at most `pool`
+        # random ones, so they repeat
+        rng = np.random.default_rng(seed)
+        choices = rng.integers(0, q, size=(m, pool))
+        base = choices[:, rng.integers(0, pool, size=npts)]
+        want_cols, want_cls = np.unique(base, axis=1, return_inverse=True)
+        cols, cls = core._distinct_columns(base)
+        assert cols.tolist() == want_cols.tolist()
+        assert cls.tolist() == want_cls.reshape(-1).tolist()
 
     def test_partial_sums_match_the_oracle(self, monkeypatch):
         # with few distinct columns (3 rows over GF(3), two vote levels)

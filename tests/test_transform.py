@@ -147,8 +147,9 @@ class TestBatched:
     def test_reevaluate_matches_naive_evaluation(self, monkeypatch):
         # target sets above, equal to and below the source degree, each
         # through every route that applies: reevaluate's own pick, the
-        # gather or axis route with DENSE_LIMIT = 0, the dense map (built
-        # here past the cache, whatever its size) and the axis route
+        # gather or axis route with DENSE_LIMIT = 0, the gather with the
+        # fresh-point map (built here past the cache, whatever its size)
+        # and the axis route
         rng = np.random.default_rng(14)
         contained = 0
         for _ in range(40):
@@ -167,11 +168,13 @@ class TestBatched:
             efrom = transform._effective_delta(q, n, dfrom, 0)
             eto = transform._effective_delta(q, n, dto, b)
             contained += eto + b * (q - 1) <= efrom
-            dense = transform._reevaluation_map.__wrapped__(
-                f, n, efrom, eto, b)
+            fresh_map = transform._fresh_map.__wrapped__(f, n, efrom, eto, b)
+            order = transform._split(q, n, efrom, eto, b)[1]
+            mapped = np.concatenate([values, fresh_map(values)],
+                                    axis=1)[:, order]
             routes = {
                 "pick": transform.reevaluate(f, values, n, dfrom, dto, b),
-                "dense": dense(values),
+                "fresh map": mapped,
                 "axis": transform._reevaluate_axes(f, values, n, efrom,
                                                    eto, b)}
             with monkeypatch.context() as m:
@@ -184,13 +187,15 @@ class TestBatched:
 
     def test_reevaluate_builds_no_map_over_the_limit(self, monkeypatch):
         # with DENSE_LIMIT = 4096, compile_matrix runs once per distinct
-        # map within the limit and never for the others; the axis blocks
-        # are compiled beforehand, so every call counted builds a map
+        # fresh-point map within the limit and never for the others; the
+        # axis blocks are compiled beforehand, so every call counted
+        # builds a map
         limit = 4096
-        cases = [(2, 6, 4, 5, 1),   # 57 x 64: within the limit
-                 (3, 3, 2, 4, 1),   # 10 x 27: within the limit
-                 (3, 5, 8, 8, 1),   # 237 x 243: over it
-                 (4, 3, 2, 3, 1),   # 10 x 40, times k^2 = 4: within it
+        cases = [(2, 6, 4, 5, 1),   # 57 x 7 fresh: within the limit
+                 (3, 3, 2, 4, 1),   # 10 x 17: within the limit
+                 (3, 5, 8, 8, 1),   # 237 x 6: within the limit
+                 (2, 8, 4, 6, 1),   # 163 x 91: over it
+                 (4, 3, 2, 3, 1),   # 10 x 30, times k^2 = 4: within it
                  (4, 4, 12, 9, 1),  # the target lies inside the source
                  (2, 6, 4, 5, 1)]   # the first map, cached
         rng = np.random.default_rng(15)
@@ -208,17 +213,63 @@ class TestBatched:
             shapes.append((mat.shape, self.k))
             return compile_matrix(self, mat)
 
-        transform._reevaluation_map.cache_clear()
+        transform._fresh_map.cache_clear()
         monkeypatch.setattr(transform, "DENSE_LIMIT", limit)
         monkeypatch.setattr(FieldSpec, "compile_matrix", counting_compile)
         for q, n, dfrom, dto, b, values, want in inputs:
             got = transform.reevaluate(make_field(q), values, n, dfrom, dto,
                                        b)
             assert (got == want).all()
-        transform._reevaluation_map.cache_clear()
-        assert sorted(shapes) == [((27, 10), 1), ((40, 10), 2),
-                                  ((64, 57), 1)]
+        transform._fresh_map.cache_clear()
+        assert sorted(shapes) == [((6, 237), 1), ((7, 57), 1),
+                                  ((17, 10), 1), ((30, 10), 2)]
         assert all(r * c * k * k <= limit for (r, c), k in shapes)
+
+    def test_fresh_map_built_64_units_at_a_time(self, monkeypatch):
+        # the 237 source points of T(5, 8) over GF(3) go through the axis
+        # route as unit rows, at most 64 per call, and the map agrees with
+        # that route on the 6 fresh points of T(4, 8) x GF(3)
+        f = make_field(3)
+        calls, axes = [], transform._reevaluate_axes
+
+        def spied_axes(field, values, *args):
+            calls.append(len(values))
+            return axes(field, values, *args)
+
+        monkeypatch.setattr(transform, "_reevaluate_axes", spied_axes)
+        fresh_map = transform._fresh_map.__wrapped__(f, 5, 8, 8, 1)
+        assert max(calls) <= 64 and sum(calls) == 237
+        rows = np.random.default_rng(17).integers(0, 3, size=(5, 237))
+        fresh = transform._split(3, 5, 8, 8, 1)[0]
+        assert len(fresh) == 6
+        assert (fresh_map(rows) == axes(f, rows, 5, 8, 8, 1)[:, fresh]).all()
+
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_reevaluate_agrees_with_the_axis_route(self, q):
+        # random rows on nested sets T(n, dfrom) inside T(n-b, dto) x
+        # GF(q)^b: reevaluate's pick equals the axis route whether the
+        # target has no fresh point, a few (at most half) or many, with
+        # and without a grid suffix, at k = 1 and k = 2
+        f = make_field(q)
+        rng = np.random.default_rng(18 + q)
+        seen = set()
+        for _ in range(80):
+            n = int(rng.integers(1, 5))
+            b = int(rng.integers(0, n + 1))
+            dfrom = int(rng.integers(0, n * (q - 1) + 1))
+            dto = int(rng.integers(0, n * (q - 1) + 1))
+            efrom = transform._effective_delta(q, n, dfrom, 0)
+            eto = transform._effective_delta(q, n, dto, b)
+            fresh, order = transform._split(q, n, efrom, eto, b)
+            rows = rng.integers(0, q, size=(3, len(
+                transform._point_data(q, n, efrom, 0).keys)))
+            got = transform.reevaluate(f, rows, n, dfrom, dto, b)
+            want = transform._reevaluate_axes(f, rows, n, efrom, eto, b)
+            assert (got == want).all(), (q, n, dfrom, dto, b)
+            seen.add((b > 0, "none" if not len(fresh) else
+                      "few" if 2 * len(fresh) <= len(order) else "many"))
+        assert seen == {(s, kind) for s in (False, True)
+                        for kind in ("none", "few", "many")}
 
 
 class TestMatrices:
@@ -298,6 +349,19 @@ class TestOpCounting:
         slope = (ops * sizes).sum() / (sizes * sizes).sum()
         ratio = ops / (slope * sizes)
         assert ratio.max() <= 2.0 and ratio.min() >= 0.5
+
+    def test_reevaluate_counts_fresh_products_only(self, monkeypatch):
+        # a warm fresh-point map counts rows * |T_from| * |fresh| (237
+        # source points, 6 fresh ones); a pure gather counts nothing
+        f = make_field(3)
+        rows = np.random.default_rng(19).integers(0, 3, size=(5, 237))
+        transform.reevaluate(f, rows, 5, 8, 8, 1)
+        monkeypatch.setattr(transform, "FIELD_OPS", 0)
+        transform.reevaluate(f, rows, 5, 8, 8, 1)
+        assert transform.FIELD_OPS == 5 * 237 * 6
+        monkeypatch.setattr(transform, "FIELD_OPS", 0)
+        transform.reevaluate(f, rows, 5, 8, 6, 1)
+        assert transform.FIELD_OPS == 0
 
 
 class TestSerialization:
