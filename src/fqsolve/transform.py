@@ -13,10 +13,18 @@ Newton-to-values is lower triangular and monomial-to-Newton preserves the
 total-degree filtration, so every one-dimensional slice of the trimmed
 set closes under both passes and the work per axis is one small
 triangular matrix per slice.  Total cost is O(n * |T| * q^b) field
-operations (constants depending on q); FIELD_OPS accumulates the exact
-multiply-accumulate count of what ran, for scaling measurements: each
-axis pass adds batch * (sum of its slice lengths squared), a fresh-point
-map (below) batch * |T_from| * |fresh|, and a gather 0.
+operations (constants depending on q); FIELD_OPS accumulates the
+algorithm's nominal multiply-accumulate count, for scaling measurements:
+each axis pass adds batch * (sum of its slice lengths squared), skipped
+slices included, a fresh-point map (below) batch * |T_from| * |fresh|,
+and a gather 0.
+
+A slice of length ln goes through the leading ln x ln block of its frame.
+Where that block is the identity the pass skips the slice, which is exact,
+since those values are already in place.  This holds for every frame at
+ln = 1, for both monomial/Newton frames at ln = 2 (sigma_0 = 0 makes
+N_1 = x), and for the inverse Vandermonde at ln = 2 in GF(2^k), k >= 2,
+where -a^(q-2) is 0 at a = 0 and 1 at a = 1.
 
 Every axis pass works on the last axis of an array, so a batch of value
 vectors (one row each) goes through each slice length in a single
@@ -86,6 +94,11 @@ class TrimmedEvaluation:
             raise SizeMismatchError(
                 f"{len(self.values)} values for a point set of size "
                 f"{self.point_set.size()}")
+        # an axis pass leaves the slices of its identity blocks unreduced,
+        # so a value outside the field would reach the coefficients
+        vals, q = self.values, self.field.q
+        if len(vals) and not 0 <= np.min(vals) <= np.max(vals) < q:
+            raise SizeMismatchError(f"values must lie in 0..{q - 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -187,23 +200,35 @@ def _compiled_block(field: FieldSpec, name: str, ln: int):
     return field.compile_matrix(_matrices(field)[name][:ln, :ln])
 
 
+@cache
+def _is_identity(field: FieldSpec, name: str, ln: int) -> bool:
+    """Whether the ln x ln leading block of a frame is the identity, which
+    an axis pass then skips.  Sized and built as _compiled_block would,
+    so a refused block raises the same error here."""
+    field.check_matrix_size(ln, ln)
+    return np.array_equal(_matrices(field)[name][:ln, :ln],
+                          np.eye(ln, dtype=np.int64))
+
+
 def _apply_axis(field: FieldSpec, arr: np.ndarray,
                 groups: dict[int, np.ndarray], name: str) -> None:
     """One axis pass in place over the last axis of arr, a vector or a
     (batch, points) array.  A batch goes through each slice length in one
     matrix application; a single row is indexed as a vector, which costs
-    less per call."""
+    less per call.  Slice lengths whose block is the identity are left as
+    they are, and still counted in FIELD_OPS."""
     global FIELD_OPS
     if arr.ndim == 2 and len(arr) == 1:
         arr = arr[0]
     batch = 1 if arr.ndim == 1 else len(arr)
     for ln, idx in groups.items():
-        fn = _compiled_block(field, name, ln)
-        if arr.ndim == 1:
-            arr[idx] = fn(arr[idx])
-        else:
-            block = np.take(arr, idx, axis=1)
-            arr[:, idx] = fn(block.reshape(-1, ln)).reshape(block.shape)
+        if not _is_identity(field, name, ln):
+            fn = _compiled_block(field, name, ln)
+            if arr.ndim == 1:
+                arr[idx] = fn(arr[idx])
+            else:
+                block = np.take(arr, idx, axis=1)
+                arr[:, idx] = fn(block.reshape(-1, ln)).reshape(block.shape)
         FIELD_OPS += batch * idx.shape[0] * ln * ln
 
 

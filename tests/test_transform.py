@@ -69,6 +69,14 @@ class TestInterpolate:
         with pytest.raises(SizeMismatchError):
             transform.TrimmedEvaluation(f, ps, np.zeros(3, dtype=np.int64))
 
+    @pytest.mark.parametrize("q, value", [(5, 7), (4, 7), (3, -1)])
+    def test_values_outside_the_field_refused(self, q, value):
+        # a one-point set's only slices have length 1, whose identity
+        # blocks are skipped, so nothing would reduce the value
+        ps = TrimmedPointSet(q, 2, 0, 0)
+        with pytest.raises(SizeMismatchError, match="must lie in"):
+            transform.TrimmedEvaluation(make_field(q), ps, np.array([value]))
+
 
 class TestRoundtrip:
     def test_random_roundtrips(self):
@@ -316,6 +324,113 @@ class TestMatrices:
         monkeypatch.setattr(transform, "_matrices", no_frames)
         with pytest.raises(TooLargeError, match="entries"):
             transform._compiled_block(make_field(2048), "VN", 2048)
+
+
+def _witness_axis(ops):
+    """An axis pass that sends every slice length through _compiled_block,
+    identity blocks included, as a batch, adding batch * slices * ln^2 to
+    ops[0]."""
+    def apply_axis(field, arr, groups, name):
+        rows = arr.reshape(-1, arr.shape[-1])
+        for ln, idx in groups.items():
+            fn = transform._compiled_block(field, name, ln)
+            block = rows[:, idx]
+            rows[:, idx] = fn(block.reshape(-1, ln)).reshape(block.shape)
+            ops[0] += len(rows) * idx.shape[0] * ln * ln
+    return apply_axis
+
+
+def _identity_pairs(q):
+    """The (frame, ln) blocks that are the identity: every frame at ln = 1,
+    the monomial/Newton pair at ln = 2 (sigma_0 = 0 makes N_1 = x), and
+    the inverse Vandermonde at ln = 2 in GF(2^k), k >= 2, where -a^(q-2)
+    is 0 at a = 0 and 1 at a = 1."""
+    pairs = {(name, 1) for name in ("W", "Winv", "VN", "VNinv", "NtoM",
+                                    "MtoN")}
+    pairs |= {("MtoN", 2), ("NtoM", 2)}
+    if q in (4, 8, 16, 64):
+        pairs.add(("Winv", 2))
+    return pairs
+
+
+class TestIdentityBlocks:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16])
+    def test_outputs_and_counts_match_the_full_axis_loop(self, q,
+                                                         monkeypatch):
+        # every caller of the axis pass, on one row (the vector path) and
+        # on three (the batch path), gives the values and FIELD_OPS of the
+        # loop that applies every block
+        f = make_field(q)
+        rng = np.random.default_rng(40 + q)
+        n, dfrom, dto = 3, 2, 3
+
+        def both(call):
+            monkeypatch.setattr(transform, "FIELD_OPS", 0)
+            got = call()
+            ops = [0]
+            with monkeypatch.context() as m:
+                m.setattr(transform, "_apply_axis", _witness_axis(ops))
+                want = call()
+            assert transform.FIELD_OPS == ops[0] > 0
+            return got, want
+
+        for b in (0, 1, 2):
+            for rows in (1, 3):
+                polys = [random_polynomial(rng, q, n, dto, max_terms=8)
+                         for _ in range(rows)]
+                got, want = both(lambda: transform.evaluate_values(
+                    f, n, polys, dto, b))
+                assert (got == want).all(), (q, b, rows, "evaluate")
+                values = transform.evaluate_values(f, n, polys, dfrom, 0)
+                efrom = transform._effective_delta(q, n, dfrom, 0)
+                eto = transform._effective_delta(q, n, dto, b)
+                got, want = both(lambda: transform._reevaluate_axes(
+                    f, values, n, efrom, eto, b))
+                assert (got == want).all(), (q, b, rows, "reevaluate")
+            ev = evaluate_trimmed(polys[0], dto, b)
+            got, want = both(lambda: interpolate_trimmed(ev))
+            assert got == want == polys[0], (q, b, "interpolate")
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 64, 81])
+    def test_skipped_blocks_are_the_identity_ones(self, q):
+        f = make_field(q)
+        frames = transform._matrices(f)
+        skipped = {(name, ln) for name in frames for ln in range(1, q + 1)
+                   if transform._is_identity(f, name, ln)}
+        eye = {(name, ln) for name, mat in frames.items()
+               for ln in range(1, q + 1)
+               if (mat[:ln, :ln] == np.eye(ln, dtype=np.int64)).all()}
+        assert skipped == eye == _identity_pairs(q)
+
+    def test_skipped_blocks_are_never_fetched(self, monkeypatch):
+        # over GF(2) every slice has length 1 or 2; a round trip on
+        # T(2, 2) x GF(2) fetches only the four blocks that are not the
+        # identity
+        fetched, compiled = [], transform._compiled_block
+
+        def spied(field, name, ln):
+            fetched.append((name, ln))
+            return compiled(field, name, ln)
+
+        monkeypatch.setattr(transform, "_compiled_block", spied)
+        p = random_polynomial(np.random.default_rng(47), 2, 3, 2)
+        assert interpolate_trimmed(evaluate_trimmed(p, 2, 1)) == p
+        assert set(fetched) == {("VN", 2), ("W", 2), ("VNinv", 2),
+                                ("Winv", 2)}
+
+    def test_refusals_do_not_move(self, monkeypatch):
+        # a constant's slices all have length 1, whose blocks are skipped,
+        # yet GF(3347)'s frames are refused as before; an oversize block
+        # is refused before the frames are built
+        f = make_field(3347)
+        with pytest.raises(TooLargeError, match="67214454 entries"):
+            evaluate_trimmed(Polynomial.constant(f, 2, 5), 0, 0)
+
+        def no_frames(field):
+            raise AssertionError("frames built for a refused block")
+        monkeypatch.setattr(transform, "_matrices", no_frames)
+        with pytest.raises(TooLargeError, match="entries"):
+            transform._is_identity.__wrapped__(make_field(2048), "VN", 2048)
 
 
 class TestKeyWidth:
