@@ -236,10 +236,11 @@ def _array_sizes(field: FieldSpec, n: int, levels,
     repetition's above it); at the level next to the leaf a chunk's root
     table gathered onto the leaf points; and a chunk's values on the set
     the level re-evaluates through, which holds both the child's set and
-    the target.  The float64 products of the combinations and of a chunk
-    are k entries wide, so their counts carry k.  Temporaries are not
-    counted: rs_draw's, which peak at three to four times the draws, and
-    _distinct_columns' few point-length vectors."""
+    the target.  The float products of the combinations and of a chunk
+    (float32 or float64, see field.py) are k digits wide, so their counts
+    carry k.  Temporaries are not counted: rs_draw's, which peak at three
+    to four times the draws, and _distinct_columns' few point-length
+    vectors."""
     q, k = field.q, field.k
     beta_leaf, delta_leaf, _ = levels[-1]
     leaf = TrimmedPointSet(q, n, delta_leaf, beta_leaf).size()

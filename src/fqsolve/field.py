@@ -17,28 +17,41 @@ which take Python ints as well as arrays.
 
 Every matrix product over the field goes through `compile_matrix`, which
 expands the matrix once, by a table gather, into an F_p matrix on base-p
-digit vectors; each product is then one float64 (BLAS) matmul followed by
-a reduction mod p.  Both factors have entries in 0..p-1, so every partial
-sum of an inner product of length L is an integer of at most L(p-1)^2,
-exact in float64 while that stays below 2^53; `compile_matrix` refuses
-longer products with `TooLargeError`.
+digit rows, in which each element stands as its k digits (`to_digits`;
+`from_digits` recombines them).  Its one kernel maps float digit rows
+(r, Ik) to reduced digit rows (r, Jk) with one BLAS matmul and the floor
+reduction below.  The index-row map that the solver calls is that kernel
+between one digit gather and one recombination; the transform's axis
+passes keep digit rows from their first pass to their last.  Both factors
+have entries in 0..p-1, so every partial sum of an inner product of
+length L = Ik is an integer of at most L(p-1)^2, exact in float64 while
+that stays below 2^53; `compile_matrix` refuses longer products with
+`TooLargeError`.
 
-Prime fields reduce the product as int64 with `% p`.  For k >= 2 the
-rows are gathered into digits with `np.take` (a fancy-index gather costs
-over ten times as much), and the float64 product y is reduced in place as
-y - p*floor((y + 1/2) * (1/p)), then recombined by a float64 product with
-the powers of p.  This is exact for every integer 0 <= y < 2^51
-(REDUCE_LIMIT): (y + 1/2)/p lies at least 1/(2p) from the nearest
-integer, since its fractional part is (y mod p + 1/2)/p, while rounding
-1/p and the product moves it by less than 2^-52 (y + 1/2)/p < 1/(2p); so
-the floor is the exact quotient and the rest is exact integer arithmetic.
-`compile_matrix` checks L(p-1)^2 < 2^51 for k >= 2, which its other
-checks already imply: p <= 256 when k >= 2 and q <= ORDER_LIMIT, and
-ENTRY_LIMIT bounds L = Ik by 2^26, so y < 2^26 * 255^2 < 2^42.  The
-integer `% p` stays for k = 1, where p reaches 65521 and products near
-2^53, and where the float reduction measured slower on single rows.
+The product y is reduced in place as y - p*floor((y + 1/2) * (1/p)), in
+its own float type with 1/p rounded to that type.  With m mantissa bits
+(53 in float64, 24 in float32) this is exact for every integer 0 <= y <
+2^(m-2): REDUCE_LIMIT = 2^51 in float64, FLOAT32_LIMIT = 2^22 in float32.
+y + 1/2 is exact, and (y + 1/2)/p lies at least 1/(2p) from the nearest
+integer, since its fractional part is (y mod p + 1/2)/p.  Rounding 1/p
+and the product moves it by at most (2u + u^2)(y + 1/2)/p, u = 2^-m,
+which is below 1/(2p) because y + 1/2 <= 2^(m-2) - 1/2.  So the floor is
+the exact quotient, and the rest is exact integer arithmetic.
 
-Other digit gathers (`vadd`, `vneg`, `vsum_axis`) use `np.take` too.
+The float type is a property of the product (`float_type`): float32 when
+L(p-1)^2 < FLOAT32_LIMIT, which also keeps every partial sum below
+float32's 2^24, and float64 otherwise.  float32 halves the bytes that a
+kernel moves, and a float32 BLAS product gives the same integers.  For
+k >= 2, `compile_matrix` checks L(p-1)^2 < 2^51, which its other checks
+already imply: p <= 256 when k >= 2 and q <= ORDER_LIMIT, and ENTRY_LIMIT
+bounds L = Ik by 2^26, so y < 2^26 * 255^2 < 2^42.  For k = 1, p reaches
+65521 and products up to 2^53 are accepted.  From REDUCE_LIMIT on they
+are reduced by `np.fmod`, which is exact and slower.  Below it, k = 1
+uses the floor reduction as every other product does.  Digits and
+indices lie below 2^16, so both conversions are exact in either type.
+
+Every digit gather (`to_digits`, `vadd`, `vneg`, `vsum_axis`) uses
+`np.take`: a fancy-index gather costs over ten times as much.
 
 Before allocating, `compile_matrix` checks the IJk^2 entries of the
 expanded matrix and `transform._matrices` the 6q^2 entries of its frames
@@ -58,6 +71,7 @@ ORDER_LIMIT = 1 << 16  # largest supported field order
 TABLE_LIMIT = 256      # largest order that gets dense q*q tables
 EXACT_LIMIT = 1 << 53  # float64 represents every integer below this
 REDUCE_LIMIT = 1 << 51  # the float64 mod-p reduction is exact below this
+FLOAT32_LIMIT = 1 << 22  # the float32 mod-p reduction is exact below this
 ENTRY_LIMIT = 1 << 26  # most entries one field-matrix build may allocate
 
 
@@ -142,6 +156,19 @@ def _smallest_irreducible(p: int, k: int) -> list[int]:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+def _reduce(y: np.ndarray, p: int) -> np.ndarray:
+    """y mod p in place, for a float array of nonnegative integers: y -
+    p*floor((y + 1/2) * (1/p)) in y's own type, exact below REDUCE_LIMIT in
+    float64 and FLOAT32_LIMIT in float32 (module docstring)."""
+    t = y.dtype.type
+    z = y + t(0.5)
+    z *= t(1) / t(p)
+    np.floor(z, out=z)
+    z *= t(p)
+    y -= z
+    return y
+
+
 class FieldSpec:
     """A concrete GF(p^k); construct through :func:`make_field`."""
 
@@ -158,10 +185,13 @@ class FieldSpec:
             self.digits = np.stack(
                 [(idx // p ** i) % p for i in range(k)], axis=1
             )
-            self._fdigits = self.digits.astype(np.float64)
+            # digit and power tables in both float types of the kernel
+            types = (np.float32, np.float64)
+            self._fdigits = {t: self.digits.astype(t) for t in types}
+            self._fppow = {t: self._ppow.astype(t) for t in types}
             self._exp, self._log = self._build_exp_log()
         else:
-            self.digits = self._fdigits = None
+            self.digits = self._fdigits = self._fppow = None
             self._exp = self._log = None
         # vadd, vneg and vmul run untabled while the tables are still None
         self.add_table = self.neg_table = self.mul_table = None
@@ -320,46 +350,71 @@ class FieldSpec:
                 f"a {nout}x{nin} matrix over GF({self.q}) expands to "
                 f"{nout * nin * k * k} entries, over {ENTRY_LIMIT}")
 
+    def float_type(self, nin: int) -> type:
+        """The float type of a product of length nin over the field:
+        float32 while its inner products stay below FLOAT32_LIMIT, where
+        the float32 reduction is exact (module docstring), else float64."""
+        if nin * self.k * (self.p - 1) ** 2 < FLOAT32_LIMIT:
+            return np.float32
+        return np.float64
+
+    def to_digits(self, values: np.ndarray, ftype: type) -> np.ndarray:
+        """Digit rows of ftype for an int64 index array: (..., N) becomes
+        (..., N*k), each element's k base-p digits in place of it."""
+        if self.k == 1:
+            return values.astype(ftype)
+        shape = values.shape[:-1] + (values.shape[-1] * self.k,)
+        return np.take(self._fdigits[ftype], values, axis=0).reshape(shape)
+
+    def from_digits(self, digits: np.ndarray) -> np.ndarray:
+        """The int64 indices of reduced float digit rows, the inverse of
+        to_digits."""
+        k = self.k
+        if k == 1:
+            return digits.astype(np.int64)
+        shape = digits.shape[:-1] + (digits.shape[-1] // k,)
+        # 2-D @ 1-D: a stacked (r, n, k) @ ppow runs ten times slower
+        out = digits.reshape(-1, k) @ self._fppow[digits.dtype.type]
+        return out.astype(np.int64).reshape(shape)
+
     def compile_matrix(self, mat: np.ndarray):
-        """Bake the linear map of a J-by-I matrix into one float64 matmul.
+        """Bake the linear map of a J-by-I matrix into one float matmul.
 
         Multiplication by a fixed field element is F_p-linear on base-p
         digit vectors, so the matrix expands to an Ik-by-Jk matrix over
-        F_p acting on digit-expanded rows of length I (for k = 1, the
-        matrix itself).  The product runs in float64, which is exact
+        F_p acting on digit rows of length Ik (for k = 1, the matrix
+        itself), in the float type `float_type(I)`.  The product is exact
         because Ik(p-1)^2 < 2^53 (2^51 for k >= 2, see the module
         docstring) is checked here, before anything is allocated; the
         result is then the same for any BLAS summation order or thread
         count.
+
+        The returned map takes float digit rows (r, Ik) to reduced digit
+        rows (r, Jk), of the rows' type or wider, and int64 index rows
+        (r, I) to int64 index rows (r, J): the same product between
+        `to_digits` and `from_digits`.
         """
         p, k = self.p, self.k
         nout, nin = mat.shape
         self.check_matrix_size(nout, nin)
+        ftype = self.float_type(nin)
         if k == 1:
-            mt = (mat.T % p).astype(np.float64)
+            mt = (mat.T % p).astype(ftype)
+        else:
+            # mt[i, c, j, d] = digit d of mat[j, i] * p^c
+            mt = self._fdigits[ftype][self.vmul(mat[..., None], self._ppow)]
+            mt = mt.transpose(1, 2, 0, 3).reshape(nin * k, nout * k)
+        # only k = 1 products reach 2^51, where fmod is exact and slower
+        floor = nin * k * (p - 1) ** 2 < REDUCE_LIMIT
 
-            def apply(rows: np.ndarray) -> np.ndarray:
-                return (rows.astype(np.float64) @ mt).astype(np.int64) % p
-            return apply
-
-        fdigits, ppow = self._fdigits, self._ppow
-        # big_t[i, c, j, d] = digit d of mat[j, i] * p^c
-        big_t = fdigits[self.vmul(mat[..., None], ppow)].transpose(1, 2, 0, 3)
-        big_t = big_t.reshape(nin * k, nout * k)
-        fppow, inv_p = ppow.astype(np.float64), 1.0 / p
+        def reduced(rows: np.ndarray) -> np.ndarray:
+            y = rows @ mt
+            return _reduce(y, p) if floor else np.fmod(y, p, out=y)
 
         def apply(rows: np.ndarray) -> np.ndarray:
-            r = rows.shape[0]
-            y = np.take(fdigits, rows, axis=0).reshape(r, nin * k) @ big_t
-            # y mod p in place, exact below REDUCE_LIMIT (module docstring)
-            z = y + 0.5
-            z *= inv_p
-            np.floor(z, out=z)
-            z *= p
-            y -= z
-            # 2-D @ 1-D: a stacked (r, nout, k) @ ppow runs ten times slower
-            out = y.reshape(r * nout, k) @ fppow
-            return out.astype(np.int64).reshape(r, nout)
+            if rows.dtype.kind == "f":
+                return reduced(rows)
+            return self.from_digits(reduced(self.to_digits(rows, ftype)))
         return apply
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -31,6 +31,20 @@ vectors (one row each) goes through each slice length in a single
 application of the field's one matrix kernel, `FieldSpec.compile_matrix`;
 `evaluate_values` and `reevaluate` are the batched forms the solver uses.
 
+The passes run on float digit rows (`FieldSpec.to_digits`: each value
+becomes its k base-p digits).  `evaluate_values`, `interpolate_trimmed`
+and the axis route convert their int64 values to digit rows once, run
+every pass on those rows in place, and convert back once.  The rows have
+one float type per field, the one its largest block, q x q, needs
+(`FieldSpec.float_type`): float32 for every q <= 81 and every prime up to
+157, float64 above.  A pass holds the rows in its axis's slice order, in
+which the slices of each length form one contiguous run: each block
+reads its run and writes it back in place, with no gather or scatter of
+its own.  Going from one order to the next is one `np.take` of whole
+elements (the k digits of an element viewed as one item); the orders and
+the moves between them are cached per point set in `_PointData`, and a
+pass whose every block is the identity does not move the rows.
+
 `reevaluate` maps the values of polynomials of degree <= dfrom on
 T_from = T(n, dfrom) to their values on the target T(n-b, dto) x
 GF(q)^b.  Trimmed sets nest: a source point lies in every set of degree
@@ -106,7 +120,11 @@ class TrimmedEvaluation:
 # ---------------------------------------------------------------------------
 
 class _PointData:
-    __slots__ = ("points", "keys", "strides", "groups")
+    """The points of T(n-b, delta) x GF(q)^b in canonical (key) order and,
+    per axis, in the axis's slice order: every slice along the axis
+    contiguous in coordinate order, the slices grouped by length.  spans
+    maps each slice length to its range in that order."""
+    __slots__ = ("points", "keys", "strides", "orders", "spans", "_moves")
 
     def __init__(self, q: int, n: int, delta: int, b: int):
         pts = point_matrix(q, n, delta, b)
@@ -114,7 +132,7 @@ class _PointData:
         self.strides = np.array([q ** (n - 1 - i) for i in range(n)],
                                 dtype=np.int64)
         self.keys = pts @ self.strides  # ascending, since pts is lex sorted
-        self.groups = []
+        self.orders, self.spans, self._moves = [], [], {}
         for axis in range(n):
             rest = self.keys - pts[:, axis] * self.strides[axis]
             order = np.lexsort((pts[:, axis], rest))
@@ -123,12 +141,29 @@ class _PointData:
             starts = np.concatenate(([0], boundaries))
             ends = np.concatenate((boundaries, [len(order)]))
             lengths = ends - starts
-            by_len: dict[int, np.ndarray] = {}
+            parts, spans, at = [], {}, 0
             for ln in np.unique(lengths):
                 sel = starts[lengths == ln]
-                idx = sel[:, None] + np.arange(ln)[None, :]
-                by_len[int(ln)] = order[idx]
-            self.groups.append(by_len)
+                parts.append(order[sel[:, None] + np.arange(ln)].ravel())
+                spans[int(ln)] = (at, at + len(parts[-1]))
+                at += len(parts[-1])
+            # int32 halves what the orders hold; the moves that the passes
+            # gather with are int64, which np.take uses without a copy
+            self.orders.append(np.concatenate(parts).astype(np.int32))
+            self.spans.append(spans)
+
+    def move(self, frm: int | None, to: int | None) -> np.ndarray:
+        """The positions in order frm of the points of order to, in order;
+        None is the canonical order, an int an axis's slice order."""
+        if (frm, to) not in self._moves:
+            size = len(self.keys)
+            dst = np.arange(size) if to is None else self.orders[to]
+            if frm is not None:
+                inv = np.empty(size, dtype=np.int64)
+                inv[self.orders[frm]] = np.arange(size)
+                dst = inv[dst]
+            self._moves[frm, to] = dst.astype(np.int64, copy=False)
+        return self._moves[frm, to]
 
 
 @lru_cache(maxsize=512)
@@ -210,26 +245,60 @@ def _is_identity(field: FieldSpec, name: str, ln: int) -> bool:
                           np.eye(ln, dtype=np.int64))
 
 
-def _apply_axis(field: FieldSpec, arr: np.ndarray,
-                groups: dict[int, np.ndarray], name: str) -> None:
-    """One axis pass in place over the last axis of arr, a vector or a
-    (batch, points) array.  A batch goes through each slice length in one
-    matrix application; a single row is indexed as a vector, which costs
-    less per call.  Slice lengths whose block is the identity are left as
-    they are, and still counted in FIELD_OPS."""
+def _float_type(field: FieldSpec) -> type:
+    """The float type of the transform's digit rows over the field, the
+    one its largest block, q x q, needs."""
+    return field.float_type(field.q)
+
+
+def _elements(digits: np.ndarray, k: int) -> np.ndarray:
+    """A view of float digit rows with one item per field element, its k
+    digits, so that gathers move whole elements."""
+    if k == 1:
+        return digits
+    return digits.view(np.dtype((np.void, k * digits.itemsize)))
+
+
+class _Rows:
+    """Float digit rows over one point set, a vector or a (batch,
+    points*k) array, held in the canonical order or in one axis's slice
+    order (see _PointData).  Reordering is one gather of whole elements."""
+    __slots__ = ("points", "ftype", "elems", "order")
+
+    def __init__(self, field: FieldSpec, points: _PointData,
+                 digits: np.ndarray):
+        self.points, self.ftype = points, digits.dtype
+        self.elems, self.order = _elements(digits, field.k), None
+
+    def arrange(self, order: int | None) -> np.ndarray:
+        """The digit rows in the given order (None: canonical)."""
+        if order != self.order:
+            self.elems = np.take(self.elems,
+                                 self.points.move(self.order, order), axis=-1)
+            self.order = order
+        return self.elems.view(self.ftype)
+
+
+def _apply_axis(field: FieldSpec, rows: _Rows, axis: int, name: str) -> None:
+    """One axis pass in place.  In the axis's slice order the slices of
+    each length are one contiguous run of rows * slices * ln elements,
+    which goes through the length's block in one matrix application and
+    is written back where it was.  The rows are put in that order only
+    when some length's block is not the identity; identity blocks are
+    left as they are, and still counted in FIELD_OPS."""
     global FIELD_OPS
-    if arr.ndim == 2 and len(arr) == 1:
-        arr = arr[0]
-    batch = 1 if arr.ndim == 1 else len(arr)
-    for ln, idx in groups.items():
-        if not _is_identity(field, name, ln):
+    spans = rows.points.spans[axis]
+    batch = 1 if rows.elems.ndim == 1 else len(rows.elems)
+    run = [ln for ln in spans if not _is_identity(field, name, ln)]
+    if run:
+        arr, k = rows.arrange(axis), field.k
+        for ln in run:
+            start, stop = spans[ln]
             fn = _compiled_block(field, name, ln)
-            if arr.ndim == 1:
-                arr[idx] = fn(arr[idx])
-            else:
-                block = np.take(arr, idx, axis=1)
-                arr[:, idx] = fn(block.reshape(-1, ln)).reshape(block.shape)
-        FIELD_OPS += batch * idx.shape[0] * ln * ln
+            seg = arr[..., start * k:stop * k]
+            seg[...] = fn(seg.reshape(-1, ln * k)).reshape(seg.shape)
+    FIELD_OPS += batch * sum((stop - start) * ln
+                             for ln, (start, stop) in spans.items())
 
 
 # ---------------------------------------------------------------------------
@@ -271,19 +340,22 @@ def evaluate_values(field: FieldSpec, n: int, polys: Sequence[Polynomial],
                             f"GF({q})^{b} hold {entries} entries, over "
                             f"{ENTRY_LIMIT}")
     pd = _point_data(q, n, dwork, b)
-    arr = np.zeros((len(polys), len(pd.keys)), dtype=np.int64)
-    for row, poly in zip(arr, polys):
+    ftype, k = _float_type(field), field.k
+    arr = np.zeros((len(polys), len(pd.keys) * k), dtype=ftype)
+    for row, poly in zip(_elements(arr, k), polys):
         if poly.num_terms():
             exps, coeffs = poly.term_arrays()
-            row[np.searchsorted(pd.keys, exps @ pd.strides)] = coeffs
+            pos = np.searchsorted(pd.keys, exps @ pd.strides)
+            row[pos] = _elements(field.to_digits(coeffs, ftype), k)
+    rows = _Rows(field, pd, arr)
     for axis in range(n - b):
-        _apply_axis(field, arr, pd.groups[axis], "MtoN")
+        _apply_axis(field, rows, axis, "MtoN")
     for axis in range(n):
-        _apply_axis(field, arr, pd.groups[axis],
-                    "VN" if axis < n - b else "W")
+        _apply_axis(field, rows, axis, "VN" if axis < n - b else "W")
+    values = field.from_digits(rows.arrange(None))
     if dwork != deff:
-        arr = arr[:, _positions(q, n, deff, b, dwork, b)]
-    return arr
+        values = values[:, _positions(q, n, deff, b, dwork, b)]
+    return values
 
 
 def reevaluate(field: FieldSpec, values: np.ndarray, n: int,
@@ -348,17 +420,21 @@ def _reevaluate_axes(field: FieldSpec, values: np.ndarray, n: int,
     there, without passing through monomial coefficients.  A target set
     of lower degree than the source is evaluated on the source's degree
     and restricted."""
-    q = field.q
+    q, k, ftype = field.q, field.k, _float_type(field)
     src = _point_data(q, n, dfrom, 0)
-    newton = np.array(values, dtype=np.int64)
+    newton = _Rows(field, src, field.to_digits(
+        np.asarray(values, dtype=np.int64), ftype))
     for axis in range(n):
-        _apply_axis(field, newton, src.groups[axis], "VNinv")
+        _apply_axis(field, newton, axis, "VNinv")
     dwork = _effective_delta(q, n, max(dto, dfrom), b)
     work = _point_data(q, n, dwork, b)
-    out = np.zeros((len(newton), len(work.keys)), dtype=np.int64)
-    out[:, _positions(q, n, dfrom, 0, dwork, b)] = newton
+    out = np.zeros((len(values), len(work.keys) * k), dtype=ftype)
+    _elements(out, k)[:, _positions(q, n, dfrom, 0, dwork, b)] = _elements(
+        newton.arrange(None), k)
+    rows = _Rows(field, work, out)
     for axis in range(n):
-        _apply_axis(field, out, work.groups[axis], "VN")
+        _apply_axis(field, rows, axis, "VN")
+    out = field.from_digits(rows.arrange(None))
     if dwork != dto:
         out = out[:, _positions(q, n, dto, b, dwork, b)]
     return out
@@ -374,12 +450,13 @@ def interpolate_trimmed(ev: TrimmedEvaluation) -> Polynomial:
     q, n = ps.q, ps.n
     deff = _effective_delta(q, n, ps.delta, ps.b)
     pd = _point_data(q, n, deff, ps.b)
-    arr = np.array(ev.values, dtype=np.int64)
+    rows = _Rows(field, pd, field.to_digits(
+        np.asarray(ev.values, dtype=np.int64), _float_type(field)))
     for axis in range(n):
-        _apply_axis(field, arr, pd.groups[axis],
-                    "VNinv" if axis < n - ps.b else "Winv")
+        _apply_axis(field, rows, axis, "VNinv" if axis < n - ps.b else "Winv")
     for axis in range(n - ps.b):
-        _apply_axis(field, arr, pd.groups[axis], "NtoM")
+        _apply_axis(field, rows, axis, "NtoM")
+    arr = field.from_digits(rows.arrange(None))
     nz = np.flatnonzero(arr)
     return Polynomial.from_term_arrays(field, n, pd.points[nz], arr[nz])
 

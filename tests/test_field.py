@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from fqsolve import make_field
 from fqsolve.errors import (FieldTooLargeError, NotPrimePowerError,
                             TooLargeError)
-from fqsolve.field import ENTRY_LIMIT
+from fqsolve.field import (ENTRY_LIMIT, EXACT_LIMIT, FLOAT32_LIMIT,
+                           REDUCE_LIMIT, _reduce)
 
 # every prime power up to 64
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31,
@@ -323,6 +326,88 @@ def test_matmul_past_the_float64_bound_raises():
     f = make_field(289)
     with pytest.raises(TooLargeError):
         f.compile_matrix(np.broadcast_to(np.int64(0), (1, 1 << 44)))
+
+
+def test_float32_reduction_is_exact_below_its_limit():
+    # every prime p that a product can take to float32, (p - 1)^2 <
+    # FLOAT32_LIMIT (2 to 2039), and every integer y below the limit: the
+    # reduction gives y % p, read from the pattern 0, 1, ..., p - 1 at the
+    # chunk's offset; chunks keep the arrays in cache
+    primes = [p for p in range(2, math.isqrt(FLOAT32_LIMIT) + 2)
+              if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    primes = [p for p in primes if (p - 1) ** 2 < FLOAT32_LIMIT]
+    chunk = 1 << 15
+    base = np.arange(chunk, dtype=np.float32)
+    y = np.empty(chunk, dtype=np.float32)
+    for p in primes:
+        pattern = np.tile(np.arange(p, dtype=np.float32), chunk // p + 2)
+        for start in range(0, FLOAT32_LIMIT, chunk):
+            np.add(base, start, out=y)
+            off = start % p
+            assert np.array_equal(_reduce(y, p), pattern[off:off + chunk]), (
+                p, start)
+
+
+# the longest product of float32 and the shortest of float64 over prime
+# fields on both sides of 157, the largest prime whose transform runs in
+# float32, GF(2039), whose products of length 2 are float64 already, and
+# extension fields; the exact reference is the field's own elementwise
+# vmul and digit sum, which never call compile_matrix
+@pytest.mark.parametrize("q", [3, 9, 81, 157, 163, 2039])
+def test_products_at_the_float_type_boundary(q):
+    f = make_field(q)
+    p, k = f.p, f.k
+    longest = -(-FLOAT32_LIMIT // (k * (p - 1) ** 2)) - 1
+    assert f.float_type(longest) is np.float32
+    assert f.float_type(longest + 1) is np.float64
+    rng = np.random.default_rng(q)
+    for nin in (longest, longest + 1):
+        # every entry p - 1 and every row digit p - 1 gives the largest
+        # digit sums; the second matrix row and row are random
+        mat = np.full((2, nin), p - 1, dtype=np.int64)
+        mat[1] = rng.integers(0, q, size=nin)
+        rows = np.full((2, nin), q - 1, dtype=np.int64)
+        rows[1] = rng.integers(0, q, size=nin)
+        want = f.vsum_axis(f.vmul(rows[:, None, :], mat[None]), 2)
+        apply = f.compile_matrix(mat)
+        assert (apply(rows) == want).all(), nin
+        digits = apply(f.to_digits(rows, f.float_type(nin)))
+        assert digits.dtype == f.float_type(nin)
+        assert (f.from_digits(digits) == want).all(), nin
+
+
+def test_prime_products_near_the_float64_bound():
+    # at q = 65521 products stay accepted up to 2^53; from REDUCE_LIMIT on
+    # they are reduced exactly by fmod; int64 holds the exact reference.
+    # (p - 1)^2 is 1 mod p, so the all-(p - 1) product of length 32p - 1
+    # or 32p, about 2^53, is -1 or 0 mod p, where the floor reduction
+    # would be off by p
+    f = make_field(65521)
+    p = f.p
+    floor_longest = -(-REDUCE_LIMIT // (p - 1) ** 2) - 1
+    longest = -(-EXACT_LIMIT // (p - 1) ** 2) - 1
+    assert longest == 2098176
+    rng = np.random.default_rng(65521)
+    for nin in (floor_longest, floor_longest + 1, 32 * p - 1, 32 * p,
+                longest):
+        mat = np.full((2, nin), p - 1, dtype=np.int64)
+        mat[1] = rng.integers(0, p, size=nin)
+        rows = np.full((2, nin), p - 1, dtype=np.int64)
+        rows[1] = rng.integers(0, p, size=nin)
+        want = rows @ mat.T % p
+        assert (f.compile_matrix(mat)(rows) == want).all(), nin
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 81, 257, 289])
+def test_digit_rows_roundtrip(q):
+    f = make_field(q)
+    values = np.random.default_rng(q).integers(0, q, size=(3, 7))
+    for ftype in (np.float32, np.float64):
+        digits = f.to_digits(values, ftype)
+        assert digits.shape == (3, 7 * f.k) and digits.dtype == ftype
+        assert (f.from_digits(digits) == values).all()
+    assert f.to_digits(values[:0], np.float32).shape == (0, 7 * f.k)
+    assert f.from_digits(f.to_digits(values[:0], np.float32)).shape == (0, 7)
 
 
 # refused before the expanded matrix is allocated (the inputs are zero-byte

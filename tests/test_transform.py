@@ -280,6 +280,74 @@ class TestBatched:
                         for kind in ("none", "few", "many")}
 
 
+    @pytest.mark.parametrize("q", [3, 4, 9])
+    def test_no_polynomials(self, q):
+        # a system with m = 0 evaluates no rows, as the solve-empty golden
+        # case does at q = 3 on T(3, 4) x GF(3): zero rows on the whole set
+        got = transform.evaluate_values(make_field(q), 4, [], 4, 1)
+        assert got.shape == (0, TrimmedPointSet(q, 4, 4, 1).size())
+        assert got.dtype == np.int64
+        if q == 3:
+            assert got.shape == (0, 69)
+
+    @pytest.mark.parametrize("q", [3, 4, 9])
+    def test_reevaluate_zero_and_one_row(self, q, monkeypatch):
+        # 0 rows, and 1 row (the axis pass's vector path), through
+        # reevaluate's pick, its axis route at DENSE_LIMIT = 0 and
+        # _reevaluate_axes, onto targets above, below and inside the
+        # source set, with and without a grid suffix
+        f = make_field(q)
+        rng = np.random.default_rng(60 + q)
+        n, dfrom = 3, 2
+        poly = random_polynomial(rng, q, n, dfrom, max_terms=6)
+        values = evaluate_trimmed(poly, dfrom, 0).values[None]
+        efrom = transform._effective_delta(q, n, dfrom, 0)
+        for dto, b in ((4, 1), (1, 0), (2, 0), (3, 2)):
+            eto = transform._effective_delta(q, n, dto, b)
+            pts = enumerate_points(TrimmedPointSet(q, n, dto, b))
+            want = [[poly.evaluate(pt) for pt in pts]]
+            for rows in (values, values[:0]):
+                got = [transform.reevaluate(f, rows, n, dfrom, dto, b),
+                       transform._reevaluate_axes(f, rows, n, efrom, eto, b)]
+                with monkeypatch.context() as m:
+                    m.setattr(transform, "DENSE_LIMIT", 0)
+                    got.append(transform.reevaluate(f, rows, n, dfrom, dto,
+                                                    b))
+                for out in got:
+                    assert out.dtype == np.int64
+                    assert out.tolist() == want[:len(rows)], (dto, b)
+                    assert out.shape == (len(rows), len(pts))
+
+    def test_float_type_per_field(self):
+        # one type per field, the one its q x q block needs: q k (p-1)^2
+        # < 2^22 holds for every field of q <= 81, every prime up to 157,
+        # 17^2 and 2^16, and fails for 163, 257 and 41^2
+        for q in (2, 3, 4, 5, 8, 9, 16, 27, 64, 81, 127, 157, 289, 65536):
+            assert transform._float_type(make_field(q)) is np.float32, q
+        for q in (163, 257, 1681):
+            assert transform._float_type(make_field(q)) is np.float64, q
+
+    @pytest.mark.parametrize("q, n, delta, b", [(4, 3, 4, 1), (9, 2, 9, 1),
+                                                (157, 2, 312, 0)])
+    def test_float32_passes_match_float64(self, q, n, delta, b,
+                                          monkeypatch):
+        # GF(157) at full degree runs 157 x 157 blocks, whose sums come
+        # within 0.3% of FLOAT32_LIMIT; forcing float64 changes nothing
+        f = make_field(q)
+        rng = np.random.default_rng(q)
+        polys = [random_polynomial(rng, q, n, delta, max_terms=12)
+                 for _ in range(2)]
+        got = transform.evaluate_values(f, n, polys, delta, b)
+        back = interpolate_trimmed(evaluate_trimmed(polys[0], delta, b))
+        with monkeypatch.context() as m:
+            m.setattr(transform, "_float_type", lambda field: np.float64)
+            assert (transform.evaluate_values(f, n, polys, delta, b)
+                    == got).all()
+        assert back == polys[0]
+        pts = enumerate_points(TrimmedPointSet(q, n, delta, b))
+        assert got[1].tolist() == [polys[1].evaluate(pt) for pt in pts]
+
+
 class TestMatrices:
     # C1 only reaches q <= 9; this covers the table, exp/log (289 = 17^2
     # lies above TABLE_LIMIT) and large prime branches of the field
@@ -328,15 +396,17 @@ class TestMatrices:
 
 def _witness_axis(ops):
     """An axis pass that sends every slice length through _compiled_block,
-    identity blocks included, as a batch, adding batch * slices * ln^2 to
-    ops[0]."""
-    def apply_axis(field, arr, groups, name):
-        rows = arr.reshape(-1, arr.shape[-1])
-        for ln, idx in groups.items():
+    identity blocks included, as a batch of digit rows (the run of each
+    length's slices in the axis's slice order), adding batch * slices *
+    ln^2 to ops[0]."""
+    def apply_axis(field, rows, axis, name):
+        arr, k = rows.arrange(axis), field.k
+        batch = 1 if arr.ndim == 1 else len(arr)
+        for ln, (start, stop) in rows.points.spans[axis].items():
             fn = transform._compiled_block(field, name, ln)
-            block = rows[:, idx]
-            rows[:, idx] = fn(block.reshape(-1, ln)).reshape(block.shape)
-            ops[0] += len(rows) * idx.shape[0] * ln * ln
+            seg = arr[..., start * k:stop * k]
+            seg[...] = fn(seg.reshape(-1, ln * k)).reshape(seg.shape)
+            ops[0] += batch * (stop - start) // ln * ln * ln
     return apply_axis
 
 
