@@ -179,9 +179,9 @@ def main(argv: list[str] | None = None) -> int:
             params = _params(args)
             zp = partial_sum(system, args.beta, params,
                              RngStream(params.seed))
-            out = mpoly.PolySystem(system.field, max(zp.n, 1),
-                                   [zp.embed(max(zp.n, 1),
-                                             list(range(zp.n)))],
+            if zp.n == 0:  # a PES system has at least one variable
+                zp = zp.embed(1, [])
+            out = mpoly.PolySystem(system.field, zp.n, [zp],
                                    max(zp.degree(), 1))
             pes = mpoly.format_pes(out)
             _emit(args, {"partial_sum": pes}, pes.removesuffix("\n"))

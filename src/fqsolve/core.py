@@ -28,8 +28,8 @@ column) root table onto the leaf points before the suffix sum.  Each
 vote compiles its columns' map once and applies it once per chunk above
 the leaf, and once per repetition higher up so that one chunk of leaf
 values is alive at a time.  Repetitions are processed VOTE_CHUNK at a
-time as (repetition, point) arrays, and each re-evaluation is one
-matrix application for the whole chunk.  Votes are counted per chunk,
+time as (repetition, point) arrays, and each chunk is re-evaluated by
+one call of its level's compiled map.  Votes are counted per chunk,
 and voting stops once no point's leader can be overtaken by the
 repetitions left.  Every repetition draws from its own counter-based
 stream, so a vote draws the coefficients of every chunk before the
@@ -63,8 +63,8 @@ from .field import ENTRY_LIMIT, FieldSpec
 from .mpoly import (Polynomial, PolySystem, TrimmedPointSet, check_key_width,
                     point_matrix)
 from .randomized import RngStream, rs_draw, vv_coefficients
-from .transform import (TrimmedEvaluation, evaluate_values,
-                        interpolate_trimmed, reevaluate)
+from .transform import (TrimmedEvaluation, compile_reevaluation,
+                        evaluate_values, interpolate_trimmed)
 
 # Repetitions per batch.  Chunks bound the working arrays: on the C3
 # shapes all t repetitions at once peak at 49 MB RSS, chunks of 64 at
@@ -206,6 +206,8 @@ def _vote(field: FieldSpec, levels, i: int, cols: np.ndarray,
     child_is_leaf = i + 2 == len(levels)
     suffix = beta - beta_c
     combine = field.compile_matrix(cols.T)
+    reevaluate = compile_reevaluation(field, n - beta_c, delta_c, delta,
+                                      suffix)
 
     def chunks():
         for start, rho in _rs_chunks(q, mu, m_i, rng, t):
@@ -216,7 +218,7 @@ def _vote(field: FieldSpec, levels, i: int, cols: np.ndarray,
                 sub = np.stack([_vote(field, levels, i + 1, combine(r), cls,
                                       rng.child(2 * j + 1), t, n)
                                 for j, r in enumerate(rho, start)])
-            yield reevaluate(field, sub, n - beta_c, delta_c, delta, suffix)
+            yield reevaluate(sub)
 
     agreed = streamed_plurality(chunks(), q, t)
     return field.vsum_axis(agreed.reshape(-1, q ** suffix), 1)

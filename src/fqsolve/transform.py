@@ -29,7 +29,8 @@ where -a^(q-2) is 0 at a = 0 and 1 at a = 1.
 Every axis pass works on the last axis of an array, so a batch of value
 vectors (one row each) goes through each slice length in a single
 application of the field's one matrix kernel, `FieldSpec.compile_matrix`;
-`evaluate_values` and `reevaluate` are the batched forms the solver uses.
+`evaluate_values` and the maps of `compile_reevaluation` are the batched
+forms the solver uses.
 
 The passes run on float digit rows (`FieldSpec.to_digits`: each value
 becomes its k base-p digits).  `evaluate_values`, `interpolate_trimmed`
@@ -45,19 +46,21 @@ elements (the k digits of an element viewed as one item); the orders and
 the moves between them are cached per point set in `_PointData`, and a
 pass whose every block is the identity does not move the rows.
 
-`reevaluate` maps the values of polynomials of degree <= dfrom on
-T_from = T(n, dfrom) to their values on the target T(n-b, dto) x
-GF(q)^b.  Trimmed sets nest: a source point lies in every set of degree
-at least its own, with the value it already has, since it is the same
-polynomial.  So the target splits into its known points, which lie in
-the source, and the fresh rest, and reevaluate takes one of two routes,
-both giving the same values:
+`compile_reevaluation` compiles the map from the values of polynomials
+of degree <= dfrom on T_from = T(n, dfrom) to their values on the target
+T(n-b, dto) x GF(q)^b.  Trimmed sets nest: a source point lies in every
+set of degree at least its own, with the value it already has, since it
+is the same polynomial.  So the target splits into its known points,
+which lie in the source, and the fresh rest.  The split and the route
+are found when the map is compiled, once per (field, n, dfrom, dto, b)
+while the map stays among the 64 cached; every route gives the same
+values:
 
-  gather    when |T_from| * |fresh| * k^2 <= DENSE_LIMIT: the known
-            values are copied from their source positions, and the fresh
-            ones are one product with a |T_from| x |fresh| map, cached
-            per (field, n, dfrom, dto, b); with no fresh point (dto +
-            b(q-1) <= dfrom) no map is built and nothing is computed;
+  gather    with no fresh point (dto + b(q-1) <= dfrom): the values are
+            copied from their source positions and nothing is computed;
+  map       when |T_from| * |fresh| * k^2 <= DENSE_LIMIT: the gather of
+            the known values, and one product with a |T_from| x |fresh|
+            map for the fresh ones;
   axis      otherwise: 2n axis passes, interpolating into the Newton
             basis on the source set and evaluating from there.
 
@@ -88,10 +91,10 @@ from .mpoly import (Polynomial, TrimmedPointSet, check_key_width,
 
 FIELD_OPS = 0
 
-# Largest |T_from| * |fresh| * k^2 for which reevaluate composes its axis
-# passes onto the fresh points into one cached map: 2^18 float64 entries,
-# 2 MiB a map and at most 128 MiB for the _fresh_map cache.  A constant
-# by design.
+# Largest |T_from| * |fresh| * k^2 for which compile_reevaluation composes
+# its axis passes onto the fresh points into one map: 2^18 float64
+# entries, 2 MiB a map and at most 128 MiB for its 64-entry cache.  Read
+# when a map is compiled.  A constant by design.
 DENSE_LIMIT = 1 << 18
 
 
@@ -358,65 +361,51 @@ def evaluate_values(field: FieldSpec, n: int, polys: Sequence[Polynomial],
     return values
 
 
-def reevaluate(field: FieldSpec, values: np.ndarray, n: int,
-               delta_from: int, delta_to: int, b: int) -> np.ndarray:
-    """Values on T(n-b, delta_to) x GF(q)^b, one row each, of the
-    polynomials of total degree <= delta_from that take the values in
-    each row of `values` on T(n, delta_from).
+@lru_cache(maxsize=64)
+def compile_reevaluation(field: FieldSpec, n: int, delta_from: int,
+                         delta_to: int, b: int):
+    """The map taking rows of values on T(n, delta_from) of polynomials of
+    total degree <= delta_from to their values on T(n-b, delta_to) x
+    GF(q)^b, one int64 row each.
 
-    Takes the gather or axis route of the module docstring.
+    Finds the target's known and fresh points and picks the route of the
+    module docstring here, once per key.
     """
-    global FIELD_OPS
     q = field.q
     dfrom = _effective_delta(q, n, delta_from, 0)
     dto = _effective_delta(q, n, delta_to, b)
-    rows = np.asarray(values, dtype=np.int64)
-    fresh, order = _split(q, n, dfrom, dto, b)
-    if not len(fresh):
-        return rows[:, order]
-    nfrom = rows.shape[1]
-    if nfrom * len(fresh) * field.k ** 2 > DENSE_LIMIT:
-        return _reevaluate_axes(field, rows, n, dfrom, dto, b)
-    FIELD_OPS += len(rows) * nfrom * len(fresh)
-    computed = _fresh_map(field, n, dfrom, dto, b)(rows)
-    return np.concatenate([rows, computed], axis=1)[:, order]
-
-
-@lru_cache(maxsize=512)
-def _split(q: int, n: int, dfrom: int, dto: int,
-           b: int) -> tuple[np.ndarray, np.ndarray]:
-    """(fresh, order) for effective degrees: the positions in T(n-b, dto)
-    x GF(q)^b of the points outside T(n, dfrom), and for every target
-    point its position among the source values followed by the fresh
-    ones, found by key."""
     src_keys = _point_data(q, n, dfrom, 0).keys
     to_keys = _point_data(q, n, dto, b).keys
+    nfrom = len(src_keys)
+    # every target point's position among the source values followed by
+    # the fresh ones, found by key
     order = np.searchsorted(src_keys, to_keys)
-    fresh = np.flatnonzero(
-        src_keys[np.minimum(order, len(src_keys) - 1)] != to_keys)
-    order[fresh] = len(src_keys) + np.arange(len(fresh))
-    return fresh, order
-
-
-@lru_cache(maxsize=64)
-def _fresh_map(field: FieldSpec, n: int, dfrom: int, dto: int, b: int):
-    """The axis route of reevaluate on effective degrees, restricted to
-    the fresh target points and compiled as one matrix from its images
-    of the unit vectors, 64 of them per axis-route call."""
-    nfrom = len(_point_data(field.q, n, dfrom, 0).keys)
-    fresh = _split(field.q, n, dfrom, dto, b)[0]
+    fresh = np.flatnonzero(src_keys[np.minimum(order, nfrom - 1)] != to_keys)
+    order[fresh] = nfrom + np.arange(len(fresh))
+    if not len(fresh):
+        return lambda rows: np.asarray(rows, dtype=np.int64)[:, order]
+    if nfrom * len(fresh) * field.k ** 2 > DENSE_LIMIT:
+        return lambda rows: _reevaluate_axes(field, rows, n, dfrom, dto, b)
+    # the axis route on the unit rows, 64 per call, kept on the fresh points
     images = np.empty((nfrom, len(fresh)), dtype=np.int64)
     for start in range(0, nfrom, 64):
         units = np.eye(min(64, nfrom - start), nfrom, start, dtype=np.int64)
         images[start:start + len(units)] = _reevaluate_axes(
             field, units, n, dfrom, dto, b)[:, fresh]
-    return field.compile_matrix(images.T)
+    fresh_values = field.compile_matrix(images.T)
+
+    def gather_and_map(rows: np.ndarray) -> np.ndarray:
+        global FIELD_OPS
+        rows = np.asarray(rows, dtype=np.int64)
+        FIELD_OPS += len(rows) * nfrom * len(fresh)
+        return np.concatenate([rows, fresh_values(rows)], axis=1)[:, order]
+    return gather_and_map
 
 
 def _reevaluate_axes(field: FieldSpec, values: np.ndarray, n: int,
                      dfrom: int, dto: int, b: int) -> np.ndarray:
-    """reevaluate's axis route on effective degrees.  The rows are
-    interpolated into the Newton basis on every axis and evaluated from
+    """compile_reevaluation's axis route on effective degrees.  The rows
+    are interpolated into the Newton basis on every axis and evaluated from
     there, without passing through monomial coefficients.  A target set
     of lower degree than the source is evaluated on the source's degree
     and restricted."""

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fqsolve
-from conftest import random_system
+from conftest import random_cnf, random_system
 from fqsolve import PolySystem, make_field
 from fqsolve.cli import build_parser, main
 from fqsolve.mpoly import format_pes
@@ -38,15 +38,17 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def _run_limited(argv: list[str]) -> subprocess.CompletedProcess:
-    """fqsolve argv in a subprocess with a 1 GiB address space."""
+def _run_limited(argv: list[str], child=("-m", "fqsolve.cli"),
+                 stdin: str | None = None) -> subprocess.CompletedProcess:
+    """A Python child, by default fqsolve argv, in a subprocess with a 1 GiB
+    address space."""
     env = dict(os.environ,
                PYTHONPATH=str(pathlib.Path(fqsolve.__file__).parents[1]))
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
 
-    return subprocess.run([sys.executable, "-m", "fqsolve.cli", *argv],
+    return subprocess.run([sys.executable, *child, *argv], input=stdin,
                           capture_output=True, text=True, env=env,
                           preexec_fn=limit, timeout=120)
 
@@ -412,11 +414,12 @@ class TestHelp:
 
 
 @st.composite
-def _pes_texts(draw):
-    # one level and no vote: q <= 9 and n <= 3
-    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
-    n, m, d = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(
-        st.integers(1, 2))
+def _pes_texts(draw, qs=(2, 3, 4, 5, 7, 8, 9), ns=(1, 2, 3), ms=(0, 1, 2, 3),
+               ds=(1, 2)):
+    # by default one level and no vote: n <= 3
+    q = draw(st.sampled_from(qs))
+    n, m, d = (draw(st.sampled_from(ns)), draw(st.sampled_from(ms)),
+               draw(st.sampled_from(ds)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if m == 0:
         return format_pes(PolySystem(make_field(q), n, [], d))
@@ -480,6 +483,45 @@ def _sometimes(data, junk, usual):
     return data.draw(junk if data.draw(st.integers(0, 4)) == 0 else usual)
 
 
+def _assert_result_or_one_error_line(code: int, err: str) -> None:
+    assert code in (0, 1, 10, 20)
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("\n")
+
+
+def _mutate(rng, data: bytes) -> bytes:
+    """1-4 random byte replacements, insertions or deletions."""
+    data = bytearray(data)
+    for _ in range(int(rng.integers(1, 5))):
+        op, at = rng.integers(3), int(rng.integers(0, len(data) + 1))
+        byte = int(rng.integers(0, 256))
+        if op == 0:
+            data.insert(at, byte)
+        elif at < len(data):
+            if op == 1:
+                data[at] = byte
+            else:
+                del data[at]
+    return bytes(data)
+
+
+# calls cli.main once per argv read as a json list from stdin and prints
+# each exit code and stderr; an uncaught error ends the child with a
+# traceback on its own stderr
+_BATCH_CHILD = """
+import contextlib, io, json, sys
+from fqsolve.cli import main
+report = []
+for argv in json.load(sys.stdin):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(err):
+        report.append((main(argv), err.getvalue()))
+print(json.dumps(report))
+"""
+
+
 class TestRobustness:
     # every subcommand but selftest, on valid, mutated and random input
     # files, flags with valid and junk values and any FQSOLVE_SEED: each
@@ -526,7 +568,73 @@ class TestRobustness:
                 assert exc.code == 2
                 return
             err = capsys.readouterr().err
-        assert code in (0, 1, 10, 20)
-        if code == 1:
-            assert err.startswith("error: ") and err.count("\n") == 1
-            assert err.endswith("\n")
+        _assert_result_or_one_error_line(code, err)
+
+    # systems of n = 4 and 5 variables and m*d >= 4, which recurse, so
+    # the runs that parse reach the votes and their re-evaluation
+    @given(st.sampled_from(["full-sum", "partial-sum", "solve"]), st.data())
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_votes_end_in_a_result_or_one_error_line(self, tmp_path, capsys,
+                                                     sub, data):
+        valid = _pes_texts(qs=(2, 3, 4, 5), ns=(4, 5), ms=(2, 3), ds=(2,))
+        source = tmp_path / "input"
+        source.write_bytes(_sometimes(data, _mutated(valid),
+                                      valid.map(str.encode)))
+        argv = [sub, str(source), "--t-override",
+                data.draw(st.sampled_from(["1", "2", "3"]))]
+        if sub == "solve":
+            argv += ["--outer-reps", data.draw(st.sampled_from(["1", "2"]))]
+        if sub == "partial-sum":
+            argv += ["--beta", str(data.draw(st.integers(0, 5)))]
+        capsys.readouterr()
+        code = main(argv)
+        _assert_result_or_one_error_line(code, capsys.readouterr().err)
+
+    # a fixed batch of valid, mutated and random-byte files for the five
+    # file subcommands, in one child process under a 1 GiB address space:
+    # an out-of-memory crash ends the child instead of being caught here
+    def test_batch_under_a_memory_cap(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        argvs = []
+        for i in range(100):
+            sub = ["solve", "count-roots", "full-sum", "partial-sum",
+                   "reduce-cnf"][i % 5]
+            if sub == "reduce-cnf":
+                cnf = random_cnf(rng, int(rng.integers(1, 5)),
+                                 int(rng.integers(0, 5)))
+                text = f"p cnf {cnf.n_vars} {len(cnf.clauses)}\n" + "".join(
+                    " ".join(map(str, c)) + " 0\n" for c in cnf.clauses)
+            else:
+                q, n = int(rng.choice([2, 3, 4, 5])), int(rng.integers(1, 6))
+                text = format_pes(random_system(
+                    rng, q, n, int(rng.integers(1, 4)),
+                    int(rng.integers(1, 3))))
+            kind = i // 5 % 3
+            data = (text.encode() if kind == 0 else
+                    _mutate(rng, text.encode()) if kind == 1 else
+                    rng.bytes(int(rng.integers(0, 200))))
+            path = tmp_path / f"input{i}"
+            path.write_bytes(data)
+            argv = [sub, str(path)]
+            if sub == "reduce-cnf":
+                argv += [str(tmp_path / "out.pes"), "--q",
+                         str(rng.choice([2, 3, 4, 5])), "--delta",
+                         str(rng.choice(["1/3", "1/2", "1"]))]
+            elif sub != "count-roots":
+                argv += ["--t-override", str(rng.integers(1, 4))]
+            if sub == "solve":
+                argv += ["--outer-reps", str(rng.integers(1, 3))]
+            if sub == "partial-sum":
+                argv += ["--beta", str(rng.integers(0, 6))]
+            argvs.append(argv)
+        proc = _run_limited([], child=("-c", _BATCH_CHILD),
+                            stdin=json.dumps(argvs))
+        assert "Traceback" not in proc.stderr
+        assert "MemoryError" not in proc.stderr
+        assert proc.returncode == 0 and proc.stderr == ""
+        report = json.loads(proc.stdout)
+        assert len(report) == len(argvs)
+        for code, err in report:
+            _assert_result_or_one_error_line(code, err)
+        assert {code for code, _ in report} >= {0, 1, 10, 20}

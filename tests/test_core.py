@@ -291,23 +291,69 @@ class TestFullSum:
                         for _ in range(2))
         full_sum(warm, params, RngStream(1))
         inside, passes = [False], [0]
-        reevaluate, apply_axis = core.reevaluate, transform._apply_axis
+        compile_reevaluation = core.compile_reevaluation
+        apply_axis = transform._apply_axis
 
-        def flagged_reevaluate(*args):
-            inside[0] = True
-            try:
-                return reevaluate(*args)
-            finally:
-                inside[0] = False
+        def flagged_compile(*args):
+            reevaluate = compile_reevaluation(*args)
+
+            def flagged_reevaluate(rows):
+                inside[0] = True
+                try:
+                    return reevaluate(rows)
+                finally:
+                    inside[0] = False
+            return flagged_reevaluate
 
         def counting_apply_axis(*args):
             passes[0] += inside[0]
             return apply_axis(*args)
 
-        monkeypatch.setattr(core, "reevaluate", flagged_reevaluate)
+        monkeypatch.setattr(core, "compile_reevaluation", flagged_compile)
         monkeypatch.setattr(transform, "_apply_axis", counting_apply_axis)
         assert full_sum(system, params, RngStream(2)) == brute_Z(system)
         assert passes[0] == 0
+
+    def test_route_picked_once_per_vote_level(self, monkeypatch):
+        # the golden two-levels-q3-n7 system at t = 4: two vote levels,
+        # one vote at level 0 and one per repetition at level 1.  Each
+        # level's re-evaluation map is compiled on its first vote and
+        # fetched from the cache on every other; a repeated call compiles
+        # no map, so its only compile_matrix calls are the votes' own
+        from fqsolve import transform
+        from test_golden_seeds import SUM_CASES, _system
+        from test_golden_seeds import _params as golden_params
+        shape, sys_seed, kw = SUM_CASES["two-levels-q3-n7"]
+        system = _system(shape, sys_seed)
+        beta = math.floor(Fraction(kw["kappa"]) * system.n)
+        votes, compiled = [0], [0]
+        vote, compile_matrix = core._vote, FieldSpec.compile_matrix
+
+        def counting_vote(*args):
+            votes[0] += 1
+            return vote(*args)
+
+        def counting_compile(self, mat):
+            compiled[0] += 1
+            return compile_matrix(self, mat)
+
+        def run():
+            votes[0] = compiled[0] = 0
+            return partial_sum(system, beta, golden_params(kw),
+                               RngStream(kw["seed"]))
+
+        monkeypatch.setattr(core, "_vote", counting_vote)
+        monkeypatch.setattr(FieldSpec, "compile_matrix", counting_compile)
+        cache = transform.compile_reevaluation
+        cache.cache_clear()
+        first = run()
+        info = cache.cache_info()
+        assert votes[0] == 1 + kw["t"]
+        assert (info.misses, info.hits) == (2, votes[0] - 2)
+        assert run() == first
+        info = cache.cache_info()
+        assert (info.misses, info.hits) == (2, 2 * votes[0] - 2)
+        assert compiled[0] == votes[0]
 
 
     def test_one_field_product_per_vote_chunk(self, monkeypatch):
@@ -574,9 +620,9 @@ class TestSizeModel:
         shape, sys_seed, kw = SUM_CASES[name]
         system = _system(shape, sys_seed)
         models, seen = [], []
-        array_sizes, evaluate, vote, leaf_sums, reevaluate = (
+        array_sizes, evaluate, vote, leaf_sums, compile_reevaluation = (
             core._array_sizes, core.evaluate_values, core._vote,
-            core._leaf_sums, core.reevaluate)
+            core._leaf_sums, core.compile_reevaluation)
 
         def spied_sizes(field, n, levels, t):
             models.append((levels, array_sizes(field, n, levels, t)))
@@ -602,22 +648,26 @@ class TestSizeModel:
                          ("roots", leaf_level, len(values) * len(cls))])
             return leaf_sums(field, values, cls, b)
 
-        def spied_reevaluate(field, values, n_from, delta_from, delta_to,
-                             b):
+        def spied_compile(field, n_from, delta_from, delta_to, b):
             levels = models[-1][0]
             # the level whose child sits at beta = n - n_from
             i = next(i for i in range(len(levels) - 1)
                      if levels[i + 1][0] == system.n - n_from)
-            out = reevaluate(field, values, n_from, delta_from, delta_to, b)
-            seen.extend([("re-evaluation", i, values.size),
-                         ("re-evaluation", i, out.size)])
-            return out
+            reevaluate = compile_reevaluation(field, n_from, delta_from,
+                                              delta_to, b)
+
+            def spied_reevaluate(values):
+                out = reevaluate(values)
+                seen.extend([("re-evaluation", i, values.size),
+                             ("re-evaluation", i, out.size)])
+                return out
+            return spied_reevaluate
 
         for name_, spy in [("_array_sizes", spied_sizes),
                            ("evaluate_values", spied_evaluate),
                            ("_vote", spied_vote),
                            ("_leaf_sums", spied_leaf_sums),
-                           ("reevaluate", spied_reevaluate)]:
+                           ("compile_reevaluation", spied_compile)]:
             monkeypatch.setattr(core, name_, spy)
         # m*d < n here, so full_sum would not recurse
         beta = math.floor(Fraction(kw["kappa"]) * system.n)

@@ -120,6 +120,20 @@ class TestRoundtrip:
             assert (evaluate_trimmed(other, delta, b).values != base).any()
 
 
+@pytest.fixture()
+def axis_calls(monkeypatch):
+    """A counter of the calls of transform._reevaluate_axes, the axis
+    route, which the test patches for its duration."""
+    calls, axes = [0], transform._reevaluate_axes
+
+    def counting_axes(*args):
+        calls[0] += 1
+        return axes(*args)
+
+    monkeypatch.setattr(transform, "_reevaluate_axes", counting_axes)
+    return calls
+
+
 class TestBatched:
     def test_evaluate_values_above_the_degree_bound(self):
         # rows are polynomials of any degree; values are the plain point
@@ -152,14 +166,17 @@ class TestBatched:
         with pytest.raises(TooLargeError, match="243 entries"):
             transform.evaluate_values(f, 4, polys, 1, 0)
 
-    def test_reevaluate_matches_naive_evaluation(self, monkeypatch):
+    def test_reevaluate_matches_naive_evaluation(self, monkeypatch,
+                                                 axis_calls):
         # target sets above, equal to and below the source degree, each
-        # through every route that applies: reevaluate's own pick, the
-        # gather or axis route with DENSE_LIMIT = 0, the gather with the
-        # fresh-point map (built here past the cache, whatever its size)
-        # and the axis route
+        # through every route that applies: compile_reevaluation's own
+        # pick, the gather or axis route with DENSE_LIMIT = 0, the gather
+        # with the fresh-point map (built here past the cache, whatever
+        # its size) and the axis route; the maps picked under a patched
+        # limit are compiled past the cache, so none outlives the patch
         rng = np.random.default_rng(14)
         contained = 0
+        compile_uncached = transform.compile_reevaluation.__wrapped__
         for _ in range(40):
             q, n, dfrom, _ = _random_config(rng, size_cap=600)
             b = int(rng.integers(0, n + 1))
@@ -176,28 +193,36 @@ class TestBatched:
             efrom = transform._effective_delta(q, n, dfrom, 0)
             eto = transform._effective_delta(q, n, dto, b)
             contained += eto + b * (q - 1) <= efrom
-            fresh_map = transform._fresh_map.__wrapped__(f, n, efrom, eto, b)
-            order = transform._split(q, n, efrom, eto, b)[1]
-            mapped = np.concatenate([values, fresh_map(values)],
-                                    axis=1)[:, order]
+            has_fresh = not np.isin(
+                transform._point_data(q, n, eto, b).keys,
+                transform._point_data(q, n, efrom, 0).keys).all()
             routes = {
-                "pick": transform.reevaluate(f, values, n, dfrom, dto, b),
-                "fresh map": mapped,
+                "pick": transform.compile_reevaluation(f, n, dfrom, dto,
+                                                       b)(values),
                 "axis": transform._reevaluate_axes(f, values, n, efrom,
                                                    eto, b)}
             with monkeypatch.context() as m:
+                m.setattr(transform, "DENSE_LIMIT", 1 << 62)
+                mapped = compile_uncached(f, n, dfrom, dto, b)
+                axis_calls[0] = 0
+                routes["fresh map"] = mapped(values)
+                assert axis_calls[0] == 0
                 m.setattr(transform, "DENSE_LIMIT", 0)
-                routes["limit 0"] = transform.reevaluate(f, values, n, dfrom,
-                                                         dto, b)
+                routes["limit 0"] = compile_uncached(f, n, dfrom, dto,
+                                                     b)(values)
+                assert axis_calls[0] == has_fresh
             for route, got in routes.items():
                 assert got.tolist() == want, (route, q, n, dfrom, dto, b)
         assert 0 < contained < 40
 
-    def test_reevaluate_builds_no_map_over_the_limit(self, monkeypatch):
+    def test_reevaluate_builds_no_map_over_the_limit(self, monkeypatch,
+                                                     axis_calls):
         # with DENSE_LIMIT = 4096, compile_matrix runs once per distinct
         # fresh-point map within the limit and never for the others; the
         # axis blocks are compiled beforehand, so every call counted
-        # builds a map
+        # builds a map.  Applying a compiled map runs the axis route for
+        # the key over the limit only.  The cache is cleared before and
+        # after, so no route picked under the patched limit outlives it
         limit = 4096
         cases = [(2, 6, 4, 5, 1),   # 57 x 7 fresh: within the limit
                  (3, 3, 2, 4, 1),   # 10 x 17: within the limit
@@ -214,28 +239,34 @@ class TestBatched:
             want = transform._reevaluate_axes(make_field(q), values, n,
                                               dfrom, dto, b)
             inputs.append((q, n, dfrom, dto, b, values, want))
-        shapes = []
+        shapes, applied = [], []
         compile_matrix = FieldSpec.compile_matrix
 
         def counting_compile(self, mat):
             shapes.append((mat.shape, self.k))
             return compile_matrix(self, mat)
 
-        transform._fresh_map.cache_clear()
+        transform.compile_reevaluation.cache_clear()
         monkeypatch.setattr(transform, "DENSE_LIMIT", limit)
         monkeypatch.setattr(FieldSpec, "compile_matrix", counting_compile)
-        for q, n, dfrom, dto, b, values, want in inputs:
-            got = transform.reevaluate(make_field(q), values, n, dfrom, dto,
-                                       b)
-            assert (got == want).all()
-        transform._fresh_map.cache_clear()
+        try:
+            for q, n, dfrom, dto, b, values, want in inputs:
+                reevaluate = transform.compile_reevaluation(
+                    make_field(q), n, dfrom, dto, b)
+                axis_calls[0] = 0
+                assert (reevaluate(values) == want).all()
+                applied.append(axis_calls[0])
+        finally:
+            transform.compile_reevaluation.cache_clear()
+        assert applied == [0, 0, 0, 1, 0, 0, 0]
         assert sorted(shapes) == [((6, 237), 1), ((7, 57), 1),
                                   ((17, 10), 1), ((30, 10), 2)]
         assert all(r * c * k * k <= limit for (r, c), k in shapes)
 
     def test_fresh_map_built_64_units_at_a_time(self, monkeypatch):
         # the 237 source points of T(5, 8) over GF(3) go through the axis
-        # route as unit rows, at most 64 per call, and the map agrees with
+        # route as unit rows, at most 64 per call, when the map is
+        # compiled and not when it is applied, and the map agrees with
         # that route on the 6 fresh points of T(4, 8) x GF(3)
         f = make_field(3)
         calls, axes = [], transform._reevaluate_axes
@@ -245,19 +276,25 @@ class TestBatched:
             return axes(field, values, *args)
 
         monkeypatch.setattr(transform, "_reevaluate_axes", spied_axes)
-        fresh_map = transform._fresh_map.__wrapped__(f, 5, 8, 8, 1)
+        reevaluate = transform.compile_reevaluation.__wrapped__(f, 5, 8, 8, 1)
         assert max(calls) <= 64 and sum(calls) == 237
         rows = np.random.default_rng(17).integers(0, 3, size=(5, 237))
-        fresh = transform._split(3, 5, 8, 8, 1)[0]
+        got = reevaluate(rows)
+        assert sum(calls) == 237
+        fresh = np.flatnonzero(~np.isin(
+            transform._point_data(3, 5, 8, 1).keys,
+            transform._point_data(3, 5, 8, 0).keys))
         assert len(fresh) == 6
-        assert (fresh_map(rows) == axes(f, rows, 5, 8, 8, 1)[:, fresh]).all()
+        want = axes(f, rows, 5, 8, 8, 1)
+        assert (got[:, fresh] == want[:, fresh]).all()
+        assert (got == want).all()
 
     @pytest.mark.parametrize("q", [3, 4])
     def test_reevaluate_agrees_with_the_axis_route(self, q):
         # random rows on nested sets T(n, dfrom) inside T(n-b, dto) x
-        # GF(q)^b: reevaluate's pick equals the axis route whether the
-        # target has no fresh point, a few (at most half) or many, with
-        # and without a grid suffix, at k = 1 and k = 2
+        # GF(q)^b: compile_reevaluation's pick equals the axis route
+        # whether the target has no fresh point, a few (at most half) or
+        # many, with and without a grid suffix, at k = 1 and k = 2
         f = make_field(q)
         rng = np.random.default_rng(18 + q)
         seen = set()
@@ -268,14 +305,15 @@ class TestBatched:
             dto = int(rng.integers(0, n * (q - 1) + 1))
             efrom = transform._effective_delta(q, n, dfrom, 0)
             eto = transform._effective_delta(q, n, dto, b)
-            fresh, order = transform._split(q, n, efrom, eto, b)
-            rows = rng.integers(0, q, size=(3, len(
-                transform._point_data(q, n, efrom, 0).keys)))
-            got = transform.reevaluate(f, rows, n, dfrom, dto, b)
+            src = transform._point_data(q, n, efrom, 0).keys
+            to = transform._point_data(q, n, eto, b).keys
+            fresh = np.flatnonzero(~np.isin(to, src))
+            rows = rng.integers(0, q, size=(3, len(src)))
+            got = transform.compile_reevaluation(f, n, dfrom, dto, b)(rows)
             want = transform._reevaluate_axes(f, rows, n, efrom, eto, b)
             assert (got == want).all(), (q, n, dfrom, dto, b)
             seen.add((b > 0, "none" if not len(fresh) else
-                      "few" if 2 * len(fresh) <= len(order) else "many"))
+                      "few" if 2 * len(fresh) <= len(to) else "many"))
         assert seen == {(s, kind) for s in (False, True)
                         for kind in ("none", "few", "many")}
 
@@ -291,11 +329,13 @@ class TestBatched:
             assert got.shape == (0, 69)
 
     @pytest.mark.parametrize("q", [3, 4, 9])
-    def test_reevaluate_zero_and_one_row(self, q, monkeypatch):
+    def test_reevaluate_zero_and_one_row(self, q, monkeypatch, axis_calls):
         # 0 rows, and 1 row (the axis pass's vector path), through
-        # reevaluate's pick, its axis route at DENSE_LIMIT = 0 and
-        # _reevaluate_axes, onto targets above, below and inside the
-        # source set, with and without a grid suffix
+        # compile_reevaluation's pick, its axis route at DENSE_LIMIT = 0
+        # (compiled past the cache, and shown to run the axis route where
+        # the target has fresh points) and _reevaluate_axes, onto targets
+        # above, below and inside the source set, with and without a
+        # grid suffix
         f = make_field(q)
         rng = np.random.default_rng(60 + q)
         n, dfrom = 3, 2
@@ -306,13 +346,17 @@ class TestBatched:
             eto = transform._effective_delta(q, n, dto, b)
             pts = enumerate_points(TrimmedPointSet(q, n, dto, b))
             want = [[poly.evaluate(pt) for pt in pts]]
+            has_fresh = (dto, b) in ((4, 1), (3, 2))
             for rows in (values, values[:0]):
-                got = [transform.reevaluate(f, rows, n, dfrom, dto, b),
+                got = [transform.compile_reevaluation(f, n, dfrom, dto,
+                                                      b)(rows),
                        transform._reevaluate_axes(f, rows, n, efrom, eto, b)]
                 with monkeypatch.context() as m:
                     m.setattr(transform, "DENSE_LIMIT", 0)
-                    got.append(transform.reevaluate(f, rows, n, dfrom, dto,
-                                                    b))
+                    axis_calls[0] = 0
+                    got.append(transform.compile_reevaluation.__wrapped__(
+                        f, n, dfrom, dto, b)(rows))
+                    assert axis_calls[0] == has_fresh, (dto, b)
                 for out in got:
                     assert out.dtype == np.int64
                     assert out.tolist() == want[:len(rows)], (dto, b)
@@ -536,16 +580,18 @@ class TestOpCounting:
         assert ratio.max() <= 2.0 and ratio.min() >= 0.5
 
     def test_reevaluate_counts_fresh_products_only(self, monkeypatch):
-        # a warm fresh-point map counts rows * |T_from| * |fresh| (237
-        # source points, 6 fresh ones); a pure gather counts nothing
+        # a compiled fresh-point map counts rows * |T_from| * |fresh| (237
+        # source points, 6 fresh ones) per product; a pure gather counts
+        # nothing
         f = make_field(3)
         rows = np.random.default_rng(19).integers(0, 3, size=(5, 237))
-        transform.reevaluate(f, rows, 5, 8, 8, 1)
+        reevaluate = transform.compile_reevaluation(f, 5, 8, 8, 1)
         monkeypatch.setattr(transform, "FIELD_OPS", 0)
-        transform.reevaluate(f, rows, 5, 8, 8, 1)
+        reevaluate(rows)
         assert transform.FIELD_OPS == 5 * 237 * 6
+        gather = transform.compile_reevaluation(f, 5, 8, 6, 1)
         monkeypatch.setattr(transform, "FIELD_OPS", 0)
-        transform.reevaluate(f, rows, 5, 8, 6, 1)
+        gather(rows)
         assert transform.FIELD_OPS == 0
 
 
