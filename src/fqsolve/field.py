@@ -15,14 +15,17 @@ operation picks its formula in one place, its vector form: the scalar
 add, neg, sub and mul are vadd, vneg, vsub and vmul on one element,
 which take Python ints as well as arrays.
 
-Every matrix product over the field goes through `compile_matrix`, which
-expands the matrix once, by a table gather, into an F_p matrix on base-p
-digit rows, in which each element stands as its k digits (`to_digits`;
-`from_digits` recombines them).  Its one kernel maps float digit rows
-(r, Ik) to reduced digit rows (r, Jk) with one BLAS matmul and the floor
-reduction below.  The index-row map that the solver calls is that kernel
-between one digit gather and one recombination; the transform's axis
-passes keep digit rows from their first pass to their last.  Both factors
+Every matrix product over the field expands the matrix once, by a table
+gather, into an F_p matrix on base-p digit rows, in which each element
+stands as its k digits (`to_digits`; `from_digits` recombines them).
+Its kernel has two halves: `compile_product` maps float digit rows
+(r, Ik) to their unreduced product (r, Jk) with one BLAS matmul, and
+`reduce_digits` reduces a product mod p in place by the floor reduction
+below.  `compile_matrix` is the reduction after the product; the
+index-row map that the solver calls is that between one digit gather and
+one recombination.  The transform's axis passes keep digit rows from
+their first pass to their last and reduce them only where the next
+product needs it (below).  Both factors of a `compile_matrix` product
 have entries in 0..p-1, so every partial sum of an inner product of
 length L = Ik is an integer of at most L(p-1)^2, exact in float64 while
 that stays below 2^53; `compile_matrix` refuses longer products with
@@ -49,6 +52,24 @@ bounds L = Ik by 2^26, so y < 2^26 * 255^2 < 2^42.  For k = 1, p reaches
 are reduced by `np.fmod`, which is exact and slower.  Below it, k = 1
 uses the floor reduction as every other product does.  Digits and
 indices lie below 2^16, so both conversions are exact in either type.
+
+The reduction may wait.  If the rows' entries are integers in 0..B,
+every partial sum of a product of length L = Ik is an integer of at most
+L(p-1)B.  While L(p-1)B stays below the limit of the rows' type,
+FLOAT32_LIMIT in float32 (which also keeps every partial sum below
+float32's 2^24) and REDUCE_LIMIT in float64, the product is exact and
+its later reduction is exact too.  The transform's digit rows carry such
+a bound B.  It starts at p-1; an axis pass multiplies it by L(p-1), for L
+= ln*k and ln the pass's longest applied block; and the rows are reduced
+in place, back to B = p-1, before any pass that could take it to the
+limit and before they are recombined.  So every product that the passes
+compute has B*L(p-1) below the limit and is exact, whatever the order of
+passes.  From reduced rows one pass reaches at most qk(p-1)^2 (L <= qk).
+Where the rows are float32 that is below FLOAT32_LIMIT by the choice of
+`float_type(q)`, and for every q <= ORDER_LIMIT it is below 2^48, under
+REDUCE_LIMIT: 65521 * 65520^2 < 2^48 at k = 1, and 251^2 * 2 * 250^2 <
+2^33 is the largest at k >= 2.  So a reduction before a pass always
+suffices, and no field needs one after every product.
 
 Every digit gather (`to_digits`, `vadd`, `vneg`, `vsum_axis`) uses
 `np.take`: a fancy-index gather costs over ten times as much.
@@ -377,22 +398,19 @@ class FieldSpec:
         out = digits.reshape(-1, k) @ self._fppow[digits.dtype.type]
         return out.astype(np.int64).reshape(shape)
 
-    def compile_matrix(self, mat: np.ndarray):
-        """Bake the linear map of a J-by-I matrix into one float matmul.
+    def compile_product(self, mat: np.ndarray):
+        """The unreduced half of `compile_matrix`: the map of float digit
+        rows (r, Ik) to their product (r, Jk) with the F_p matrix that the
+        J-by-I matrix expands to, in the rows' type or wider.
 
         Multiplication by a fixed field element is F_p-linear on base-p
         digit vectors, so the matrix expands to an Ik-by-Jk matrix over
-        F_p acting on digit rows of length Ik (for k = 1, the matrix
-        itself), in the float type `float_type(I)`.  The product is exact
-        because Ik(p-1)^2 < 2^53 (2^51 for k >= 2, see the module
-        docstring) is checked here, before anything is allocated; the
-        result is then the same for any BLAS summation order or thread
-        count.
-
-        The returned map takes float digit rows (r, Ik) to reduced digit
-        rows (r, Jk), of the rows' type or wider, and int64 index rows
-        (r, I) to int64 index rows (r, J): the same product between
-        `to_digits` and `from_digits`.
+        F_p (for k = 1, the matrix itself) with entries in 0..p-1, in the
+        float type `float_type(I)`, checked by `check_matrix_size` before
+        anything is allocated.  For rows with entries in 0..B every
+        product entry is an integer of at most Ik(p-1)B, exact while that
+        stays below the type's limit (module docstring); it is then the
+        same for any BLAS summation order or thread count.
         """
         p, k = self.p, self.k
         nout, nin = mat.shape
@@ -404,17 +422,39 @@ class FieldSpec:
             # mt[i, c, j, d] = digit d of mat[j, i] * p^c
             mt = self._fdigits[ftype][self.vmul(mat[..., None], self._ppow)]
             mt = mt.transpose(1, 2, 0, 3).reshape(nin * k, nout * k)
-        # only k = 1 products reach 2^51, where fmod is exact and slower
-        floor = nin * k * (p - 1) ** 2 < REDUCE_LIMIT
 
-        def reduced(rows: np.ndarray) -> np.ndarray:
-            y = rows @ mt
-            return _reduce(y, p) if floor else np.fmod(y, p, out=y)
+        def product(rows: np.ndarray) -> np.ndarray:
+            return rows @ mt
+        return product
+
+    def reduce_digits(self, y: np.ndarray, bound: int) -> np.ndarray:
+        """y mod p in place, for a float array of integers in 0..bound: the
+        floor reduction below REDUCE_LIMIT, which a float32 y must keep
+        below FLOAT32_LIMIT, and np.fmod, exact and slower, from it on."""
+        if bound < REDUCE_LIMIT:
+            return _reduce(y, self.p)
+        return np.fmod(y, self.p, out=y)
+
+    def compile_matrix(self, mat: np.ndarray):
+        """Bake the linear map of a J-by-I matrix into one float matmul:
+        `reduce_digits` after `compile_product`.
+
+        The returned map takes float digit rows (r, Ik) with entries in
+        0..p-1 to reduced digit rows (r, Jk), of the rows' type or wider,
+        and int64 index rows (r, I) to int64 index rows (r, J): the same
+        product between `to_digits` and `from_digits`.  Its products are
+        at most Ik(p-1)^2 < 2^53 (2^51 for k >= 2), so they are exact.
+        """
+        product = self.compile_product(mat)
+        nin = mat.shape[1]
+        ftype = self.float_type(nin)
+        bound = nin * self.k * (self.p - 1) ** 2
 
         def apply(rows: np.ndarray) -> np.ndarray:
             if rows.dtype.kind == "f":
-                return reduced(rows)
-            return self.from_digits(reduced(self.to_digits(rows, ftype)))
+                return self.reduce_digits(product(rows), bound)
+            digits = self.to_digits(rows, ftype)
+            return self.from_digits(self.reduce_digits(product(digits), bound))
         return apply
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -28,7 +28,7 @@ where -a^(q-2) is 0 at a = 0 and 1 at a = 1.
 
 Every axis pass works on the last axis of an array, so a batch of value
 vectors (one row each) goes through each slice length in a single
-application of the field's one matrix kernel, `FieldSpec.compile_matrix`;
+product of the field's matrix kernel, `FieldSpec.compile_product`;
 `evaluate_values` and the maps of `compile_reevaluation` are the batched
 forms the solver uses.
 
@@ -45,6 +45,19 @@ its own.  Going from one order to the next is one `np.take` of whole
 elements (the k digits of an element viewed as one item); the orders and
 the moves between them are cached per point set in `_PointData`, and a
 pass whose every block is the identity does not move the rows.
+
+The block products are left unreduced, and the rows carry a bound B on
+their entries, p-1 at first.  A pass multiplies B by ln*k*(p-1), for ln
+its longest applied block, and the whole rows are reduced in place
+(`FieldSpec.reduce_digits`) before a pass whose products could reach the
+exact limit of their type, FLOAT32_LIMIT for float32 rows and
+REDUCE_LIMIT for float64 ones.  They are also reduced before they are
+converted back, and, in the axis route, before the Newton rows are
+copied into the target set.  Every product then stays below the limit
+and is exact (the field module docstring has the proof), so the values
+are those of reducing every product.  With q x q blocks this is one
+reduction every 21 passes at q = 2, every other pass at q = 81, and
+before every pass at q = 157.
 
 `compile_reevaluation` compiles the map from the values of polynomials
 of degree <= dfrom on T_from = T(n, dfrom) to their values on the target
@@ -85,7 +98,7 @@ from functools import cache, lru_cache
 import numpy as np
 
 from .errors import DegreeTooHighError, SizeMismatchError, TooLargeError
-from .field import ENTRY_LIMIT, FieldSpec
+from .field import ENTRY_LIMIT, FLOAT32_LIMIT, REDUCE_LIMIT, FieldSpec
 from .mpoly import (Polynomial, TrimmedPointSet, check_key_width,
                     point_matrix)
 
@@ -126,8 +139,10 @@ class _PointData:
     """The points of T(n-b, delta) x GF(q)^b in canonical (key) order and,
     per axis, in the axis's slice order: every slice along the axis
     contiguous in coordinate order, the slices grouped by length.  spans
-    maps each slice length to its range in that order."""
-    __slots__ = ("points", "keys", "strides", "orders", "spans", "_moves")
+    maps each slice length to its range in that order, and ops holds the
+    axis's nominal count per row, the sum of its slice lengths squared."""
+    __slots__ = ("points", "keys", "strides", "orders", "spans", "ops",
+                 "_moves")
 
     def __init__(self, q: int, n: int, delta: int, b: int):
         pts = point_matrix(q, n, delta, b)
@@ -135,7 +150,7 @@ class _PointData:
         self.strides = np.array([q ** (n - 1 - i) for i in range(n)],
                                 dtype=np.int64)
         self.keys = pts @ self.strides  # ascending, since pts is lex sorted
-        self.orders, self.spans, self._moves = [], [], {}
+        self.orders, self.spans, self.ops, self._moves = [], [], [], {}
         for axis in range(n):
             rest = self.keys - pts[:, axis] * self.strides[axis]
             order = np.lexsort((pts[:, axis], rest))
@@ -154,6 +169,8 @@ class _PointData:
             # gather with are int64, which np.take uses without a copy
             self.orders.append(np.concatenate(parts).astype(np.int32))
             self.spans.append(spans)
+            self.ops.append(sum((stop - start) * ln
+                                for ln, (start, stop) in spans.items()))
 
     def move(self, frm: int | None, to: int | None) -> np.ndarray:
         """The positions in order frm of the points of order to, in order;
@@ -232,10 +249,12 @@ def _matrices(field: FieldSpec) -> dict[str, np.ndarray]:
 
 @cache
 def _compiled_block(field: FieldSpec, name: str, ln: int):
+    """The unreduced product of digit rows with the ln x ln leading block
+    of a frame (`FieldSpec.compile_product`)."""
     # before _matrices, which near the limit spends seconds and gigabytes
-    # on frames that compile_matrix would then refuse to expand
+    # on frames that compile_product would then refuse to expand
     field.check_matrix_size(ln, ln)
-    return field.compile_matrix(_matrices(field)[name][:ln, :ln])
+    return field.compile_product(_matrices(field)[name][:ln, :ln])
 
 
 @cache
@@ -265,13 +284,21 @@ def _elements(digits: np.ndarray, k: int) -> np.ndarray:
 class _Rows:
     """Float digit rows over one point set, a vector or a (batch,
     points*k) array, held in the canonical order or in one axis's slice
-    order (see _PointData).  Reordering is one gather of whole elements."""
-    __slots__ = ("points", "ftype", "elems", "order")
+    order (see _PointData).  Reordering is one gather of whole elements.
+    Every entry is an integer in 0..bound, which the block products
+    raise and `reduce` brings back to p-1; from limit on, a product or
+    its reduction may not be exact in the rows' type (FLOAT32_LIMIT in
+    float32, REDUCE_LIMIT in float64, see the field module docstring)."""
+    __slots__ = ("field", "points", "ftype", "elems", "order", "bound",
+                 "limit")
 
     def __init__(self, field: FieldSpec, points: _PointData,
                  digits: np.ndarray):
-        self.points, self.ftype = points, digits.dtype
+        self.field, self.points, self.ftype = field, points, digits.dtype
         self.elems, self.order = _elements(digits, field.k), None
+        self.bound = field.p - 1
+        self.limit = (FLOAT32_LIMIT if self.ftype == np.float32
+                      else REDUCE_LIMIT)
 
     def arrange(self, order: int | None) -> np.ndarray:
         """The digit rows in the given order (None: canonical)."""
@@ -281,6 +308,18 @@ class _Rows:
             self.order = order
         return self.elems.view(self.ftype)
 
+    def reduce(self) -> None:
+        """Reduce every entry mod p in place, unless all are reduced."""
+        p = self.field.p
+        if self.bound >= p:
+            self.field.reduce_digits(self.elems.view(self.ftype), self.bound)
+            self.bound = p - 1
+
+    def values(self) -> np.ndarray:
+        """The int64 values of the rows, in canonical order."""
+        self.reduce()
+        return self.field.from_digits(self.arrange(None))
+
 
 def _apply_axis(field: FieldSpec, rows: _Rows, axis: int, name: str) -> None:
     """One axis pass in place.  In the axis's slice order the slices of
@@ -288,20 +327,31 @@ def _apply_axis(field: FieldSpec, rows: _Rows, axis: int, name: str) -> None:
     which goes through the length's block in one matrix application and
     is written back where it was.  The rows are put in that order only
     when some length's block is not the identity; identity blocks are
-    left as they are, and still counted in FIELD_OPS."""
+    left as they are, and still counted in FIELD_OPS.
+
+    The products are not reduced.  Entries in 0..B come out of a block
+    of length ln at most B * ln * k * (p-1), so the pass multiplies the
+    rows' bound by that growth for its longest applied ln.  Where the
+    new bound could reach the rows' limit, the whole rows are reduced
+    first, so every product stays below it and is exact (field module
+    docstring); one pass from reduced rows never reaches it."""
     global FIELD_OPS
     spans = rows.points.spans[axis]
     batch = 1 if rows.elems.ndim == 1 else len(rows.elems)
     run = [ln for ln in spans if not _is_identity(field, name, ln)]
     if run:
-        arr, k = rows.arrange(axis), field.k
+        k = field.k
+        growth = max(run) * k * (field.p - 1)
+        if rows.bound * growth >= rows.limit:
+            rows.reduce()
+        arr = rows.arrange(axis)
         for ln in run:
             start, stop = spans[ln]
             fn = _compiled_block(field, name, ln)
             seg = arr[..., start * k:stop * k]
             seg[...] = fn(seg.reshape(-1, ln * k)).reshape(seg.shape)
-    FIELD_OPS += batch * sum((stop - start) * ln
-                             for ln, (start, stop) in spans.items())
+        rows.bound *= growth
+    FIELD_OPS += batch * rows.points.ops[axis]
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +405,7 @@ def evaluate_values(field: FieldSpec, n: int, polys: Sequence[Polynomial],
         _apply_axis(field, rows, axis, "MtoN")
     for axis in range(n):
         _apply_axis(field, rows, axis, "VN" if axis < n - b else "W")
-    values = field.from_digits(rows.arrange(None))
+    values = rows.values()
     if dwork != deff:
         values = values[:, _positions(q, n, deff, b, dwork, b)]
     return values
@@ -418,12 +468,13 @@ def _reevaluate_axes(field: FieldSpec, values: np.ndarray, n: int,
     dwork = _effective_delta(q, n, max(dto, dfrom), b)
     work = _point_data(q, n, dwork, b)
     out = np.zeros((len(values), len(work.keys) * k), dtype=ftype)
+    newton.reduce()
     _elements(out, k)[:, _positions(q, n, dfrom, 0, dwork, b)] = _elements(
         newton.arrange(None), k)
     rows = _Rows(field, work, out)
     for axis in range(n):
         _apply_axis(field, rows, axis, "VN")
-    out = field.from_digits(rows.arrange(None))
+    out = rows.values()
     if dwork != dto:
         out = out[:, _positions(q, n, dto, b, dwork, b)]
     return out
@@ -445,7 +496,7 @@ def interpolate_trimmed(ev: TrimmedEvaluation) -> Polynomial:
         _apply_axis(field, rows, axis, "VNinv" if axis < n - ps.b else "Winv")
     for axis in range(n - ps.b):
         _apply_axis(field, rows, axis, "NtoM")
-    arr = field.from_digits(rows.arrange(None))
+    arr = rows.values()
     nz = np.flatnonzero(arr)
     return Polynomial.from_term_arrays(field, n, pd.points[nz], arr[nz])
 

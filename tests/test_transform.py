@@ -8,9 +8,11 @@ from fqsolve import (Polynomial, TrimmedPointSet, enumerate_points,
                      evaluate_trimmed, format_evaluation, interpolate_trimmed,
                      make_field, parse_evaluation)
 from fqsolve import oracle, transform
-from fqsolve.field import FieldSpec
+from fqsolve.field import (FLOAT32_LIMIT, ORDER_LIMIT, REDUCE_LIMIT,
+                           FieldSpec, _factor_prime_power)
 from fqsolve.errors import (DegreeTooHighError, FqsolveError,
-                            SizeMismatchError, TooLargeError)
+                            NotPrimePowerError, SizeMismatchError,
+                            TooLargeError)
 from fqsolve.mpoly import point_matrix
 
 
@@ -418,13 +420,20 @@ class TestMatrices:
 
     @pytest.mark.parametrize("q", [64, 81, 257, 289])
     def test_compiled_full_blocks_roundtrip(self, q):
-        # the compiled q x q Newton frame and its inverse undo each other
+        # the compiled q x q Newton frame and its inverse undo each other,
+        # each unreduced product reduced before the next
         f = make_field(q)
         rows = np.random.default_rng(q).integers(0, q, size=(50, q))
-        vn = transform._compiled_block(f, "VN", q)
-        vninv = transform._compiled_block(f, "VNinv", q)
-        assert (vninv(vn(rows)) == rows).all()
-        assert (vn(vninv(rows)) == rows).all()
+        digits = f.to_digits(rows, transform._float_type(f))
+
+        def block(name, digits):
+            return f.reduce_digits(transform._compiled_block(f, name, q)(
+                digits), q * f.k * (f.p - 1) ** 2)
+
+        assert (f.from_digits(block("VNinv", block("VN", digits)))
+                == rows).all()
+        assert (f.from_digits(block("VN", block("VNinv", digits)))
+                == rows).all()
 
     def test_oversize_block_refused_before_frames(self, monkeypatch):
         # GF(2^11): 6q^2 frame entries pass ENTRY_LIMIT, but the full
@@ -441,15 +450,17 @@ class TestMatrices:
 def _witness_axis(ops):
     """An axis pass that sends every slice length through _compiled_block,
     identity blocks included, as a batch of digit rows (the run of each
-    length's slices in the axis's slice order), adding batch * slices *
-    ln^2 to ops[0]."""
+    length's slices in the axis's slice order), reducing every product
+    as it is made, and adds batch * slices * ln^2 to ops[0]."""
     def apply_axis(field, rows, axis, name):
         arr, k = rows.arrange(axis), field.k
         batch = 1 if arr.ndim == 1 else len(arr)
         for ln, (start, stop) in rows.points.spans[axis].items():
             fn = transform._compiled_block(field, name, ln)
             seg = arr[..., start * k:stop * k]
-            seg[...] = fn(seg.reshape(-1, ln * k)).reshape(seg.shape)
+            seg[...] = field.reduce_digits(
+                fn(seg.reshape(-1, ln * k)), ln * k * (field.p - 1) ** 2
+            ).reshape(seg.shape)
             ops[0] += batch * (stop - start) // ln * ln * ln
     return apply_axis
 
@@ -545,6 +556,154 @@ class TestIdentityBlocks:
         monkeypatch.setattr(transform, "_matrices", no_frames)
         with pytest.raises(TooLargeError, match="entries"):
             transform._is_identity.__wrapped__(make_field(2048), "VN", 2048)
+
+
+def _exact_limit(ftype) -> int:
+    return FLOAT32_LIMIT if ftype == np.float32 else REDUCE_LIMIT
+
+
+@pytest.fixture()
+def lazy_and_eager(monkeypatch):
+    """Runs a call on the lazy passes, under spies, then on the eager loop
+    (_witness_axis, which reduces every product), asserts that both add
+    the same FIELD_OPS and returns both results.  The spies check that
+    the rows' bound times a block's growth stays below the rows' exact
+    limit before every product, that every pass leaves its entries within
+    the bound, and that only reduced digits reach from_digits."""
+    def run(call):
+        passes = []
+        apply_axis, compiled = transform._apply_axis, transform._compiled_block
+        from_digits = FieldSpec.from_digits
+
+        def spied_axis(field, rows, axis, name):
+            passes.append(rows)
+            apply_axis(field, rows, axis, name)
+            passes.pop()
+            assert rows.arrange(rows.order).max(initial=0) <= rows.bound
+
+        def spied_block(field, name, ln):
+            fn = compiled(field, name, ln)
+
+            def product(digits):
+                bound = passes[-1].bound
+                assert digits.max(initial=0) <= bound
+                assert (bound * ln * field.k * (field.p - 1)
+                        < _exact_limit(digits.dtype))
+                return fn(digits)
+            return product
+
+        def spied_from_digits(field, digits):
+            assert ((digits >= 0) & (digits < field.p)
+                    & (digits == np.floor(digits))).all()
+            return from_digits(field, digits)
+
+        monkeypatch.setattr(transform, "FIELD_OPS", 0)
+        with monkeypatch.context() as m:
+            m.setattr(transform, "_apply_axis", spied_axis)
+            m.setattr(transform, "_compiled_block", spied_block)
+            m.setattr(FieldSpec, "from_digits", spied_from_digits)
+            got = call()
+        ops = [0]
+        with monkeypatch.context() as m:
+            m.setattr(transform, "_apply_axis", _witness_axis(ops))
+            want = call()
+        assert transform.FIELD_OPS == ops[0]
+        return got, want
+    return run
+
+
+def _lazy_cases(f, n, dfrom, dto, rng, lazy_and_eager):
+    """evaluate_values and _reevaluate_axes on 0, 1 and 64 rows, and
+    interpolate_trimmed, at b = 0, 1, 2, lazy against eager.  The first
+    row has every digit p-1: as coefficients at every monomial, and as
+    values."""
+    q = f.q
+    monomials = point_matrix(q, n, min(dto, n * (q - 1)), 0)
+    top = Polynomial.from_term_arrays(f, n, monomials,
+                                      np.full(len(monomials), q - 1))
+    efrom = transform._effective_delta(q, n, dfrom, 0)
+    nfrom = TrimmedPointSet(q, n, efrom, 0).size()
+    for b in (0, 1, 2):
+        eto = transform._effective_delta(q, n, dto, b)
+        for batch in (0, 1, 64):
+            polys = [top] + [random_polynomial(rng, q, n, dto, max_terms=12)
+                             for _ in range(batch - 1)]
+            got, want = lazy_and_eager(lambda: transform.evaluate_values(
+                f, n, polys[:batch], dto, b))
+            assert got.shape == want.shape
+            assert (got == want).all(), (q, b, batch, "evaluate")
+            values = rng.integers(0, q, size=(batch, nfrom))
+            values[:1] = q - 1
+            got, want = lazy_and_eager(lambda: transform._reevaluate_axes(
+                f, values, n, efrom, eto, b))
+            assert got.shape == want.shape
+            assert (got == want).all(), (q, b, batch, "reevaluate")
+        ps = TrimmedPointSet(q, n, dto, b)
+        for vals in (np.full(ps.size(), q - 1),
+                     rng.integers(0, q, size=ps.size())):
+            ev = transform.TrimmedEvaluation(f, ps, vals)
+            got, want = lazy_and_eager(lambda: interpolate_trimmed(ev))
+            assert got == want, (q, b, "interpolate")
+
+
+class TestLazyReduction:
+    # (n, dfrom, dto) per field: every slice length up to q, on sets of at
+    # most q^3 points for q <= 16 and q^2 above
+    SHAPES = {2: (3, 1, 3), 3: (3, 2, 6), 4: (3, 3, 7), 5: (3, 3, 9),
+              7: (3, 4, 13), 8: (3, 4, 15), 9: (3, 5, 17), 16: (3, 8, 31),
+              27: (2, 13, 52), 64: (2, 32, 126), 81: (2, 40, 160),
+              157: (2, 80, 312), 163: (2, 80, 324)}
+
+    @pytest.mark.parametrize("q", sorted(SHAPES))
+    def test_lazy_passes_match_the_eager_loop(self, q, lazy_and_eager):
+        n, dfrom, dto = self.SHAPES[q]
+        _lazy_cases(make_field(q), n, dfrom, dto,
+                    np.random.default_rng(500 + q), lazy_and_eager)
+
+    def test_largest_prime_refused_both_ways(self, monkeypatch):
+        # GF(65521), whose one pass from reduced rows comes closest to
+        # REDUCE_LIMIT, has frames over ENTRY_LIMIT: both loops refuse it
+        f = make_field(65521)
+        for apply_axis in (transform._apply_axis, _witness_axis([0])):
+            with monkeypatch.context() as m:
+                m.setattr(transform, "_apply_axis", apply_axis)
+                with pytest.raises(TooLargeError, match="entries"):
+                    transform.evaluate_values(
+                        f, 1, [Polynomial.variable(f, 1, 0)], 1, 0)
+
+    def test_one_pass_from_reduced_rows_stays_below_the_limit(self):
+        # the field docstring's claim: a pass from reduced rows reaches at
+        # most q k (p-1)^2, below 2^48 for every q <= ORDER_LIMIT
+        top = 0
+        for q in range(2, ORDER_LIMIT + 1):
+            try:
+                p, k = _factor_prime_power(q)
+            except NotPrimePowerError:
+                continue
+            top = max(top, q * k * (p - 1) ** 2)
+        assert top == 65521 * 65520 ** 2 < 2 ** 48 < REDUCE_LIMIT
+
+    @pytest.mark.parametrize("q, n, dfrom, dto", [
+        (3, 6, 3, 12), (3, 10, 1, 2), (5, 3, 6, 12), (81, 2, 20, 160),
+        (157, 2, 1, 3), (157, 2, 60, 312)])
+    def test_frames_that_reach_the_bound(self, q, n, dfrom, dto,
+                                         monkeypatch, lazy_and_eager):
+        # every block all p-1: at k = 1 rows at their bound B come out of a
+        # block of length ln at exactly B ln (p-1), the growth the passes
+        # assume, so a reduction left out or made late shows in the values
+        f = make_field(q)
+        caches = (transform._compiled_block, transform._is_identity)
+        frames = {name: np.full((q, q), f.p - 1, dtype=np.int64)
+                  for name in transform._matrices(f)}
+        for cache in caches:
+            cache.cache_clear()
+        monkeypatch.setattr(transform, "_matrices", lambda field: frames)
+        try:
+            _lazy_cases(f, n, dfrom, dto, np.random.default_rng(q + n),
+                        lazy_and_eager)
+        finally:
+            for cache in caches:
+                cache.cache_clear()
 
 
 class TestKeyWidth:
