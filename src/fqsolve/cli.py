@@ -237,13 +237,19 @@ def _selftest() -> int:
         check(f"field-axioms-q{q}", ok)
 
     rng = np.random.default_rng(7)
+
+    def transform_cases():
+        for _ in range(40):
+            q = int(rng.choice([2, 3, 4, 5]))
+            n = int(rng.integers(1, 5))
+            delta = int(rng.integers(0, min(6, n * (q - 1)) + 1))
+            yield q, n, delta, int(rng.integers(0, n + 1))
+        # full-degree sets with b < n, which take the direct frames
+        yield from ((2, 3, 2, 1), (3, 3, 4, 1), (4, 2, 5, 1))
+
     ok = True
-    for _ in range(40):
-        q = int(rng.choice([2, 3, 4, 5]))
+    for q, n, delta, b in transform_cases():
         f = make_field(q)
-        n = int(rng.integers(1, 5))
-        delta = int(rng.integers(0, min(6, n * (q - 1)) + 1))
-        b = int(rng.integers(0, n + 1))
         pts = mpoly.point_matrix(q, n, delta, 0)
         take = rng.integers(0, len(pts), size=min(6, len(pts)))
         pairs = [(tuple(int(v) for v in pts[i]), int(rng.integers(1, q)))

@@ -21,15 +21,15 @@ stands as its k digits (`to_digits`; `from_digits` recombines them).
 Its kernel has two halves: `compile_product` maps float digit rows
 (r, Ik) to their unreduced product (r, Jk) with one BLAS matmul, and
 `reduce_digits` reduces a product mod p in place by the floor reduction
-below.  `compile_matrix` is the reduction after the product; the
-index-row map that the solver calls is that between one digit gather and
-one recombination.  The transform's axis passes keep digit rows from
-their first pass to their last and reduce them only where the next
-product needs it (below).  Both factors of a `compile_matrix` product
-have entries in 0..p-1, so every partial sum of an inner product of
-length L = Ik is an integer of at most L(p-1)^2, exact in float64 while
-that stays below 2^53; `compile_matrix` refuses longer products with
-`TooLargeError`.
+below.  `compile_matrix`, the index-row map that the solver calls, is
+the product and its reduction between one digit gather and one
+recombination.  The transform's axis passes call the two halves
+themselves: they keep digit rows from their first pass to their last and
+reduce them only where the next product needs it (below).  Both factors
+of a `compile_matrix` product have entries in 0..p-1, so every partial
+sum of an inner product of length L = Ik is an integer of at most
+L(p-1)^2, exact in float64 while that stays below 2^53; `compile_matrix`
+refuses longer products with `TooLargeError`.
 
 The product y is reduced in place as y - p*floor((y + 1/2) * (1/p)), in
 its own float type with 1/p rounded to that type.  With m mantissa bits
@@ -437,13 +437,10 @@ class FieldSpec:
 
     def compile_matrix(self, mat: np.ndarray):
         """Bake the linear map of a J-by-I matrix into one float matmul:
-        `reduce_digits` after `compile_product`.
-
-        The returned map takes float digit rows (r, Ik) with entries in
-        0..p-1 to reduced digit rows (r, Jk), of the rows' type or wider,
-        and int64 index rows (r, I) to int64 index rows (r, J): the same
-        product between `to_digits` and `from_digits`.  Its products are
-        at most Ik(p-1)^2 < 2^53 (2^51 for k >= 2), so they are exact.
+        the returned map takes int64 index rows (r, I) to int64 index rows
+        (r, J) by `compile_product` and `reduce_digits` between
+        `to_digits` and `from_digits`.  Its products are at most
+        Ik(p-1)^2 < 2^53 (2^51 for k >= 2), so they are exact.
         """
         product = self.compile_product(mat)
         nin = mat.shape[1]
@@ -451,8 +448,6 @@ class FieldSpec:
         bound = nin * self.k * (self.p - 1) ** 2
 
         def apply(rows: np.ndarray) -> np.ndarray:
-            if rows.dtype.kind == "f":
-                return self.reduce_digits(product(rows), bound)
             digits = self.to_digits(rows, ftype)
             return self.from_digits(self.reduce_digits(product(digits), bound))
         return apply

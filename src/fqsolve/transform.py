@@ -2,11 +2,12 @@
 
 A polynomial of total degree at most D in n variables is determined by
 its values on T(n-b, D) x GF(q)^b.  Both directions work axis by axis
-through the Newton basis over the element enumeration 0, 1, ..., q-1:
+over the element enumeration 0, 1, ..., q-1.  A full axis, one whose
+slices all hold q values (the grid suffix, and every axis of a
+full-degree set), converts between monomials and values directly;
+every other axis goes through the Newton basis:
 
-  evaluation    = (monomial -> Newton on every trimmed axis), then
-                  (Newton -> values on trimmed axes, monomial -> values
-                   on grid axes);
+  evaluation    = (monomial -> Newton), then (Newton -> values);
   interpolation = the exact reverse.
 
 Newton-to-values is lower triangular and monomial-to-Newton preserves the
@@ -26,25 +27,23 @@ ln = 1, for both monomial/Newton frames at ln = 2 (sigma_0 = 0 makes
 N_1 = x), and for the inverse Vandermonde at ln = 2 in GF(2^k), k >= 2,
 where -a^(q-2) is 0 at a = 0 and 1 at a = 1.
 
-Every axis pass works on the last axis of an array, so a batch of value
-vectors (one row each) goes through each slice length in a single
-product of the field's matrix kernel, `FieldSpec.compile_product`;
-`evaluate_values` and the maps of `compile_reevaluation` are the batched
-forms the solver uses.
-
 The passes run on float digit rows (`FieldSpec.to_digits`: each value
-becomes its k base-p digits).  `evaluate_values`, `interpolate_trimmed`
-and the axis route convert their int64 values to digit rows once, run
-every pass on those rows in place, and convert back once.  The rows have
-one float type per field, the one its largest block, q x q, needs
+becomes its k base-p digits), one row per value vector of a batch;
+`evaluate_values` and the maps of `compile_reevaluation` are the batched
+forms the solver uses.  `evaluate_values`, `interpolate_trimmed` and the
+axis route convert their int64 values to digit rows once, run every pass
+on those rows in place, and convert back once.  The rows have one float
+type per field, the one its largest block, q x q, needs
 (`FieldSpec.float_type`): float32 for every q <= 81 and every prime up to
 157, float64 above.  A pass holds the rows in its axis's slice order, in
 which the slices of each length form one contiguous run: each block
-reads its run and writes it back in place, with no gather or scatter of
-its own.  Going from one order to the next is one `np.take` of whole
-elements (the k digits of an element viewed as one item); the orders and
-the moves between them are cached per point set in `_PointData`, and a
-pass whose every block is the identity does not move the rows.
+takes its run in every row through one product of the field's matrix
+kernel (`FieldSpec.compile_product`) and writes it back in place, with
+no gather or scatter of its own.  Going from one order to the next is one
+`np.take` of whole elements (the k digits of an element viewed as one
+item); the orders and the moves between them are cached per point set in
+`_PointData`, and a pass whose every block is the identity does not move
+the rows.
 
 The block products are left unreduced, and the rows carry a bound B on
 their entries, p-1 at first.  A pass multiplies B by ln*k*(p-1), for ln
@@ -111,7 +110,7 @@ FIELD_OPS = 0
 DENSE_LIMIT = 1 << 18
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrimmedEvaluation:
     """Values of a degree-bounded polynomial in canonical point order."""
 
@@ -137,12 +136,15 @@ class TrimmedEvaluation:
 
 class _PointData:
     """The points of T(n-b, delta) x GF(q)^b in canonical (key) order and,
-    per axis, in the axis's slice order: every slice along the axis
-    contiguous in coordinate order, the slices grouped by length.  spans
-    maps each slice length to its range in that order, and ops holds the
-    axis's nominal count per row, the sum of its slice lengths squared."""
+    per axis, in the axis's slice order: sorted by slice length (q on a
+    grid axis, min(q-1, delta - s) + 1 on a trimmed one for s the sum of
+    the other trimmed coordinates), then by the other coordinates, then
+    by the axis's own.  spans maps each length to its run in that order,
+    ops is the sum of the slice lengths squared, and full whether every
+    slice holds all q values: true on the grid suffix and on every axis
+    of a full-degree set, which take the direct frames W and Winv."""
     __slots__ = ("points", "keys", "strides", "orders", "spans", "ops",
-                 "_moves")
+                 "full", "_moves")
 
     def __init__(self, q: int, n: int, delta: int, b: int):
         pts = point_matrix(q, n, delta, b)
@@ -150,27 +152,24 @@ class _PointData:
         self.strides = np.array([q ** (n - 1 - i) for i in range(n)],
                                 dtype=np.int64)
         self.keys = pts @ self.strides  # ascending, since pts is lex sorted
-        self.orders, self.spans, self.ops, self._moves = [], [], [], {}
+        trimmed = pts[:, :n - b].sum(axis=1)
+        self.orders, self.spans, self.ops, self.full = [], [], [], []
+        self._moves = {}
         for axis in range(n):
-            rest = self.keys - pts[:, axis] * self.strides[axis]
-            order = np.lexsort((pts[:, axis], rest))
-            rest_sorted = rest[order]
-            boundaries = np.flatnonzero(np.diff(rest_sorted)) + 1
-            starts = np.concatenate(([0], boundaries))
-            ends = np.concatenate((boundaries, [len(order)]))
-            lengths = ends - starts
-            parts, spans, at = [], {}, 0
-            for ln in np.unique(lengths):
-                sel = starts[lengths == ln]
-                parts.append(order[sel[:, None] + np.arange(ln)].ravel())
-                spans[int(ln)] = (at, at + len(parts[-1]))
-                at += len(parts[-1])
+            coord = pts[:, axis]
+            lengths = (np.minimum(q - 1, delta - trimmed + coord) + 1
+                       if axis < n - b else np.full(len(pts), q))
+            order = np.lexsort(
+                (coord, self.keys - coord * self.strides[axis], lengths))
+            lns, starts, sizes = np.unique(lengths[order], return_index=True,
+                                           return_counts=True)
             # int32 halves what the orders hold; the moves that the passes
             # gather with are int64, which np.take uses without a copy
-            self.orders.append(np.concatenate(parts).astype(np.int32))
-            self.spans.append(spans)
-            self.ops.append(sum((stop - start) * ln
-                                for ln, (start, stop) in spans.items()))
+            self.orders.append(order.astype(np.int32))
+            self.spans.append({int(ln): (int(at), int(at + size))
+                               for ln, at, size in zip(lns, starts, sizes)})
+            self.ops.append(int(lengths.sum()))
+            self.full.append(bool(lns[0] == q))
 
     def move(self, frm: int | None, to: int | None) -> np.ndarray:
         """The positions in order frm of the points of order to, in order;
@@ -401,10 +400,11 @@ def evaluate_values(field: FieldSpec, n: int, polys: Sequence[Polynomial],
             pos = np.searchsorted(pd.keys, exps @ pd.strides)
             row[pos] = _elements(field.to_digits(coeffs, ftype), k)
     rows = _Rows(field, pd, arr)
-    for axis in range(n - b):
-        _apply_axis(field, rows, axis, "MtoN")
     for axis in range(n):
-        _apply_axis(field, rows, axis, "VN" if axis < n - b else "W")
+        if not pd.full[axis]:
+            _apply_axis(field, rows, axis, "MtoN")
+    for axis in range(n):
+        _apply_axis(field, rows, axis, "W" if pd.full[axis] else "VN")
     values = rows.values()
     if dwork != deff:
         values = values[:, _positions(q, n, deff, b, dwork, b)]
@@ -483,19 +483,17 @@ def _reevaluate_axes(field: FieldSpec, values: np.ndarray, n: int,
 def interpolate_trimmed(ev: TrimmedEvaluation) -> Polynomial:
     """The unique polynomial of total degree <= delta (per-variable degree
     <= q-1) matching the evaluation vector on its point set."""
-    ps = ev.point_set
-    if len(ev.values) != ps.size():
-        raise SizeMismatchError("evaluation vector does not match point set")
-    field = ev.field
+    ps, field = ev.point_set, ev.field
     q, n = ps.q, ps.n
     deff = _effective_delta(q, n, ps.delta, ps.b)
     pd = _point_data(q, n, deff, ps.b)
     rows = _Rows(field, pd, field.to_digits(
         np.asarray(ev.values, dtype=np.int64), _float_type(field)))
     for axis in range(n):
-        _apply_axis(field, rows, axis, "VNinv" if axis < n - ps.b else "Winv")
-    for axis in range(n - ps.b):
-        _apply_axis(field, rows, axis, "NtoM")
+        _apply_axis(field, rows, axis, "Winv" if pd.full[axis] else "VNinv")
+    for axis in range(n):
+        if not pd.full[axis]:
+            _apply_axis(field, rows, axis, "NtoM")
     arr = rows.values()
     nz = np.flatnonzero(arr)
     return Polynomial.from_term_arrays(field, n, pd.points[nz], arr[nz])

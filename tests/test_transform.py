@@ -447,6 +447,46 @@ class TestMatrices:
             transform._compiled_block(make_field(2048), "VN", 2048)
 
 
+class TestPointData:
+    def test_slice_orders_match_brute_force(self):
+        # each axis's slices found by grouping the points by their other
+        # coordinates, on random (q, n, delta) with delta up to two past
+        # the full degree, and every b
+        rng = np.random.default_rng(61)
+        for _ in range(40):
+            q = int(rng.choice([2, 3, 4, 5, 7, 9]))
+            n = int(rng.integers(1, 5))
+            delta = int(rng.integers(0, n * (q - 1) + 3))
+            for b in range(n + 1):
+                pts = point_matrix(q, n, delta, b)
+                pd = transform._PointData(q, n, delta, b)
+                assert (pd.points == pts).all()
+                for axis in range(n):
+                    rest = np.delete(pts, axis, axis=1)
+                    slices = {}
+                    for i, key in enumerate(map(tuple, rest.tolist())):
+                        slices.setdefault(key, []).append(i)
+                    order = pd.orders[axis].tolist()
+                    assert sorted(order) == list(range(len(pts)))
+                    at, spans, lengths = 0, {}, []
+                    while at < len(order):
+                        members = slices[tuple(rest[order[at]])]
+                        ln = len(members)
+                        # one whole slice, in coordinate order
+                        assert order[at:at + ln] == members
+                        assert (np.diff(pts[members, axis]) > 0).all()
+                        start = spans.get(ln, (at,))[0]
+                        spans[ln] = (start, at + ln)
+                        lengths.append(ln)
+                        at += ln
+                    case = (q, n, delta, b, axis)
+                    assert lengths == sorted(lengths), case
+                    assert len(lengths) == len(slices), case
+                    assert pd.spans[axis] == spans, case
+                    assert pd.ops[axis] == sum(ln * ln for ln in lengths)
+                    assert pd.full[axis] == all(ln == q for ln in lengths)
+
+
 def _witness_axis(ops):
     """An axis pass that sends every slice length through _compiled_block,
     identity blocks included, as a batch of digit rows (the run of each
@@ -528,9 +568,11 @@ class TestIdentityBlocks:
         assert skipped == eye == _identity_pairs(q)
 
     def test_skipped_blocks_are_never_fetched(self, monkeypatch):
-        # over GF(2) every slice has length 1 or 2; a round trip on
-        # T(2, 2) x GF(2) fetches only the four blocks that are not the
-        # identity
+        # over GF(2) every slice has length 1 or 2, and a round trip
+        # fetches only the blocks that are not the identity: on T(2, 1) x
+        # GF(2) the Newton frames of the trimmed axes and the Vandermonde
+        # of the grid axis, on the whole grid T(2, 2) x GF(2) only the
+        # Vandermonde, one pass per axis and direction
         fetched, compiled = [], transform._compiled_block
 
         def spied(field, name, ln):
@@ -538,10 +580,20 @@ class TestIdentityBlocks:
             return compiled(field, name, ln)
 
         monkeypatch.setattr(transform, "_compiled_block", spied)
-        p = random_polynomial(np.random.default_rng(47), 2, 3, 2)
-        assert interpolate_trimmed(evaluate_trimmed(p, 2, 1)) == p
+        rng = np.random.default_rng(47)
+        p = random_polynomial(rng, 2, 3, 1)
+        assert interpolate_trimmed(evaluate_trimmed(p, 1, 1)) == p
         assert set(fetched) == {("VN", 2), ("W", 2), ("VNinv", 2),
                                 ("Winv", 2)}
+        fetched.clear()
+        p = random_polynomial(rng, 2, 3, 2)
+        monkeypatch.setattr(transform, "FIELD_OPS", 0)
+        ev = evaluate_trimmed(p, 2, 1)
+        # a pass over the 8 points' length-2 slices counts 8 * 2
+        assert transform.FIELD_OPS == 3 * 8 * 2
+        assert interpolate_trimmed(ev) == p
+        assert transform.FIELD_OPS == 2 * 3 * 8 * 2
+        assert set(fetched) == {("W", 2), ("Winv", 2)}
 
     def test_refusals_do_not_move(self, monkeypatch):
         # a constant's slices all have length 1, whose blocks are skipped,
