@@ -28,8 +28,8 @@ themselves: they keep digit rows from their first pass to their last and
 reduce them only where the next product needs it (below).  Both factors
 of a `compile_matrix` product have entries in 0..p-1, so every partial
 sum of an inner product of length L = Ik is an integer of at most
-L(p-1)^2, exact in float64 while that stays below 2^53; `compile_matrix`
-refuses longer products with `TooLargeError`.
+L(p-1)^2; `check_matrix_size` refuses with `TooLargeError` every product
+for which that could reach REDUCE_LIMIT (below).
 
 The product y is reduced in place as y - p*floor((y + 1/2) * (1/p)), in
 its own float type with 1/p rounded to that type.  With m mantissa bits
@@ -44,28 +44,31 @@ the exact quotient, and the rest is exact integer arithmetic.
 The float type is a property of the product (`float_type`): float32 when
 L(p-1)^2 < FLOAT32_LIMIT, which also keeps every partial sum below
 float32's 2^24, and float64 otherwise.  float32 halves the bytes that a
-kernel moves, and a float32 BLAS product gives the same integers.  For
-k >= 2, `compile_matrix` checks L(p-1)^2 < 2^51, which its other checks
-already imply: p <= 256 when k >= 2 and q <= ORDER_LIMIT, and ENTRY_LIMIT
-bounds L = Ik by 2^26, so y < 2^26 * 255^2 < 2^42.  For k = 1, p reaches
-65521 and products up to 2^53 are accepted.  From REDUCE_LIMIT on they
-are reduced by `np.fmod`, which is exact and slower.  Below it, k = 1
-uses the floor reduction as every other product does.  Digits and
-indices lie below 2^16, so both conversions are exact in either type.
+kernel moves, and a float32 BLAS product gives the same integers.
+`digit_limit` pairs each type with its limit, and the float type, the
+size check and the transform's rows read the limits only through it.
+Every float product is reduced by the floor rule, and `check_matrix_size`
+refuses, for every k, a product with L(p-1)^2 >= REDUCE_LIMIT.  No
+product that the solver forms comes near it: ENTRY_LIMIT bounds the
+IJk^2 entries, so L = Ik <= 2^26/k and L(p-1)^2 < 2^51 for every p <=
+5793, while the transform's frames fit ENTRY_LIMIT only for q <= 3343,
+where L(p-1)^2 < 2^49.5.  Only a direct call over a larger prime reaches
+the limit: at q = 65521 the longest accepted product has 524,544
+columns.  Digits and indices lie below 2^16, so both conversions are
+exact in either type.
 
 The reduction may wait.  If the rows' entries are integers in 0..B,
 every partial sum of a product of length L = Ik is an integer of at most
-L(p-1)B.  While L(p-1)B stays below the limit of the rows' type,
-FLOAT32_LIMIT in float32 (which also keeps every partial sum below
-float32's 2^24) and REDUCE_LIMIT in float64, the product is exact and
-its later reduction is exact too.  The transform's digit rows carry such
-a bound B.  It starts at p-1; an axis pass multiplies it by L(p-1), for L
-= ln*k and ln the pass's longest applied block; and the rows are reduced
-in place, back to B = p-1, before any pass that could take it to the
-limit and before they are recombined.  So every product that the passes
-compute has B*L(p-1) below the limit and is exact, whatever the order of
-passes.  From reduced rows one pass reaches at most qk(p-1)^2 (L <= qk).
-Where the rows are float32 that is below FLOAT32_LIMIT by the choice of
+L(p-1)B.  While L(p-1)B stays below the limit of the rows' type
+(`digit_limit`), the product is exact and its later reduction is exact
+too.  The transform's digit rows carry such a bound B.  It starts at
+p-1; an axis pass multiplies it by L(p-1), for L = ln*k and ln the
+pass's longest applied block; and the rows are reduced in place, back to
+B = p-1, before any pass that could take it to the limit and before they
+are recombined.  So every product that the passes compute has B*L(p-1)
+below the limit and is exact, whatever the order of passes.  From
+reduced rows one pass reaches at most qk(p-1)^2 (L <= qk).  Where the
+rows are float32 that is below FLOAT32_LIMIT by the choice of
 `float_type(q)`, and for every q <= ORDER_LIMIT it is below 2^48, under
 REDUCE_LIMIT: 65521 * 65520^2 < 2^48 at k = 1, and 251^2 * 2 * 250^2 <
 2^33 is the largest at k >= 2.  So a reduction before a pass always
@@ -90,7 +93,6 @@ from .errors import FieldTooLargeError, NotPrimePowerError, TooLargeError
 
 ORDER_LIMIT = 1 << 16  # largest supported field order
 TABLE_LIMIT = 256      # largest order that gets dense q*q tables
-EXACT_LIMIT = 1 << 53  # float64 represents every integer below this
 REDUCE_LIMIT = 1 << 51  # the float64 mod-p reduction is exact below this
 FLOAT32_LIMIT = 1 << 22  # the float32 mod-p reduction is exact below this
 ENTRY_LIMIT = 1 << 26  # most entries one field-matrix build may allocate
@@ -177,17 +179,11 @@ def _smallest_irreducible(p: int, k: int) -> list[int]:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
-def _reduce(y: np.ndarray, p: int) -> np.ndarray:
-    """y mod p in place, for a float array of nonnegative integers: y -
-    p*floor((y + 1/2) * (1/p)) in y's own type, exact below REDUCE_LIMIT in
-    float64 and FLOAT32_LIMIT in float32 (module docstring)."""
-    t = y.dtype.type
-    z = y + t(0.5)
-    z *= t(1) / t(p)
-    np.floor(z, out=z)
-    z *= t(p)
-    y -= z
-    return y
+def digit_limit(ftype) -> int:
+    """The exact limit of float digit rows of type ftype: a product of
+    rows whose partial sums stay below it is exact, and so is its floor
+    reduction (module docstring)."""
+    return FLOAT32_LIMIT if ftype == np.float32 else REDUCE_LIMIT
 
 
 class FieldSpec:
@@ -357,14 +353,15 @@ class FieldSpec:
 
     def check_matrix_size(self, nout: int, nin: int) -> None:
         """Raise TooLargeError unless `compile_matrix` can take an
-        nout-by-nin matrix: its products must reduce exactly in float64
-        and its expansion must stay within ENTRY_LIMIT entries."""
+        nout-by-nin matrix: its inner products must stay below
+        REDUCE_LIMIT, where the float64 floor reduction is exact, and its
+        expansion within ENTRY_LIMIT entries."""
         p, k = self.p, self.k
-        limit = EXACT_LIMIT if k == 1 else REDUCE_LIMIT
+        limit = digit_limit(np.float64)
         if nin * k * (p - 1) ** 2 >= limit:
             raise TooLargeError(
                 f"an inner product of length {nin * k} over F_{p} can "
-                f"exceed 2^{limit.bit_length() - 1} and would not be "
+                f"reach 2^{limit.bit_length() - 1} and would not be "
                 f"reduced exactly in float64")
         if nout * nin * k * k > ENTRY_LIMIT:
             raise TooLargeError(
@@ -373,9 +370,9 @@ class FieldSpec:
 
     def float_type(self, nin: int) -> type:
         """The float type of a product of length nin over the field:
-        float32 while its inner products stay below FLOAT32_LIMIT, where
-        the float32 reduction is exact (module docstring), else float64."""
-        if nin * self.k * (self.p - 1) ** 2 < FLOAT32_LIMIT:
+        float32 while its inner products stay below the float32 limit
+        (`digit_limit`), else float64."""
+        if nin * self.k * (self.p - 1) ** 2 < digit_limit(np.float32):
             return np.float32
         return np.float64
 
@@ -409,8 +406,8 @@ class FieldSpec:
         float type `float_type(I)`, checked by `check_matrix_size` before
         anything is allocated.  For rows with entries in 0..B every
         product entry is an integer of at most Ik(p-1)B, exact while that
-        stays below the type's limit (module docstring); it is then the
-        same for any BLAS summation order or thread count.
+        stays below the type's limit (`digit_limit`); it is then the same
+        for any BLAS summation order or thread count.
         """
         p, k = self.p, self.k
         nout, nin = mat.shape
@@ -427,29 +424,32 @@ class FieldSpec:
             return rows @ mt
         return product
 
-    def reduce_digits(self, y: np.ndarray, bound: int) -> np.ndarray:
-        """y mod p in place, for a float array of integers in 0..bound: the
-        floor reduction below REDUCE_LIMIT, which a float32 y must keep
-        below FLOAT32_LIMIT, and np.fmod, exact and slower, from it on."""
-        if bound < REDUCE_LIMIT:
-            return _reduce(y, self.p)
-        return np.fmod(y, self.p, out=y)
+    def reduce_digits(self, y: np.ndarray) -> np.ndarray:
+        """y mod p in place, for a float array of nonnegative integers
+        below the limit of its type (`digit_limit`): y - p*floor((y +
+        1/2) * (1/p)) in y's own type, which is exact there (module
+        docstring)."""
+        t = y.dtype.type
+        z = y + t(0.5)
+        z *= t(1) / t(self.p)
+        np.floor(z, out=z)
+        z *= t(self.p)
+        y -= z
+        return y
 
     def compile_matrix(self, mat: np.ndarray):
         """Bake the linear map of a J-by-I matrix into one float matmul:
         the returned map takes int64 index rows (r, I) to int64 index rows
         (r, J) by `compile_product` and `reduce_digits` between
         `to_digits` and `from_digits`.  Its products are at most
-        Ik(p-1)^2 < 2^53 (2^51 for k >= 2), so they are exact.
+        Ik(p-1)^2 < REDUCE_LIMIT, so they and their reductions are exact.
         """
         product = self.compile_product(mat)
-        nin = mat.shape[1]
-        ftype = self.float_type(nin)
-        bound = nin * self.k * (self.p - 1) ** 2
+        ftype = self.float_type(mat.shape[1])
 
         def apply(rows: np.ndarray) -> np.ndarray:
             digits = self.to_digits(rows, ftype)
-            return self.from_digits(self.reduce_digits(product(digits), bound))
+            return self.from_digits(self.reduce_digits(product(digits)))
         return apply
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -49,14 +49,13 @@ The block products are left unreduced, and the rows carry a bound B on
 their entries, p-1 at first.  A pass multiplies B by ln*k*(p-1), for ln
 its longest applied block, and the whole rows are reduced in place
 (`FieldSpec.reduce_digits`) before a pass whose products could reach the
-exact limit of their type, FLOAT32_LIMIT for float32 rows and
-REDUCE_LIMIT for float64 ones.  They are also reduced before they are
-converted back, and, in the axis route, before the Newton rows are
-copied into the target set.  Every product then stays below the limit
-and is exact (the field module docstring has the proof), so the values
-are those of reducing every product.  With q x q blocks this is one
-reduction every 21 passes at q = 2, every other pass at q = 81, and
-before every pass at q = 157.
+exact limit of their type (`field.digit_limit`).  They are also reduced
+before they are converted back, and, in the axis route, before the
+Newton rows are copied into the target set.  Every product then stays
+below the limit and is exact (the field module docstring has the proof),
+so the values are those of reducing every product.  With q x q blocks
+this is one reduction every 21 passes at q = 2, every other pass at q =
+81, and before every pass at q = 157.
 
 `compile_reevaluation` compiles the map from the values of polynomials
 of degree <= dfrom on T_from = T(n, dfrom) to their values on the target
@@ -97,7 +96,7 @@ from functools import cache, lru_cache
 import numpy as np
 
 from .errors import DegreeTooHighError, SizeMismatchError, TooLargeError
-from .field import ENTRY_LIMIT, FLOAT32_LIMIT, REDUCE_LIMIT, FieldSpec
+from .field import ENTRY_LIMIT, FieldSpec, digit_limit, make_field
 from .mpoly import (Polynomial, TrimmedPointSet, check_key_width,
                     point_matrix)
 
@@ -112,22 +111,29 @@ DENSE_LIMIT = 1 << 18
 
 @dataclass(frozen=True)
 class TrimmedEvaluation:
-    """Values of a degree-bounded polynomial in canonical point order."""
+    """Values of a degree-bounded polynomial in canonical point order,
+    held as a read-only int64 copy of the values given."""
 
     field: FieldSpec
     point_set: TrimmedPointSet
     values: np.ndarray
 
     def __post_init__(self):
-        if len(self.values) != self.point_set.size():
-            raise SizeMismatchError(
-                f"{len(self.values)} values for a point set of size "
-                f"{self.point_set.size()}")
         # an axis pass leaves the slices of its identity blocks unreduced,
-        # so a value outside the field would reach the coefficients
-        vals, q = self.values, self.field.q
-        if len(vals) and not 0 <= np.min(vals) <= np.max(vals) < q:
-            raise SizeMismatchError(f"values must lie in 0..{q - 1}")
+        # so a value outside the field, a float truncated on the way in or
+        # one written in later would reach the coefficients
+        vals, q = np.array(self.values), self.field.q
+        size = self.point_set.size()
+        if vals.shape != (size,):
+            raise SizeMismatchError(f"values of shape {vals.shape} for a "
+                                    f"point set of size {size}")
+        if (vals.dtype.kind not in "iu"
+                or not 0 <= vals.min() <= vals.max() < q):
+            raise SizeMismatchError(
+                f"values must lie in 0..{q - 1} and be integers")
+        vals = vals.astype(np.int64, copy=False)
+        vals.flags.writeable = False
+        object.__setattr__(self, "values", vals)
 
 
 # ---------------------------------------------------------------------------
@@ -285,19 +291,15 @@ class _Rows:
     points*k) array, held in the canonical order or in one axis's slice
     order (see _PointData).  Reordering is one gather of whole elements.
     Every entry is an integer in 0..bound, which the block products
-    raise and `reduce` brings back to p-1; from limit on, a product or
-    its reduction may not be exact in the rows' type (FLOAT32_LIMIT in
-    float32, REDUCE_LIMIT in float64, see the field module docstring)."""
-    __slots__ = ("field", "points", "ftype", "elems", "order", "bound",
-                 "limit")
+    raise and `reduce` brings back to p-1; from the `digit_limit` of the
+    rows' type on, a product or its reduction may not be exact."""
+    __slots__ = ("field", "points", "ftype", "elems", "order", "bound")
 
     def __init__(self, field: FieldSpec, points: _PointData,
                  digits: np.ndarray):
         self.field, self.points, self.ftype = field, points, digits.dtype
         self.elems, self.order = _elements(digits, field.k), None
         self.bound = field.p - 1
-        self.limit = (FLOAT32_LIMIT if self.ftype == np.float32
-                      else REDUCE_LIMIT)
 
     def arrange(self, order: int | None) -> np.ndarray:
         """The digit rows in the given order (None: canonical)."""
@@ -311,7 +313,7 @@ class _Rows:
         """Reduce every entry mod p in place, unless all are reduced."""
         p = self.field.p
         if self.bound >= p:
-            self.field.reduce_digits(self.elems.view(self.ftype), self.bound)
+            self.field.reduce_digits(self.elems.view(self.ftype))
             self.bound = p - 1
 
     def values(self) -> np.ndarray:
@@ -331,7 +333,7 @@ def _apply_axis(field: FieldSpec, rows: _Rows, axis: int, name: str) -> None:
     The products are not reduced.  Entries in 0..B come out of a block
     of length ln at most B * ln * k * (p-1), so the pass multiplies the
     rows' bound by that growth for its longest applied ln.  Where the
-    new bound could reach the rows' limit, the whole rows are reduced
+    new bound could reach the limit of the rows' type, the rows are reduced
     first, so every product stays below it and is exact (field module
     docstring); one pass from reduced rows never reaches it."""
     global FIELD_OPS
@@ -341,7 +343,7 @@ def _apply_axis(field: FieldSpec, rows: _Rows, axis: int, name: str) -> None:
     if run:
         k = field.k
         growth = max(run) * k * (field.p - 1)
-        if rows.bound * growth >= rows.limit:
+        if rows.bound * growth >= digit_limit(rows.ftype):
             rows.reduce()
         arr = rows.arrange(axis)
         for ln in run:
@@ -487,8 +489,7 @@ def interpolate_trimmed(ev: TrimmedEvaluation) -> Polynomial:
     q, n = ps.q, ps.n
     deff = _effective_delta(q, n, ps.delta, ps.b)
     pd = _point_data(q, n, deff, ps.b)
-    rows = _Rows(field, pd, field.to_digits(
-        np.asarray(ev.values, dtype=np.int64), _float_type(field)))
+    rows = _Rows(field, pd, field.to_digits(ev.values, _float_type(field)))
     for axis in range(n):
         _apply_axis(field, rows, axis, "Winv" if pd.full[axis] else "VNinv")
     for axis in range(n):
@@ -510,7 +511,6 @@ def format_evaluation(ev: TrimmedEvaluation) -> str:
 
 
 def parse_evaluation(text: str) -> TrimmedEvaluation:
-    from .field import make_field
     rows = [ln.strip() for ln in text.splitlines()
             if ln.strip() and not ln.strip().startswith("#")]
     head = rows[0].split() if rows else []
@@ -528,5 +528,4 @@ def parse_evaluation(text: str) -> TrimmedEvaluation:
     if any(not 0 <= v < q for v in values):
         raise SizeMismatchError(f"values must lie in 0..{q - 1}")
     check_key_width(q, n)
-    return TrimmedEvaluation(field, point_set,
-                             np.array(values, dtype=np.int64))
+    return TrimmedEvaluation(field, point_set, values)

@@ -6,8 +6,8 @@ import pytest
 from fqsolve import make_field
 from fqsolve.errors import (FieldTooLargeError, NotPrimePowerError,
                             TooLargeError)
-from fqsolve.field import (ENTRY_LIMIT, EXACT_LIMIT, FLOAT32_LIMIT,
-                           REDUCE_LIMIT, _reduce)
+from fqsolve.field import (ENTRY_LIMIT, FLOAT32_LIMIT, REDUCE_LIMIT,
+                           _factor_prime_power)
 
 # every prime power up to 64
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31,
@@ -305,27 +305,50 @@ def test_extension_reduction_at_adversarial_inner_products(q):
 
 def test_matmul_is_exact_up_to_the_float64_bound():
     # every product (p-1)^2 is 1 mod p, so a row of L entries p-1 times a
-    # column of L entries p-1 is L mod p.  L (p-1)^2 is 9.0028e15 at
-    # L = 2^21, and the longest accepted L = 2098176 stays below 2^53, so
-    # float64 holds every partial sum exactly
+    # column of L entries p-1 is L mod p.  The longest accepted L =
+    # 524544 keeps L (p-1)^2 below REDUCE_LIMIT = 2^51, where the floor
+    # reduction is exact; at L = 8p - 1 and 8p, just under 2^51, the sum
+    # is -1 and 0 mod p, where a reduction off by one quotient would show
     f = make_field(65521)
-    for length, want in ((1 << 21, 480), (2098176, 2098176 % 65521)):
-        a = np.full((1, length), 65520, dtype=np.int64)
-        assert f.matmul(a, a.T).tolist() == [[want]]
+    p = f.p
+    assert 524544 * (p - 1) ** 2 < REDUCE_LIMIT <= 524545 * (p - 1) ** 2
+    for length in (8 * p - 1, 8 * p, 524544):
+        a = np.full((1, length), p - 1, dtype=np.int64)
+        assert f.matmul(a, a.T).tolist() == [[length % p]]
 
 
 def test_matmul_past_the_float64_bound_raises():
+    # one column past the longest accepted product, refused before
+    # anything is allocated (the matrix is a zero-byte broadcast view)
     f = make_field(65521)
-    a = np.full((1, 2098177), 65520, dtype=np.int64)
-    assert 2098177 * 65520 ** 2 >= 2 ** 53
-    with pytest.raises(TooLargeError):
-        f.matmul(a, a.T)
+    with pytest.raises(TooLargeError, match="2\\^51"):
+        f.compile_matrix(np.broadcast_to(np.int64(65520), (1, 524545)))
     # the bound counts the digit-expanded length I*k, and it is checked
     # before anything is allocated: over GF(17^2), I = 2^44 inputs give
-    # I * 2 * 16^2 = 2^53 (the matrix is a zero-byte broadcast view)
+    # I * 2 * 16^2 = 2^53, past 2^51 (the matrix is a zero-byte broadcast
+    # view)
     f = make_field(289)
     with pytest.raises(TooLargeError):
         f.compile_matrix(np.broadcast_to(np.int64(0), (1, 1 << 44)))
+
+
+def test_entry_limit_keeps_reachable_products_below_the_reduce_limit():
+    # a product that fits ENTRY_LIMIT has I*k <= ENTRY_LIMIT / k, so its
+    # inner sums stay below ENTRY_LIMIT (p-1)^2 / k.  For every field whose
+    # six transform frames fit ENTRY_LIMIT (q <= 3343), that is below
+    # REDUCE_LIMIT, and no combination, fresh-point map or VV row that
+    # the solver compiles is refused by the reduction bound.  Arithmetic
+    # only: nothing is allocated
+    fitting = []
+    for q in range(2, math.isqrt(ENTRY_LIMIT // 6) + 2):
+        try:
+            p, k = _factor_prime_power(q)
+        except NotPrimePowerError:
+            continue
+        if 6 * q * q <= ENTRY_LIMIT:
+            fitting.append(q)
+            assert ENTRY_LIMIT * (p - 1) ** 2 < REDUCE_LIMIT * k, q
+    assert fitting[-1] == 3343
 
 
 def test_float32_reduction_is_exact_below_its_limit():
@@ -340,12 +363,13 @@ def test_float32_reduction_is_exact_below_its_limit():
     base = np.arange(chunk, dtype=np.float32)
     y = np.empty(chunk, dtype=np.float32)
     for p in primes:
+        f = make_field(p)
         pattern = np.tile(np.arange(p, dtype=np.float32), chunk // p + 2)
         for start in range(0, FLOAT32_LIMIT, chunk):
             np.add(base, start, out=y)
             off = start % p
-            assert np.array_equal(_reduce(y, p), pattern[off:off + chunk]), (
-                p, start)
+            assert np.array_equal(f.reduce_digits(y),
+                                  pattern[off:off + chunk]), (p, start)
 
 
 # the longest product of float32 and the shortest of float64 over prime
@@ -372,25 +396,23 @@ def test_products_at_the_float_type_boundary(q):
         assert (f.compile_matrix(mat)(rows) == want).all(), nin
         # the digit-row halves that the transform calls, in the same type
         digits = f.compile_product(mat)(f.to_digits(rows, f.float_type(nin)))
-        f.reduce_digits(digits, nin * k * (p - 1) ** 2)
+        f.reduce_digits(digits)
         assert digits.dtype == f.float_type(nin)
         assert (f.from_digits(digits) == want).all(), nin
 
 
 def test_prime_products_near_the_float64_bound():
-    # at q = 65521 products stay accepted up to 2^53; from REDUCE_LIMIT on
-    # they are reduced exactly by fmod; int64 holds the exact reference.
-    # (p - 1)^2 is 1 mod p, so the all-(p - 1) product of length 32p - 1
-    # or 32p, about 2^53, is -1 or 0 mod p, where the floor reduction
-    # would be off by p
+    # at q = 65521 products are accepted while their inner sums stay
+    # below REDUCE_LIMIT, up to 524544 columns, and reduced by the floor
+    # rule; int64 holds the exact reference.  (p - 1)^2 is 1 mod p, so
+    # the all-(p - 1) product of length 8p - 1 or 8p, just under 2^51, is
+    # -1 or 0 mod p, and the longest is the largest that is accepted
     f = make_field(65521)
     p = f.p
-    floor_longest = -(-REDUCE_LIMIT // (p - 1) ** 2) - 1
-    longest = -(-EXACT_LIMIT // (p - 1) ** 2) - 1
-    assert longest == 2098176
+    longest = -(-REDUCE_LIMIT // (p - 1) ** 2) - 1
+    assert longest == 524544
     rng = np.random.default_rng(65521)
-    for nin in (floor_longest, floor_longest + 1, 32 * p - 1, 32 * p,
-                longest):
+    for nin in (8 * p - 1, 8 * p, longest):
         mat = np.full((2, nin), p - 1, dtype=np.int64)
         mat[1] = rng.integers(0, p, size=nin)
         rows = np.full((2, nin), p - 1, dtype=np.int64)

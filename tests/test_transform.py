@@ -71,13 +71,32 @@ class TestInterpolate:
         with pytest.raises(SizeMismatchError):
             transform.TrimmedEvaluation(f, ps, np.zeros(3, dtype=np.int64))
 
-    @pytest.mark.parametrize("q, value", [(5, 7), (4, 7), (3, -1)])
+    @pytest.mark.parametrize("q, value", [(5, 7), (4, 7), (3, -1), (5, 2.5)])
     def test_values_outside_the_field_refused(self, q, value):
         # a one-point set's only slices have length 1, whose identity
-        # blocks are skipped, so nothing would reduce the value
+        # blocks are skipped, so nothing would reduce the value or make a
+        # float an integer
         ps = TrimmedPointSet(q, 2, 0, 0)
         with pytest.raises(SizeMismatchError, match="must lie in"):
             transform.TrimmedEvaluation(make_field(q), ps, np.array([value]))
+
+    def test_writes_into_values_refused(self):
+        # a write that reached the one-point set's value would reach its
+        # coefficient, since no block reduces it
+        f = make_field(5)
+        ev = transform.TrimmedEvaluation(f, TrimmedPointSet(5, 2, 0, 0),
+                                         np.array([3]))
+        with pytest.raises(ValueError, match="read-only"):
+            ev.values[0] = 7
+        assert interpolate_trimmed(ev) == Polynomial.constant(f, 2, 3)
+
+    def test_callers_array_is_copied(self):
+        f = make_field(5)
+        vals = np.array([3], dtype=np.int32)
+        ev = transform.TrimmedEvaluation(f, TrimmedPointSet(5, 2, 0, 0), vals)
+        vals[0] = 7
+        assert ev.values.dtype == np.int64 and ev.values.tolist() == [3]
+        assert interpolate_trimmed(ev) == Polynomial.constant(f, 2, 3)
 
 
 class TestRoundtrip:
@@ -427,8 +446,8 @@ class TestMatrices:
         digits = f.to_digits(rows, transform._float_type(f))
 
         def block(name, digits):
-            return f.reduce_digits(transform._compiled_block(f, name, q)(
-                digits), q * f.k * (f.p - 1) ** 2)
+            return f.reduce_digits(
+                transform._compiled_block(f, name, q)(digits))
 
         assert (f.from_digits(block("VNinv", block("VN", digits)))
                 == rows).all()
@@ -499,8 +518,7 @@ def _witness_axis(ops):
             fn = transform._compiled_block(field, name, ln)
             seg = arr[..., start * k:stop * k]
             seg[...] = field.reduce_digits(
-                fn(seg.reshape(-1, ln * k)), ln * k * (field.p - 1) ** 2
-            ).reshape(seg.shape)
+                fn(seg.reshape(-1, ln * k))).reshape(seg.shape)
             ops[0] += batch * (stop - start) // ln * ln * ln
     return apply_axis
 
