@@ -29,15 +29,18 @@ vote compiles its columns' map once and applies it once per chunk above
 the leaf, and once per repetition higher up so that one chunk of leaf
 values is alive at a time.  Repetitions are processed VOTE_CHUNK at a
 time as (repetition, point) arrays, and each chunk is re-evaluated by
-one call of its level's compiled map.  Votes are counted per chunk,
-and voting stops once no point's leader can be overtaken by the
-repetitions left.  Every repetition draws from its own counter-based
-stream, so a vote draws the coefficients of every chunk before the
-first one where it can stop in one Philox pass, and each later chunk
-in one more; the repetitions drawn or skipped past the stop change
-nothing and the output equals that of voting over all t.  Isolation
-trials stack the values of their affine equations, one point-matrix
-product, under the system's, which solve_pes evaluates once per leaf set.
+one call of its level's compiled map.  Leaf sums stay narrow, uint8 or
+the smallest unsigned type of 0..p-1, and so do the gathers and
+fresh-point maps that re-evaluate them.  Votes are counted per chunk,
+through one cell buffer per vote, and voting stops once no point's
+leader can be overtaken by the repetitions left.  Every repetition
+draws from its own counter-based stream, so a vote draws the
+coefficients of every chunk before the first one where it can stop in
+one Philox pass, and each later chunk in one more; the repetitions
+drawn or skipped past the stop change nothing and the output equals
+that of voting over all t.  Isolation trials stack the values of their
+affine equations, one point-matrix product, under the system's, which
+solve_pes evaluates once per leaf set.
 
 When m*d < n the full sum is 0 and no recursion runs, in full_sum and in
 each isolation trial (whose m counts its affine equations).  The
@@ -67,8 +70,8 @@ from .transform import (TrimmedEvaluation, compile_reevaluation,
                         evaluate_values, interpolate_trimmed)
 
 # Repetitions per batch.  Chunks bound the working arrays: on the C3
-# shapes all t repetitions at once peak at 49 MB RSS, chunks of 64 at
-# 39 MB.
+# shapes all t repetitions at once peak at 39.7 MB RSS, chunks of 64 at
+# 38.0 MB, from 36.5 MB before the first call.
 VOTE_CHUNK = 64
 
 
@@ -125,7 +128,8 @@ def zdegree(m: int, beta: int, n: int, d: int, q: int) -> int:
 def streamed_plurality(chunks: Iterable[np.ndarray], q: int,
                        t: int) -> np.ndarray:
     """Column-wise plurality of a (t, N) vote matrix over GF(q), given as
-    blocks of rows; ties go to the smallest value.
+    blocks of at most VOTE_CHUNK rows of any integer type; ties go to the
+    smallest value.  Every block's cells go through one intp buffer.
 
     Stops taking blocks once, in every column, the leader's count exceeds
     the runner-up's by more than the rows still to come, so the result is
@@ -137,7 +141,10 @@ def streamed_plurality(chunks: Iterable[np.ndarray], q: int,
         npts = votes.shape[1]
         if counts is None:
             counts = np.zeros((q, npts), dtype=np.int64)
-        cells = votes * npts + np.arange(npts)
+            buf = np.empty((min(t, VOTE_CHUNK), npts), dtype=np.intp)
+        cells = buf[:len(votes)]
+        np.multiply(votes, np.intp(npts), out=cells)
+        cells += np.arange(npts)
         counts += np.bincount(cells.ravel(),
                               minlength=q * npts).reshape(q, npts)
         seen += len(votes)
@@ -167,10 +174,11 @@ def _leaf_sums(field: FieldSpec, values: np.ndarray, cls: np.ndarray | slice,
     T(n-b, delta) x GF(q)^b, and cls the column of each point, an index
     array or, when the columns are the points, slice(None)."""
     roots = np.all(values == 0, axis=1)[:, cls]
-    sums = roots.reshape(len(roots), -1, field.q ** b).sum(axis=2)
-    # with b = 0 each sum is 0 or 1, reduced already; numpy's integer %
-    # costs about 10 ns an entry, more than the rest of this function
-    return sums % field.p if b else sums
+    if not b:  # each sum is its one root, 0 or 1
+        return roots.view(np.uint8)
+    sums = roots.reshape(len(roots), -1, field.q ** b).sum(
+        axis=2, dtype=np.min_scalar_type(field.q ** b)) % field.p
+    return sums.astype(np.min_scalar_type(field.p - 1), copy=False)
 
 
 def _first_pass(t: int) -> int:
@@ -240,9 +248,11 @@ def _array_sizes(field: FieldSpec, n: int, levels,
     the level re-evaluates through, which holds both the child's set and
     the target.  The float products of the combinations and of a chunk
     (float32 or float64, see field.py) are k digits wide, so their counts
-    carry k.  Temporaries are not counted: rs_draw's, which peak at three
-    to four times the draws, and _distinct_columns' few point-length
-    vectors."""
+    carry k.  Entries are counted whatever their type, from uint8 roots
+    to float64 products; a vote's cell buffer, a chunk of repetitions on
+    its target, lies within its re-evaluation count.  Temporaries are not
+    counted: rs_draw's, which peak at three to four times the draws, and
+    _distinct_columns' few point-length vectors."""
     q, k = field.q, field.k
     beta_leaf, delta_leaf, _ = levels[-1]
     leaf = TrimmedPointSet(q, n, delta_leaf, beta_leaf).size()

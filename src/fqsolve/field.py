@@ -377,7 +377,7 @@ class FieldSpec:
         return np.float64
 
     def to_digits(self, values: np.ndarray, ftype: type) -> np.ndarray:
-        """Digit rows of ftype for an int64 index array: (..., N) becomes
+        """Digit rows of ftype for an integer index array: (..., N) becomes
         (..., N*k), each element's k base-p digits in place of it."""
         if self.k == 1:
             return values.astype(ftype)
@@ -439,7 +439,7 @@ class FieldSpec:
 
     def compile_matrix(self, mat: np.ndarray):
         """Bake the linear map of a J-by-I matrix into one float matmul:
-        the returned map takes int64 index rows (r, I) to int64 index rows
+        the returned map takes integer index rows (r, I) to int64 index rows
         (r, J) by `compile_product` and `reduce_digits` between
         `to_digits` and `from_digits`.  Its products are at most
         Ik(p-1)^2 < REDUCE_LIMIT, so they and their reductions are exact.

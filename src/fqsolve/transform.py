@@ -418,7 +418,8 @@ def compile_reevaluation(field: FieldSpec, n: int, delta_from: int,
                          delta_to: int, b: int):
     """The map taking rows of values on T(n, delta_from) of polynomials of
     total degree <= delta_from to their values on T(n-b, delta_to) x
-    GF(q)^b, one int64 row each.
+    GF(q)^b, one row each: in the rows' integer type, widened to hold
+    q-1 by the map route and to int64 by the axis route.
 
     Finds the target's known and fresh points and picks the route of the
     module docstring here, once per key.
@@ -434,8 +435,10 @@ def compile_reevaluation(field: FieldSpec, n: int, delta_from: int,
     order = np.searchsorted(src_keys, to_keys)
     fresh = np.flatnonzero(src_keys[np.minimum(order, nfrom - 1)] != to_keys)
     order[fresh] = nfrom + np.arange(len(fresh))
+    if len(order) == nfrom and not len(fresh):  # the same set
+        return np.asarray
     if not len(fresh):
-        return lambda rows: np.asarray(rows, dtype=np.int64)[:, order]
+        return lambda rows: np.asarray(rows)[:, order]
     if nfrom * len(fresh) * field.k ** 2 > DENSE_LIMIT:
         return lambda rows: _reevaluate_axes(field, rows, n, dfrom, dto, b)
     # the axis route on the unit rows, 64 per call, kept on the fresh points
@@ -448,9 +451,11 @@ def compile_reevaluation(field: FieldSpec, n: int, delta_from: int,
 
     def gather_and_map(rows: np.ndarray) -> np.ndarray:
         global FIELD_OPS
-        rows = np.asarray(rows, dtype=np.int64)
+        rows = np.asarray(rows)
         FIELD_OPS += len(rows) * nfrom * len(fresh)
-        return np.concatenate([rows, fresh_values(rows)], axis=1)[:, order]
+        dtype = np.promote_types(rows.dtype, np.min_scalar_type(q - 1))
+        return np.concatenate([rows, fresh_values(rows)], axis=1, dtype=dtype,
+                              casting="unsafe")[:, order]
     return gather_and_map
 
 

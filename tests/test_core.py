@@ -93,6 +93,33 @@ class TestStreamedPlurality:
         # a majority is t // 2 + 1 = 151 rows: three chunks of 64
         assert len(taken) == -(-(t // 2 + 1) // VOTE_CHUNK)
 
+    @pytest.mark.parametrize("t", [1, 6, VOTE_CHUNK + 1,
+                                   2 * VOTE_CHUNK + 7])
+    @pytest.mark.parametrize("q, npts", [(2, 50), (3, 50), (256, 40),
+                                         (65521, 3)])
+    def test_same_result_in_every_dtype(self, q, npts, t):
+        # one vote matrix as uint8, uint16 and int64 (those that hold
+        # q-1): the same plurality and the same chunks taken; at q = 256
+        # a value times npts overflows uint8, so the cells must not be
+        # formed in the votes' type
+        rng = np.random.default_rng(q + t)
+        votes = rng.integers(0, q, size=(t, npts))
+        half = t // 2
+        votes[:half, 0] = q - 1  # a tie the smaller value must win
+        votes[half:2 * half, 0] = 0
+        votes[:, 1] = q - 1  # unanimous on the largest value
+        want = [plurality(votes[:, c]) for c in range(npts)]
+        seen = []
+        for dtype in (np.uint8, np.uint16, np.int64):
+            if q - 1 > np.iinfo(dtype).max:
+                continue
+            taken = []
+            got = streamed_plurality(self._stream(votes.astype(dtype),
+                                                  taken), q, t)
+            assert got.tolist() == want, dtype
+            seen.append(len(taken))
+        assert len(seen) >= 2 and len(set(seen)) == 1
+
 
 class TestSolverParams:
     def test_invariants(self):
@@ -397,6 +424,33 @@ class TestFullSum:
         assert compiled[0] <= min(system.field.q ** len(b), b.shape[1])
 
 
+class TestLeafSums:
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    @pytest.mark.parametrize("b", [0, 1, 2])
+    def test_matches_a_plain_count(self, q, b):
+        # (repetition, point) sums of the roots of mu combinations over
+        # each point's block of q^b suffix points, counted one by one and
+        # reduced mod p; mostly zero values, so the counts pass p.  The
+        # sums come in an unsigned type of at most two bytes, never int64
+        field = make_field(q)
+        rng = np.random.default_rng(70 + 3 * q + b)
+        reps, mu, ncols, npts = 4, 2, 6, 5
+        values = rng.integers(0, q, size=(reps, mu, ncols))
+        values[rng.random((reps, mu, ncols)) < 0.7] = 0
+        cls = rng.integers(0, ncols, size=npts * q ** b)
+        counts = [[sum(all(values[r, i, cls[x * q ** b + y]] == 0
+                           for i in range(mu))
+                       for y in range(q ** b))
+                   for x in range(npts)] for r in range(reps)]
+        want = [[c % field.p for c in row] for row in counts]
+        on_points = values[:, :, cls]
+        for got in (core._leaf_sums(field, values, cls, b),
+                    core._leaf_sums(field, on_points, slice(None), b)):
+            assert got.tolist() == want
+            assert got.dtype.kind == "u" and got.dtype.itemsize <= 2
+        assert max(map(max, counts)) >= (field.p if b else 1)
+
+
 class TestDistinctColumns:
     # a vote runs its combinations on the leaf set's distinct value
     # columns: whether all of a repetition's combinations vanish at a point
@@ -608,10 +662,10 @@ class TestSizeChecks:
 
 
 class TestSizeModel:
-    # on the golden multi-level cases every int64 array the recursion
-    # builds stays within the count _array_sizes gives its kind and
-    # level, and the input rows and the leaf-level combinations and
-    # roots reach theirs
+    # on the golden multi-level cases every array the recursion builds,
+    # whatever its dtype, stays within the count _array_sizes gives its
+    # kind and level, and the input rows and the leaf-level combinations
+    # and roots reach theirs
     @pytest.mark.parametrize("name", ["two-levels-q3-n7",
                                       "three-levels-q2-n10"])
     def test_arrays_within_their_counts(self, name, monkeypatch):

@@ -339,6 +339,32 @@ class TestBatched:
                         for kind in ("none", "few", "many")}
 
 
+    @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.uint16,
+                                       np.int64])
+    def test_reevaluate_keeps_the_rows_type(self, dtype):
+        # read-only rows in any integer type through the same set (T(4,
+        # 12) over GF(4) is T(3, 9) x GF(4)), a gather onto a smaller set
+        # and a fresh-point map: the axis route's values, in the rows'
+        # type (the map widens bool to uint8 to hold q-1); the same set
+        # returns the rows themselves, the others new arrays
+        rng = np.random.default_rng(21)
+        for q, n, dfrom, dto, b, route in [(4, 4, 12, 9, 1, "same"),
+                                           (3, 5, 8, 6, 1, "gather"),
+                                           (3, 5, 8, 8, 1, "map")]:
+            f = make_field(q)
+            nfrom = TrimmedPointSet(q, n, dfrom, 0).size()
+            rows = rng.integers(0, 2 if dtype is np.bool_ else q,
+                                size=(4, nfrom)).astype(dtype)
+            rows.flags.writeable = False
+            before = rows.copy()
+            got = transform.compile_reevaluation(f, n, dfrom, dto, b)(rows)
+            want = transform._reevaluate_axes(f, rows, n, dfrom, dto, b)
+            assert (got == want).all() and (rows == before).all(), route
+            assert got.dtype == (np.promote_types(dtype, np.uint8)
+                                 if route == "map" else dtype), route
+            assert (got is rows) == (route == "same"), route
+            assert route == "same" or not np.shares_memory(got, rows)
+
     @pytest.mark.parametrize("q", [3, 4, 9])
     def test_no_polynomials(self, q):
         # a system with m = 0 evaluates no rows, as the solve-empty golden
