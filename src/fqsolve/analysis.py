@@ -220,10 +220,12 @@ def exponent_table(qmax: int, dmax: int) -> list[ExponentReport]:
     refuses negative bounds and (qmax - 1) * dmax above TABLE_LIMIT."""
     if qmax < 0 or dmax < 0:
         raise InvalidParamsError("qmax and dmax must be non-negative")
-    if max(qmax - 1, 0) * dmax > TABLE_LIMIT:
-        raise InvalidParamsError(
-            f"exponent table spans (qmax-1)*dmax = {(qmax - 1) * dmax} "
-            f"cells, more than {TABLE_LIMIT}")
+    cells = max(qmax - 1, 0) * dmax
+    if cells > TABLE_LIMIT:
+        raise InvalidParamsError(f"exponent table spans (qmax-1)*dmax = "
+                                 f"{cells} cells, more than {TABLE_LIMIT}")
+    if not cells:  # prime_powers would still factor every q <= qmax
+        return []
     return [zeta(q, d) for q in prime_powers(qmax) for d in range(1, dmax + 1)]
 
 

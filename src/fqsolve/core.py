@@ -15,32 +15,30 @@ over the freed suffix grid and re-evaluates.  When m*d >= n, delta0 =
 the full sum is the field sum of the voted top values.
 
 The recursion runs on value vectors, not polynomials.  Random
-combinations are linear, so the values of a combination are the same
-combination of the values: the m input polynomials are evaluated once,
-on the point set of the deepest level, and every repetition's system is
-its value rows there: its coefficients times its parent's rows.  A
-point's leaf indicator depends only on its column of m input values, so
-the rows are split once (row by row) into their C <= min(q^m, |leaf|)
-distinct columns and each point's column index, and every combination
-is formed on the C columns only; the level next to the leaf tests its
-chunk's combinations for zero there and gathers the (repetition,
-column) root table onto the leaf points before the suffix sum.  Each
-vote compiles its columns' map once and applies it once per chunk above
-the leaf, and once per repetition higher up so that one chunk of leaf
-values is alive at a time.  Repetitions are processed VOTE_CHUNK at a
-time as (repetition, point) arrays, and each chunk is re-evaluated by
-one call of its level's compiled map.  Leaf sums stay narrow, uint8 or
-the smallest unsigned type of 0..p-1, and so do the gathers and
-fresh-point maps that re-evaluate them.  Votes are counted per chunk,
-through one cell buffer per vote, and voting stops once no point's
-leader can be overtaken by the repetitions left.  Every repetition
-draws from its own counter-based stream, so a vote draws the
-coefficients of every chunk before the first one where it can stop in
-one Philox pass, and each later chunk in one more; the repetitions
-drawn or skipped past the stop change nothing and the output equals
-that of voting over all t.  Isolation trials stack the values of their
-affine equations, one point-matrix product, under the system's, which
-solve_pes evaluates once per leaf set.
+combinations are linear, so every level's system is a coefficient
+matrix over the m input polynomials, its draws times its parent's
+matrix, and only the leaf needs values: the inputs are evaluated once,
+on the point set of the deepest level.  A point's leaf indicator depends
+only on its column of m input values, so the rows are split once (row
+by row) into their C <= min(q^m, |leaf|) distinct columns and each
+point's column index, and their one map is compiled once per sum.  The
+level next to the leaf applies it to a chunk's coefficients, tests the
+combinations for zero on the C columns and gathers the (repetition,
+column) root table onto the leaf points before the suffix sum.
+Repetitions are processed VOTE_CHUNK at a time as (repetition, point)
+arrays, and each chunk is re-evaluated by one call of its level's
+compiled map.  Leaf sums stay narrow, uint8 or the smallest unsigned
+type of 0..p-1, and so do the gathers and fresh-point maps that
+re-evaluate them.  Votes are counted per chunk, through one cell buffer
+per vote, and voting stops once no point's leader can be overtaken by
+the repetitions left.  Every repetition draws from its own
+counter-based stream, so a vote draws the coefficients of every chunk
+before the first one where it can stop in one Philox pass, and each
+later chunk in one more; the repetitions drawn or skipped past the stop
+change nothing and the output equals that of voting over all t.
+Isolation trials stack the values of their affine equations, one
+point-matrix product, under the system's, which solve_pes evaluates
+once per leaf set.
 
 When m*d < n the full sum is 0 and no recursion runs, in full_sum and in
 each isolation trial (whose m counts its affine equations).  The
@@ -203,27 +201,27 @@ def _rs_chunks(q: int, mu: int, m: int, rng: RngStream, t: int):
         start = end
 
 
-def _vote(field: FieldSpec, levels, i: int, cols: np.ndarray,
-          cls: np.ndarray, rng: RngStream, t: int, n: int) -> np.ndarray:
+def _vote(field: FieldSpec, levels, i: int, coeffs: np.ndarray | None,
+          leaf, rng: RngStream, t: int, n: int) -> np.ndarray:
     """Values of level i's partial sum on T(n - beta_i, delta_i), for the
-    system whose values on the leaf set's distinct input columns are the
-    rows of `cols`; leaf point x has column cls[x]."""
+    system whose coefficients over the m input polynomials are the rows
+    of `coeffs` (None at level 0, whose system is the input); `leaf` maps
+    a chunk's (repetition, mu, m) coefficients to its leaf sums."""
     q = field.q
     beta, delta, m_i = levels[i]
     beta_c, delta_c, mu = levels[i + 1]
-    child_is_leaf = i + 2 == len(levels)
     suffix = beta - beta_c
-    combine = field.compile_matrix(cols.T)
     reevaluate = compile_reevaluation(field, n - beta_c, delta_c, delta,
                                       suffix)
 
     def chunks():
         for start, rho in _rs_chunks(q, mu, m_i, rng, t):
-            if child_is_leaf:
-                sub = combine(rho.reshape(-1, m_i)).reshape(len(rho), mu, -1)
-                sub = _leaf_sums(field, sub, cls, beta_c)
+            if coeffs is not None:
+                rho = field.matmul(rho, coeffs)
+            if i + 2 == len(levels):
+                sub = leaf(rho)
             else:
-                sub = np.stack([_vote(field, levels, i + 1, combine(r), cls,
+                sub = np.stack([_vote(field, levels, i + 1, r, leaf,
                                       rng.child(2 * j + 1), t, n)
                                 for j, r in enumerate(rho, start)])
             yield reevaluate(sub)
@@ -235,53 +233,46 @@ def _vote(field: FieldSpec, levels, i: int, cols: np.ndarray,
 def _array_sizes(field: FieldSpec, n: int, levels,
                  t: int) -> dict[tuple[str, int], tuple[int, str]]:
     """The most entries each kind of the recursion's arrays reaches, keyed
-    by (kind, vote level), with a description.  The votes run on the C <=
-    min(q^m, |leaf|) distinct value columns of the m input rows on the
-    leaf set.  Counted are the input rows on the leaf set and, per vote
-    level, the compiled maps of its rows and of every level above it on
-    the C columns (k^2 entries per row entry over GF(p^k)), which a vote
-    keeps until it returns, so all are alive at once; the 32-bit draws of
-    its first RS pass (see _rs_chunks); its combinations on the C columns
-    (a chunk of repetitions' at the level next to the leaf, one
-    repetition's above it); at the level next to the leaf a chunk's root
-    table gathered onto the leaf points; and a chunk's values on the set
-    the level re-evaluates through, which holds both the child's set and
-    the target.  The float products of the combinations and of a chunk
+    by (kind, vote level), with a description.  Counted are the input
+    rows on the leaf set and the one compiled map of their C <= min(q^m,
+    |leaf|) distinct columns (k^2 entries per row entry over GF(p^k));
+    per vote level, its first RS pass's 32-bit draws (see _rs_chunks),
+    below the top a chunk's draws composed over the m inputs, and a
+    chunk's values on the set it re-evaluates through (the child's set
+    and the target); and next to the leaf a chunk's combinations on the C
+    columns and their root table on the leaf points.  Float products
     (float32 or float64, see field.py) are k digits wide, so their counts
-    carry k.  Entries are counted whatever their type, from uint8 roots
-    to float64 products; a vote's cell buffer, a chunk of repetitions on
-    its target, lies within its re-evaluation count.  Temporaries are not
-    counted: rs_draw's, which peak at three to four times the draws, and
-    _distinct_columns' few point-length vectors."""
+    carry k.  Entries are counted whatever their type; a vote's cell
+    buffer lies within its re-evaluation count.  Not counted: rs_draw's
+    temporaries, three to four times the draws, a composition's m_i x m
+    map and _distinct_columns' point-length vectors."""
     q, k = field.q, field.k
     beta_leaf, delta_leaf, _ = levels[-1]
     leaf = TrimmedPointSet(q, n, delta_leaf, beta_leaf).size()
     chunk, m = min(t, VOTE_CHUNK), levels[0][2]
     first = _first_pass(t)
     cols = min(q ** m, leaf)
-    sizes = {("rows", 0): (m * leaf, f"{m} rows on {leaf} leaf points")}
     on_cols = f"at most {cols} distinct columns over GF({q})"
-    rows = 0
+    sizes = {("rows", 0): (m * leaf, f"{m} rows on {leaf} leaf points"),
+             ("compiled", 0): (cols * m * k * k,
+                               f"the map of {m} rows on {on_cols}")}
     for i, ((beta, delta, m_i), (beta_c, delta_c, mu)) in enumerate(
             zip(levels, levels[1:])):
         work = TrimmedPointSet(q, n - beta_c, max(delta, delta_c),
                                beta - beta_c).size()
-        at_leaf = i + 2 == len(levels)
-        reps = chunk if at_leaf else 1
-        whose = f"{reps} repetitions" if reps > 1 else "one repetition"
-        rows += m_i
-        maps = (f"the map of {m_i} rows" if i == 0 else
-                f"the maps of vote levels 0-{i}, {rows} rows")
-        sizes["compiled", i] = (cols * rows * k * k, f"{maps} on {on_cols}")
         sizes["draws", i] = (first * 8 * -(-mu * m_i // 8), f"the draws of "
                              f"{first} repetitions of {mu}x{m_i} "
                              f"coefficients")
-        sizes["combinations", i] = (
-            reps * mu * cols * k, f"{whose} of {mu} combinations on "
-            f"{on_cols}")
-        if at_leaf:
-            sizes["roots", i] = (chunk * leaf, f"the roots of {whose} on "
-                                 f"{leaf} leaf points")
+        if i:
+            sizes["coefficients", i] = (
+                chunk * mu * m * k, f"{chunk} repetitions of {mu}x{m} "
+                f"composed coefficients")
+        if i + 2 == len(levels):
+            sizes["combinations", i] = (
+                chunk * mu * cols * k, f"{chunk} repetitions of {mu} "
+                f"combinations on {on_cols}")
+            sizes["roots", i] = (chunk * leaf, f"the roots of {chunk} "
+                                 f"repetitions on {leaf} leaf points")
         sizes["re-evaluation", i] = (
             chunk * work * k,
             f"{chunk} repetitions on {work} points over GF({q})")
@@ -333,7 +324,12 @@ def _voted_sum(field: FieldSpec, n: int, d: int, m: int, beta: int,
         zvals = _leaf_sums(field, base[None], slice(None), beta)[0]
     else:
         cols, cls = _distinct_columns(base)
-        zvals = _vote(field, levels, 0, cols, cls, rng, t, n)
+        combine = field.compile_matrix(cols.T)
+
+        def leaf(rho):
+            sums = combine(rho.reshape(-1, m)).reshape(*rho.shape[:2], -1)
+            return _leaf_sums(field, sums, cls, beta_leaf)
+        zvals = _vote(field, levels, 0, None, leaf, rng, t, n)
     top = TrimmedPointSet(q, n - beta, levels[0][1], 0)
     return TrimmedEvaluation(field, top, zvals)
 

@@ -21,20 +21,19 @@ from functools import cache
 import numpy as np
 
 from .errors import InvalidParamsError, TooLargeError
-from .field import FieldSpec
+from .field import ENTRY_LIMIT, FieldSpec
 from .mpoly import Polynomial, PolySystem
 
-COUNT_LIMIT = 10 ** 8
-PARTIAL_LIMIT = 10 ** 7
+POWER_LIMIT = 10 ** 8  # most entries of the q x q power table: q <= 9973
 
 
 @cache
 def _pow_matrix(field: FieldSpec) -> np.ndarray:
     """pw[x, e] = x^e, the univariate coefficient-to-values map."""
     q = field.q
-    if q * q > COUNT_LIMIT:
+    if q * q > POWER_LIMIT:
         raise TooLargeError(f"power table of {q}^2 entries exceeds "
-                            f"{COUNT_LIMIT}")
+                            f"{POWER_LIMIT}")
     idx = np.arange(q, dtype=np.int64)
     mat = np.ones((q, q), dtype=np.int64)
     for e in range(1, q):
@@ -157,8 +156,16 @@ class RootCount:
 
 
 def _indicator_values(system: PolySystem) -> np.ndarray:
-    """0/1 vector over the full grid: 1 exactly at common roots."""
-    size = system.field.q ** system.n
+    """0/1 vector over the full grid: 1 exactly at common roots.  Refuses
+    first a grid whose evaluation would pass ENTRY_LIMIT entries:
+    tracemalloc reads about 5 int64 arrays of q^n entries where the field
+    has q x q tables and 3 + 2k otherwise, counted as 6 and 4 + 2k."""
+    field, n = system.field, system.n
+    size = field.q ** n
+    arrays = 6 if field.add_table is not None else 4 + 2 * field.k
+    if arrays * size > ENTRY_LIMIT:
+        raise TooLargeError(f"a grid of {field.q}^{n} points needs {arrays} "
+                            f"arrays of its size, over {ENTRY_LIMIT} entries")
     mask = np.ones(size, dtype=bool)
     for p in system.polys:
         mask &= grid_evaluate(p) == 0
@@ -167,10 +174,8 @@ def _indicator_values(system: PolySystem) -> np.ndarray:
 
 def count_common_roots(system: PolySystem) -> RootCount:
     """Exact number of common roots, by exhaustive enumeration."""
-    q, n = system.field.q, system.n
-    if q ** n > COUNT_LIMIT:
-        raise TooLargeError(f"grid size {q}^{n} exceeds {COUNT_LIMIT}")
-    return RootCount(int(_indicator_values(system).sum()), n, q)
+    return RootCount(int(_indicator_values(system).sum()), system.n,
+                     system.field.q)
 
 
 def brute_Z(system: PolySystem) -> int:
@@ -187,8 +192,6 @@ def brute_partial_sum(system: PolySystem, beta: int) -> Polynomial:
     q, n = field.q, system.n
     if not 0 <= beta <= n:
         raise ValueError("need 0 <= beta <= n")
-    if q ** n > PARTIAL_LIMIT:
-        raise TooLargeError(f"grid size {q}^{n} exceeds {PARTIAL_LIMIT}")
     ind = _indicator_values(system)
     rows = ind.reshape(q ** (n - beta), q ** beta)
     zvals = rows.sum(axis=1) % field.p

@@ -530,7 +530,5 @@ def parse_evaluation(text: str) -> TrimmedEvaluation:
     except ValueError as exc:  # a non-integer, b outside 0..n, delta < 0
         raise SizeMismatchError(f"bad evals text: {exc}") from exc
     field = make_field(q)
-    if any(not 0 <= v < q for v in values):
-        raise SizeMismatchError(f"values must lie in 0..{q - 1}")
     check_key_width(q, n)
     return TrimmedEvaluation(field, point_set, values)

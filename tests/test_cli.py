@@ -148,6 +148,15 @@ class TestExponentTable:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_empty_table_prints_its_header_at_once(self, capsys):
+        # no cells, so no prime power up to qmax is enumerated
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["exponent-table", "--qmax",
+                                      str(10 ** 9), "--dmax", "0"])
+        assert time.perf_counter() - start < 0.5
+        assert (code, out, err) == (0, "q,d,kappa_star,zeta,theorem1_bound\n",
+                                    "")
+
     def test_table_at_the_limit_is_accepted(self, capsys):
         from fqsolve.analysis import prime_powers
         code, out, _ = run(capsys, ["exponent-table", "--qmax", "4097",
@@ -308,6 +317,20 @@ class TestErrors:
         pes = workdir / "x31.pes"
         pes.write_text("pes 3 31 1\npoly 1\n1 1" + " 0" * 30 + "\n")
         proc = _run_limited(["solve", str(pes)])
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1
+
+    # X1 over 25 variables of GF(2) and over 2 of GF(3125): the oracle's
+    # grid evaluation would hold about 5 int64 arrays of 2^25 points, or
+    # 13 of 3125^2 over GF(5^5), over a GiB either way; refused first
+    @pytest.mark.parametrize("text", [
+        "pes 2 25 1\npoly 1\n1 1" + " 0" * 24 + "\n",
+        "pes 3125 2 1\npoly 1\n1 1 0\n"], ids=["gf2-n25", "gf3125-n2"])
+    def test_count_grid_checked_before_allocation(self, workdir, text):
+        pes = workdir / "grid.pes"
+        pes.write_text(text)
+        proc = _run_limited(["count-roots", str(pes)])
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error:")
         assert proc.stderr.count("\n") == 1

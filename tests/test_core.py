@@ -346,7 +346,8 @@ class TestFullSum:
         # one vote at level 0 and one per repetition at level 1.  Each
         # level's re-evaluation map is compiled on its first vote and
         # fetched from the cache on every other; a repeated call compiles
-        # no map, so its only compile_matrix calls are the votes' own
+        # no re-evaluation map, so its only compile_matrix calls are the
+        # one value map and one composition per vote chunk below the top
         from fqsolve import transform
         from test_golden_seeds import SUM_CASES, _system
         from test_golden_seeds import _params as golden_params
@@ -380,7 +381,8 @@ class TestFullSum:
         assert run() == first
         info = cache.cache_info()
         assert (info.misses, info.hits) == (2, 2 * votes[0] - 2)
-        assert compiled[0] == votes[0]
+        below_top_chunks = (votes[0] - 1) * -(-kw["t"] // VOTE_CHUNK)
+        assert compiled[0] == 1 + below_top_chunks
 
 
     def test_one_field_product_per_vote_chunk(self, monkeypatch):
@@ -497,14 +499,14 @@ class TestDistinctColumns:
         # with few distinct columns (3 rows over GF(3), two vote levels)
         # and with one column per leaf point (X_i plus squares of earlier
         # variables plus c_i: the values determine the point)
-        widths, vote = [], core._vote
+        widths, split = [], core._distinct_columns
 
-        def spied_vote(field, levels, i, cols, cls, *args):
-            if i == 0:
-                widths.append((cols.shape[1], len(cls)))
-            return vote(field, levels, i, cols, cls, *args)
+        def spied_split(base):
+            cols, cls = split(base)
+            widths.append((cols.shape[1], len(cls)))
+            return cols, cls
 
-        monkeypatch.setattr(core, "_vote", spied_vote)
+        monkeypatch.setattr(core, "_distinct_columns", spied_split)
         few = random_system(np.random.default_rng(40), 3, 7, 3, 2)
         prm = SolverParams(kappa=Fraction(3, 10), lam=Fraction(1, 7),
                            t_override=15, seed=0)
@@ -523,6 +525,47 @@ class TestDistinctColumns:
         assert partial_sum(tri, 1, _params(1, t_override=60),
                            RngStream(1)) == brute_partial_sum(tri, 1)
         assert widths[-1] == (81, 81)
+
+    @pytest.mark.parametrize("name", ["two-levels-q3-n7",
+                                      "three-levels-q2-n10"])
+    def test_one_value_map_per_sum(self, name, monkeypatch):
+        # every level's system is a coefficient matrix over the m inputs,
+        # so a sum compiles one map, of its C distinct leaf columns, and
+        # every other matrix it compiles is an m x m_i composition of a
+        # chunk's draws with its level's coefficients
+        from test_golden_seeds import SUM_CASES, _system
+        from test_golden_seeds import _params as golden_params
+        shape, sys_seed, kw = SUM_CASES[name]
+        system = _system(shape, sys_seed)
+        beta = math.floor(Fraction(kw["kappa"]) * system.n)
+        run = partial(partial_sum, system, beta, golden_params(kw))
+        run(RngStream(kw["seed"]))  # compiles the re-evaluation maps
+        splits, compiled = [], []
+        split = core._distinct_columns
+        compile_matrix = FieldSpec.compile_matrix
+
+        def spied_split(base):
+            splits.append(split(base))
+            return splits[-1]
+
+        def spied_compile(self, mat):
+            compiled.append(mat)
+            return compile_matrix(self, mat)
+
+        monkeypatch.setattr(core, "_distinct_columns", spied_split)
+        monkeypatch.setattr(FieldSpec, "compile_matrix", spied_compile)
+        for seed in range(3):
+            run(RngStream(seed))
+        m = len(system.polys)
+        assert len(splits) == 3
+        cols = splits[0][0]
+        assert cols.shape[1] > m
+        maps = [mat for mat in compiled if mat.shape[0] == cols.shape[1]]
+        assert len(maps) == 3
+        assert all(np.array_equal(mat, cols.T) for mat in maps)
+        assert all(mat.shape[0] == m for mat in compiled
+                   if mat.shape[0] != cols.shape[1])
+        assert len(compiled) > len(maps)
 
 
 class TestVoteDraws:
@@ -605,9 +648,9 @@ class TestSizeChecks:
 
     def test_levels_above_the_leaf_hold_one_repetition(self, monkeypatch):
         # the golden three-levels-q2-n10 system at t = 64: only the level
-        # next to the leaf combines a chunk at a time, 64 x 2 x 386 =
-        # 49,408 entries, the largest array; level 0 holds one repetition
-        # of 4 combinations, not 64 x 4 x 386 = 98,816.  The whole call
+        # next to the leaf forms combinations of values, a chunk at a
+        # time, 64 x 2 x 386 = 49,408 entries, the largest array; the
+        # levels above it hold coefficients only.  The whole call
         # runs 64^2 leaf votes (about a minute), so it stops after the
         # first of them
         from test_golden_seeds import SUM_CASES, _system
@@ -634,38 +677,34 @@ class TestSizeChecks:
                         RngStream(kw["seed"]))
         assert entered == {0, 1, 2}
 
-    def test_compiled_maps_of_all_levels_counted_together(self,
-                                                          monkeypatch):
-        # a (2,10,9,2) system at the parameters of the golden
-        # three-levels-q2-n10 case: each vote keeps its map until it
-        # returns, so the leaf-adjacent vote runs with the maps of 9, 4
-        # and 3 rows alive, on at most min(2^9, 386) = 386 distinct leaf
-        # columns, 6,176 entries.  The maps of levels 0-1 (5,018) and
-        # every other array (at most 3,474) fit 6,175
-        from test_golden_seeds import SUM_CASES
-        from test_golden_seeds import _params as golden_params
-        _, sys_seed, kw = SUM_CASES["three-levels-q2-n10"]
-        system = random_system(np.random.default_rng(sys_seed), 2, 10, 9, 2)
-        beta = math.floor(Fraction(kw["kappa"]) * system.n)
-        run = partial(partial_sum, system, beta, golden_params(kw),
-                      RngStream(kw["seed"]))
-        monkeypatch.setattr(core, "ENTRY_LIMIT", 16 * 386)
+    def test_one_value_map_counted(self, monkeypatch):
+        # a (4,7,7,2) system at kappa = 3/10, lambda = 1/7, t = 3: two vote
+        # levels over GF(4), whose leaf set's 7 rows have at most
+        # min(4^7, 12,238) distinct columns.  Their one map, compiled once
+        # per sum, expands to 12,238 x 7 x 2^2 = 342,664 entries, the
+        # largest array; the votes carry coefficients, so no level adds a
+        # map of its own
+        system = random_system(np.random.default_rng(12), 4, 7, 7, 2)
+        run = partial(partial_sum, system, 2,
+                      _params(0, lam=Fraction(1, 7), t_override=3),
+                      RngStream(0))
+        monkeypatch.setattr(core, "ENTRY_LIMIT", 12238 * 7 * 4)
         run()
 
         def no_evaluation(*args):
             raise AssertionError("evaluated before the size check")
 
-        monkeypatch.setattr(core, "ENTRY_LIMIT", 16 * 386 - 1)
+        monkeypatch.setattr(core, "ENTRY_LIMIT", 12238 * 7 * 4 - 1)
         monkeypatch.setattr(core, "evaluate_values", no_evaluation)
-        with pytest.raises(TooLargeError, match="maps of vote levels 0-2"):
+        with pytest.raises(TooLargeError, match="the map of 7 rows"):
             run()
 
 
 class TestSizeModel:
     # on the golden multi-level cases every array the recursion builds,
     # whatever its dtype, stays within the count _array_sizes gives its
-    # kind and level, and the input rows and the leaf-level combinations
-    # and roots reach theirs
+    # kind and level, and the input rows and the leaf-level coefficients,
+    # combinations and roots reach theirs
     @pytest.mark.parametrize("name", ["two-levels-q3-n7",
                                       "three-levels-q2-n10"])
     def test_arrays_within_their_counts(self, name, monkeypatch):
@@ -674,9 +713,10 @@ class TestSizeModel:
         shape, sys_seed, kw = SUM_CASES[name]
         system = _system(shape, sys_seed)
         models, seen = [], []
-        array_sizes, evaluate, vote, leaf_sums, compile_reevaluation = (
-            core._array_sizes, core.evaluate_values, core._vote,
-            core._leaf_sums, core.compile_reevaluation)
+        (array_sizes, evaluate, split, vote, leaf_sums,
+         compile_reevaluation) = (
+            core._array_sizes, core.evaluate_values, core._distinct_columns,
+            core._vote, core._leaf_sums, core.compile_reevaluation)
 
         def spied_sizes(field, n, levels, t):
             models.append((levels, array_sizes(field, n, levels, t)))
@@ -687,12 +727,23 @@ class TestSizeModel:
             seen.append(("rows", 0, out.size))
             return out
 
-        def spied_vote(field, levels, i, cols, *args):
-            # level i's input columns: the distinct input columns at
-            # level 0, one repetition's combinations of level i-1 below it
-            seen.append(("rows", 0, cols.size) if i == 0 else
-                        ("combinations", i - 1, cols.size))
-            return vote(field, levels, i, cols, *args)
+        def spied_split(base):
+            # the distinct input columns
+            cols, cls = split(base)
+            seen.append(("rows", 0, cols.size))
+            return cols, cls
+
+        def spied_vote(field, levels, i, coeffs, leaf, *args):
+            # one repetition of level i-1's composed coefficients, and a
+            # chunk of those of the level next to the leaf
+            if i > 1:
+                seen.append(("coefficients", i - 1, coeffs.size))
+
+            def spied_leaf(rho):
+                seen.append(("coefficients", len(levels) - 2, rho.size))
+                return leaf(rho)
+            return vote(field, levels, i, coeffs,
+                        spied_leaf if i == 0 else leaf, *args)
 
         def spied_leaf_sums(field, values, cls, b):
             leaf_level = len(models[-1][0]) - 2
@@ -719,6 +770,7 @@ class TestSizeModel:
 
         for name_, spy in [("_array_sizes", spied_sizes),
                            ("evaluate_values", spied_evaluate),
+                           ("_distinct_columns", spied_split),
                            ("_vote", spied_vote),
                            ("_leaf_sums", spied_leaf_sums),
                            ("compile_reevaluation", spied_compile)]:
@@ -732,8 +784,8 @@ class TestSizeModel:
             assert entries <= sizes[kind, i][0]
             largest[kind, i] = max(largest.get((kind, i), 0), entries)
         leaf_level = len(levels) - 2
-        for key in [("rows", 0), ("combinations", leaf_level),
-                    ("roots", leaf_level)]:
+        for key in [("rows", 0), ("coefficients", leaf_level),
+                    ("combinations", leaf_level), ("roots", leaf_level)]:
             assert largest[key] == sizes[key][0]
         assert {i for kind, i in largest if kind == "re-evaluation"} == set(
             range(len(levels) - 1))
