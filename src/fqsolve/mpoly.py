@@ -1,11 +1,11 @@
 """Sparse multivariate polynomials over GF(q).
 
-Exponents are kept in 0..q-1 per variable.  Arithmetic that would push an
-exponent e past q-1 reduces it with the function-preserving rule
-e -> ((e - 1) mod (q - 1)) + 1, so a polynomial and its reduced form agree
-on every point of GF(q)^n.  Terms are stored sparsely in a dict keyed by
+Exponents always lie in 0..q-1 per variable, the unique representative
+of a function on GF(q)^n.  Terms are stored sparsely in a dict keyed by
 exponent tuples of length n (Python ints); coefficients are nonzero
-field-element indices.
+field-element indices.  Polynomials appear only at the edges: parsing,
+formatting, embedding and the witnesses; the solver works on value
+vectors.
 
 The module also owns the canonical point sets: T(m, D) is the set of
 vectors in {0..q-1}^m whose natural-number coordinate sum is at most D,
@@ -15,7 +15,6 @@ significant, optionally crossed with a full grid suffix.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -134,12 +133,9 @@ class Polynomial:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _check_compatible(self, other: "Polynomial") -> None:
+    def add(self, other: "Polynomial") -> "Polynomial":
         if self.field is not other.field or self.n != other.n:
             raise ValueError("field or arity mismatch")
-
-    def add(self, other: "Polynomial") -> "Polynomial":
-        self._check_compatible(other)
         f = self.field
         out = dict(self._terms)
         for k, c in other._terms.items():
@@ -150,55 +146,12 @@ class Polynomial:
                 out.pop(k, None)
         return Polynomial(f, self.n, out)
 
-    def neg(self) -> "Polynomial":
-        f = self.field
-        return Polynomial(f, self.n, {k: f.neg(c) for k, c in self._terms.items()})
-
-    def sub(self, other: "Polynomial") -> "Polynomial":
-        return self.add(other.neg())
-
     def scale(self, c: int) -> "Polynomial":
         f = self.field
         if c == 0:
             return Polynomial.zero(f, self.n)
         return Polynomial(f, self.n,
                           {k: f.mul(c, v) for k, v in self._terms.items()})
-
-    def mul(self, other: "Polynomial") -> "Polynomial":
-        self._check_compatible(other)
-        f = self.field
-        top = f.q - 1
-        out: dict[tuple[int, ...], int] = {}
-        for eb, cb in other._terms.items():
-            for ea, ca in self._terms.items():
-                c = f.mul(ca, cb)
-                # a sum of two exponents in 0..q-1 that passes q-1 reduces
-                # to ((e - 1) mod (q - 1)) + 1 = e - (q - 1)
-                key = tuple([e - top if e > top else e
-                             for e in map(operator.add, ea, eb)])
-                s = f.add(out.get(key, 0), c)
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return Polynomial(f, self.n, out)
-
-    def power(self, e: int) -> "Polynomial":
-        if e < 0:
-            raise ValueError("exponent must be nonnegative")
-        result = Polynomial.constant(self.field, self.n, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result.mul(base)
-            base = base.mul(base) if e > 1 else base
-            e >>= 1
-        return result
-
-    __add__ = add
-    __sub__ = sub
-    __mul__ = mul
-    __neg__ = neg
 
     # -- evaluation -----------------------------------------------------------
 

@@ -1,14 +1,17 @@
 """Brute-force ground truth by exhaustive evaluation.
 
 Everything here evaluates polynomials over the full grid GF(q)^n with its
-own dense tensor code (scatter coefficients into a q x ... x q cube, then
-apply the univariate value map x^e, built by columns, along every axis).
-The univariate inverse is in closed form, from the power table; the
-trimmed one comes from a Gauss-Jordan routine, _solve, in elementwise
-field arithmetic.  No code is shared with the solver or the trimmed
-transform beyond field arithmetic, so these functions serve as
-independent witnesses in every equivalence test.  plurality is the
-scalar witness for the solver's column-wise vote, core.streamed_plurality.
+own dense tensor code (scatter coefficients into a cube with one plane per
+exponent 0..top_a on each axis a, then apply the univariate value map
+x^e, built by columns, along every axis).  The univariate inverse is in
+closed form, from the power table; the trimmed one comes from a
+Gauss-Jordan routine, _solve, in elementwise field arithmetic.  No code is
+shared with the solver or the trimmed transform beyond field arithmetic,
+so these functions serve as independent witnesses in every equivalence
+test, the CNF reduction's included: its witness interpolates each
+polynomial's values on the whole grid with grid_interpolate.  plurality
+is the scalar witness for the solver's column-wise vote,
+core.streamed_plurality.
 """
 
 from __future__ import annotations
@@ -25,6 +28,18 @@ from .field import ENTRY_LIMIT, FieldSpec
 from .mpoly import Polynomial, PolySystem
 
 POWER_LIMIT = 10 ** 8  # most entries of the q x q power table: q <= 9973
+# most exponent planes x q^n of the dense walks in one call: the full walk
+# of GF(1021)^2, 2 * 1021^3 ~ 2.13e9 products, takes about 30 s on a
+# 2-core Xeon
+WALK_LIMIT = 2 ** 31
+
+
+def _check_walk(planes: int, q: int, n: int) -> None:
+    """Refuse, before any allocation, dense walks of planes exponent
+    planes in total over GF(q)^n: each plane costs up to q^n products."""
+    if planes * q ** n > WALK_LIMIT:
+        raise TooLargeError(f"{planes} exponent planes over a grid of "
+                            f"{q}^{n} points pass {WALK_LIMIT} products")
 
 
 @cache
@@ -79,27 +94,30 @@ def _pow_inverse(field: FieldSpec) -> np.ndarray:
 def _apply_axis_dense(field: FieldSpec, cube: np.ndarray, axis: int,
                       mat: np.ndarray) -> np.ndarray:
     """out[..., j, ...] = sum_e mat[j, e] * cube[..., e, ...] along axis,
-    accumulated one plane e at a time with elementwise field arithmetic
-    (not through the solver's matrix kernel)."""
+    one column of mat per plane of cube, accumulated one plane e at a time
+    with elementwise field arithmetic (not through the solver's matrix
+    kernel)."""
     moved = np.moveaxis(cube, axis, 0)
     planes = moved.reshape(len(moved), -1)
-    out = np.zeros_like(planes)
+    out = np.zeros((len(mat), planes.shape[1]), dtype=np.int64)
     for e, plane in enumerate(planes):
         out = field.vadd(out, field.vmul(mat[:, e, None], plane))
-    return np.moveaxis(out.reshape(moved.shape), 0, axis)
+    return np.moveaxis(out.reshape((len(mat),) + moved.shape[1:]), 0, axis)
 
 
 def grid_evaluate(poly: Polynomial) -> np.ndarray:
-    """Values of poly on all of GF(q)^n, flat in lexicographic point order
-    (first variable most significant)."""
+    """Values of poly (n >= 1) on all of GF(q)^n, flat in lexicographic
+    point order (first variable most significant).  Axis a walks only the
+    exponent planes 0..top_a, top_a being the largest exponent of
+    variable a."""
     field = poly.field
-    q, n = field.q, poly.n
-    cube = np.zeros((q,) * n, dtype=np.int64)
-    for exps, c in poly.terms():
-        cube[exps] = c
+    exps, coeffs = poly.term_arrays()
+    tops = exps.max(axis=0, initial=0)
+    cube = np.zeros(tops + 1, dtype=np.int64)
+    cube[tuple(exps.T)] = coeffs
     pw = _pow_matrix(field)
-    for axis in range(n):
-        cube = _apply_axis_dense(field, cube, axis, pw)
+    for axis in range(poly.n):
+        cube = _apply_axis_dense(field, cube, axis, pw[:, :tops[axis] + 1])
     return cube.reshape(-1)
 
 
@@ -109,14 +127,15 @@ def grid_interpolate(field: FieldSpec, values: np.ndarray, n: int) -> Polynomial
     q = field.q
     if n == 0:
         return Polynomial.constant(field, 0, int(values[0]))
+    _check_walk(n * q, q, n)
     cube = np.array(values, dtype=np.int64).reshape((q,) * n)
     inv = _pow_inverse(field)
     for axis in range(n):
         cube = _apply_axis_dense(field, cube, axis, inv)
     # argwhere and the mask both list the nonzero entries in row-major
     # order, which is the lexicographic exponent order
-    pairs = zip(np.argwhere(cube).tolist(), cube[cube != 0].tolist())
-    return Polynomial.from_terms(field, n, pairs)
+    return Polynomial.from_term_arrays(field, n, np.argwhere(cube),
+                                       cube[cube != 0])
 
 
 def trimmed_points(q: int, n: int, delta: int, b: int) -> np.ndarray:
@@ -157,15 +176,19 @@ class RootCount:
 
 def _indicator_values(system: PolySystem) -> np.ndarray:
     """0/1 vector over the full grid: 1 exactly at common roots.  Refuses
-    first a grid whose evaluation would pass ENTRY_LIMIT entries:
-    tracemalloc reads about 5 int64 arrays of q^n entries where the field
-    has q x q tables and 3 + 2k otherwise, counted as 6 and 4 + 2k."""
+    first a grid whose evaluation would pass ENTRY_LIMIT entries
+    (tracemalloc reads about 5 int64 arrays of q^n entries where the field
+    has q x q tables and 3 + 2k otherwise, counted as 6 and 4 + 2k), or
+    whose evaluations would walk more than WALK_LIMIT products."""
     field, n = system.field, system.n
     size = field.q ** n
     arrays = 6 if field.add_table is not None else 4 + 2 * field.k
     if arrays * size > ENTRY_LIMIT:
         raise TooLargeError(f"a grid of {field.q}^{n} points needs {arrays} "
                             f"arrays of its size, over {ENTRY_LIMIT} entries")
+    planes = sum(n + int(p.term_arrays()[0].max(axis=0, initial=0).sum())
+                 for p in system.polys)  # sum over axes of top_a + 1
+    _check_walk(planes, field.q, n)
     mask = np.ones(size, dtype=bool)
     for p in system.polys:
         mask &= grid_evaluate(p) == 0

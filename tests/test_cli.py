@@ -79,6 +79,19 @@ class TestCountRoots:
         code, out, _ = run(capsys, ["count-roots", str(workdir / "empty.pes")])
         assert code == 0 and out == "27\n"
 
+    # a degree-2 system over GF(3343)^2: evaluation walks exponent planes
+    # 0..2 of each axis, not all 3343; y = +-2 and x^2 + xy - 1 = 0
+    def test_low_degree_over_a_large_grid(self, tmp_path):
+        q = 3343
+        pes = tmp_path / "low.pes"
+        pes.write_text(f"pes {q} 2 2\npoly 3\n1 2 0\n1 1 1\n{q - 1} 0 0\n"
+                       f"poly 2\n1 0 2\n{q - 4} 0 0\n")
+        want = sum((x * x + x * y - 1) % q == 0
+                   for x in range(q) for y in (2, q - 2))
+        proc = _run_limited(["count-roots", str(pes)])
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (0, f"{want}\n", "")
+
 
 class TestFullSum:
     def test_prints_field_element(self, workdir, capsys):
@@ -331,6 +344,19 @@ class TestErrors:
         pes = workdir / "grid.pes"
         pes.write_text(text)
         proc = _run_limited(["count-roots", str(pes)])
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1
+
+    # X1^3342 + X2^3342 over GF(3343)^2 fits the grid's working set, but
+    # its evaluation walks every exponent plane, 2 * 3343^3 products, about
+    # 17 minutes: refused before any allocation
+    def test_count_walk_refused_at_once(self, tmp_path):
+        pes = tmp_path / "high.pes"
+        pes.write_text("pes 3343 2 1\npoly 2\n1 3342 0\n1 0 3342\n")
+        start = time.perf_counter()
+        proc = _run_limited(["count-roots", str(pes)])
+        assert time.perf_counter() - start < 5
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error:")
         assert proc.stderr.count("\n") == 1

@@ -17,17 +17,6 @@ def P(q, n, pairs):
 
 
 class TestArithmetic:
-    def test_square_of_variable_over_f2(self):
-        x = Polynomial.variable(make_field(2), 1, 0)
-        assert x.mul(x) == x  # a^q = a
-
-    def test_exponent_reduction_over_f3(self):
-        x2 = P(3, 1, [((2,), 1)])
-        assert x2.mul(x2) == x2  # 4 -> 2
-        for v in range(3):
-            f = make_field(3)
-            assert f.pow(v, 4) == f.pow(v, 2)
-
     def test_add_identity(self):
         p = P(5, 2, [((1, 2), 3)])
         assert p.add(Polynomial.zero(make_field(5), 2)) == p
@@ -36,24 +25,7 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             P(3, 2, []).add(P(3, 3, []))
         with pytest.raises(ValueError):
-            P(3, 2, []).mul(P(5, 2, []))
-
-    @pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (5, 2), (4, 2)])
-    def test_mul_preserves_function(self, q, n):
-        rng = np.random.default_rng(q * 10 + n)
-        for _ in range(10):
-            a = random_polynomial(rng, q, n, n * (q - 1), max_terms=6)
-            b = random_polynomial(rng, q, n, n * (q - 1), max_terms=6)
-            prod = a.mul(b)
-            f = make_field(q)
-            for pt in full_grid(q, n):
-                assert prod.evaluate(pt) == f.mul(a.evaluate(pt), b.evaluate(pt))
-
-    def test_power_matches_repeated_mul(self):
-        rng = np.random.default_rng(0)
-        p = random_polynomial(rng, 3, 2, 4, max_terms=4)
-        assert p.power(3) == p.mul(p).mul(p)
-        assert p.power(0) == Polynomial.constant(make_field(3), 2, 1)
+            P(3, 2, []).add(P(5, 2, []))
 
     def test_scale(self):
         p = P(5, 1, [((1,), 2)])
@@ -250,7 +222,7 @@ def _polynomials(draw):
     f = make_field(q)
     pairs = draw(_term_pairs(q, n))
     a = Polynomial.from_terms(f, n, pairs)
-    route = draw(st.sampled_from(["from_terms", "variable", "constant", "mul",
+    route = draw(st.sampled_from(["from_terms", "variable", "constant",
                                   "embed", "symbolic", "transform"]))
     if route == "from_terms":
         return a, Polynomial.from_terms(f, n, pairs[::-1])
@@ -261,9 +233,6 @@ def _polynomials(draw):
     if route == "constant":
         c = draw(st.integers(0, q - 1))
         return Polynomial.constant(f, n, c), P(q, n, [((0,) * n, c)])
-    if route == "mul":
-        b = Polynomial.from_terms(f, n, draw(_term_pairs(q, n)))
-        return a.mul(b), b.mul(a)
     if route == "embed":
         extra = draw(st.integers(0, 2))
         var_map = draw(st.permutations(range(n + extra)))[:n]

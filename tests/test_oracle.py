@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from fqsolve import (Polynomial, PolySystem, brute_Z, brute_partial_sum,
                      count_common_roots, eval_indicator, make_field, zdegree)
 from fqsolve.errors import TooLargeError
 from fqsolve.field import FieldSpec
+from fqsolve import oracle
 from fqsolve.mpoly import point_matrix
 from fqsolve.oracle import (_pow_inverse, _pow_matrix, grid_evaluate,
                             grid_interpolate, trimmed_points)
@@ -118,6 +122,25 @@ class TestDenseGridHelpers:
         p = random_polynomial(rng, q, n, n * (q - 1), max_terms=8)
         assert grid_interpolate(make_field(q), grid_evaluate(p), n) == p
 
+    # a count walks (top_a + 1) exponent planes of q^n products on each
+    # axis a of each polynomial, an interpolation q planes per axis: one
+    # product past WALK_LIMIT is refused before any evaluation
+    def test_walk_limit(self, monkeypatch):
+        f = make_field(5)
+        p = Polynomial.from_terms(f, 2, [((2, 0), 1), ((1, 1), 3)])
+        system = PolySystem(f, 2, [p, p], 2)  # 2 x (3 + 2) planes
+        vals = grid_evaluate(p)
+        monkeypatch.setattr(oracle, "WALK_LIMIT", 10 * 5 ** 2)
+        assert count_common_roots(system).count == \
+            int((vals == 0).sum())
+        assert grid_interpolate(f, vals, 2) == p  # 2 x 5 planes
+        monkeypatch.setattr(oracle, "WALK_LIMIT", 10 * 5 ** 2 - 1)
+        monkeypatch.setattr(oracle, "grid_evaluate", None)
+        with pytest.raises(TooLargeError):
+            count_common_roots(system)
+        with pytest.raises(TooLargeError):
+            grid_interpolate(f, vals, 2)
+
     def test_independent_of_the_matrix_kernel(self, monkeypatch):
         # the oracle is a witness for the solver's matrix kernel, so it must
         # not go through it: with compile_matrix broken, the dense helpers
@@ -136,6 +159,25 @@ class TestDenseGridHelpers:
         want = sum(all(p.evaluate(pt) == 0 for p in system.polys)
                    for pt in full_grid(3, 3))
         assert count_common_roots(system).count == want
+
+
+# the oracles stay independent of the solver: oracle.py imports from the
+# package only its errors, the field arithmetic and the polynomials
+def test_imports_no_solver_module():
+    tree = ast.parse(pathlib.Path(oracle.__file__).read_text())
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            used |= ({node.module.split(".")[0]} if node.module
+                     else {a.name for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module and \
+                node.module.split(".")[0] == "fqsolve":
+            used |= ({node.module.split(".")[1]} if "." in node.module
+                     else {a.name for a in node.names})
+        elif isinstance(node, ast.Import):
+            used |= {a.name.split(".")[1] if "." in a.name else a.name
+                     for a in node.names if a.name.split(".")[0] == "fqsolve"}
+    assert used == {"errors", "field", "mpoly"}
 
 
 # the solver's point sets against the oracle's own enumeration, for every

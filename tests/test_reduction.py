@@ -9,51 +9,39 @@ from hypothesis import strategies as st
 from conftest import brute_sat_count, random_cnf
 from fqsolve import (Cnf, Polynomial, PolySystem, count_common_roots,
                      make_field, parse_dimacs, reduce_cnf)
-from fqsolve import reduction
+from fqsolve import reduction, transform
 from fqsolve.errors import DimacsFormatError, FqsolveError, TooLargeError
-from fqsolve.mpoly import TrimmedPointSet, format_pes
+from fqsolve.mpoly import format_pes
+from fqsolve.oracle import grid_interpolate
 from fqsolve.reduction import (MAX_BLOCK_GRID, _ceil_exact_vars1,
                                _pow2_at_least, dec_table, make_plan)
-from fqsolve.transform import TrimmedEvaluation, interpolate_trimmed
 
 
 def witness_reduce(cnf, q, delta, parsimonious):
-    """The reduction through Polynomial arithmetic: one interpolated
-    polynomial per bit position, the literal polynomials of a clause
-    multiplied with Polynomial.mul inside each block, and the block
-    products embedded into all variables and multiplied again."""
+    """The reduction through the oracle: every polynomial is the dense-grid
+    interpolation of its values on all of GF(q)^out_vars, where block b's
+    tuple, read as a base-q number v_b (first coordinate most significant),
+    gives the bits of v_b mod 2^vars1.  A clause is 1 where every literal
+    is falsified; a padding bit is its own value; the range polynomial of a
+    block is 1 where v_b >= 2^vars1."""
     plan = make_plan(cnf.n_vars, cnf.width, q, delta, parsimonious)
     field = make_field(q)
-    grid = TrimmedPointSet(q, plan.vars2, plan.vars2 * (q - 1), plan.vars2)
+    digits = np.indices((q,) * plan.out_vars).reshape(plan.blocks,
+                                                      plan.vars2, -1)
+    v = np.tensordot(q ** np.arange(plan.vars2 - 1, -1, -1), digits, (0, 1))
 
-    def interpolate(values):
-        return interpolate_trimmed(TrimmedEvaluation(
-            field, grid, np.asarray(values, dtype=np.int64)))
+    def bit(var):  # the value of Boolean variable var (0-based) everywhere
+        block, pos = divmod(var, plan.vars1)
+        return (v[block] % (1 << plan.vars1)) >> pos & 1
 
-    def embed(block, poly):
-        base = block * plan.vars2
-        return poly.embed(plan.out_vars, list(range(base, base + plan.vars2)))
-
-    dec = dec_table(plan)
-    bits = [interpolate(dec[:, j]) for j in range(plan.vars1)]
-    one = Polynomial.constant(field, plan.vars2, 1)
-    polys = []
-    for clause in cnf.clauses:
-        per_block = {}
-        for lit in clause:
-            block, pos = divmod(abs(lit) - 1, plan.vars1)
-            lp = one.sub(bits[pos]) if lit > 0 else bits[pos]
-            per_block[block] = per_block.get(block, one).mul(lp)
-        acc = Polynomial.constant(field, plan.out_vars, 1)
-        for block in sorted(per_block):
-            acc = acc.mul(embed(block, per_block[block]))
-        polys.append(acc)
+    values = [np.logical_and.reduce([bit(abs(lit) - 1) == (lit < 0)
+                                     for lit in clause])
+              for clause in cnf.clauses]
     if parsimonious:
-        for var in range(cnf.n_vars, plan.padded_vars):
-            block, pos = divmod(var, plan.vars1)
-            polys.append(embed(block, bits[pos]))
-        over = interpolate(np.arange(q ** plan.vars2) >= (1 << plan.vars1))
-        polys += [embed(block, over) for block in range(plan.blocks)]
+        values += [bit(var) for var in range(cnf.n_vars, plan.padded_vars)]
+        values += list(v >= 1 << plan.vars1)
+    polys = [grid_interpolate(field, vals.astype(np.int64), plan.out_vars)
+             for vals in values]
     return PolySystem(field, plan.out_vars, polys, plan.degree_bound)
 
 
@@ -241,12 +229,27 @@ class TestReduceCnf:
         assert format_pes(system) == format_pes(witness)
         assert system.d == witness.d
 
+    # the witness shares no code with the reduction's transform route
+    def test_witness_is_the_oracle(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the witness left the oracle")
+
+        for owner, name in ((transform, "interpolate_trimmed"),
+                            (reduction, "interpolate_trimmed"),
+                            (reduction, "dec_table"),
+                            (Polynomial, "add"), (Polynomial, "scale"),
+                            (Polynomial, "embed")):
+            monkeypatch.setattr(owner, name, refuse)
+        cnf = Cnf(5, [[1, -4, 5], [-5]])
+        system = witness_reduce(cnf, 2, 1, True)
+        assert count_common_roots(system).count == brute_sat_count(cnf)
+
     def test_tautology_in_one_block_is_zero(self):
         system = reduce_cnf(Cnf(2, [[1, -1]]), 3, 1)
         assert len(system) == 1 and system.polys[0].is_zero()
 
-    # the reduction builds every polynomial from values: it multiplies,
-    # subtracts and embeds no Polynomial (C6's shapes, checked by counting)
+    # the reduction builds every polynomial from values: it adds, scales
+    # and embeds no Polynomial (C6's shapes, checked by counting)
     def test_reduces_without_polynomial_arithmetic(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("Polynomial arithmetic in reduce_cnf")
@@ -260,7 +263,7 @@ class TestReduceCnf:
             cases.append((random_cnf(rng, int(rng.integers(3, nmax + 1)),
                                      int(rng.integers(1, 21))), q, delta))
         with monkeypatch.context() as patch:
-            for name in ("mul", "__mul__", "sub", "__sub__", "embed"):
+            for name in ("add", "scale", "embed"):
                 patch.setattr(Polynomial, name, refuse)
             systems = [reduce_cnf(cnf, q, delta, parsimonious=True)
                        for cnf, q, delta in cases]
