@@ -27,7 +27,7 @@ from .errors import InvalidParamsError, NotPrimePowerError
 
 # The most (q, d) cells an exponent table may span: (qmax - 1) * dmax
 # bounds its rows, and a row (one zeta) takes a few milliseconds.
-TABLE_LIMIT = 4096
+CELL_LIMIT = 4096
 
 # ---------------------------------------------------------------------------
 # extended binomial coefficients
@@ -217,13 +217,13 @@ def prime_powers(limit: int) -> list[int]:
 
 def exponent_table(qmax: int, dmax: int) -> list[ExponentReport]:
     """Exponent reports for every prime power q <= qmax and d = 1..dmax;
-    refuses negative bounds and (qmax - 1) * dmax above TABLE_LIMIT."""
+    refuses negative bounds and (qmax - 1) * dmax above CELL_LIMIT."""
     if qmax < 0 or dmax < 0:
         raise InvalidParamsError("qmax and dmax must be non-negative")
     cells = max(qmax - 1, 0) * dmax
-    if cells > TABLE_LIMIT:
+    if cells > CELL_LIMIT:
         raise InvalidParamsError(f"exponent table spans (qmax-1)*dmax = "
-                                 f"{cells} cells, more than {TABLE_LIMIT}")
+                                 f"{cells} cells, more than {CELL_LIMIT}")
     if not cells:  # prime_powers would still factor every q <= qmax
         return []
     return [zeta(q, d) for q in prime_powers(qmax) for d in range(1, dmax + 1)]

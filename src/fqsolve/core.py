@@ -59,8 +59,8 @@ from functools import cache, partial
 
 import numpy as np
 
-from .errors import InvalidParamsError, TooLargeError
-from .field import ENTRY_LIMIT, FieldSpec
+from .errors import InvalidParamsError
+from .field import FieldSpec, check_entries
 from .mpoly import (Polynomial, PolySystem, TrimmedPointSet, check_key_width,
                     point_matrix)
 from .randomized import RngStream, rs_draw, vv_coefficients
@@ -295,12 +295,10 @@ def _distinct_columns(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_sizes(field: FieldSpec, n: int, levels, t: int) -> None:
-    """Raise TooLargeError when one of the recursion's arrays would pass
-    ENTRY_LIMIT entries (see _array_sizes)."""
+    """Refuse, through check_entries, a recursion one of whose arrays
+    would hold too many entries (see _array_sizes)."""
     for entries, what in _array_sizes(field, n, levels, t).values():
-        if entries > ENTRY_LIMIT:
-            raise TooLargeError(f"the recursion would hold {entries} "
-                                f"entries for {what}, over {ENTRY_LIMIT}")
+        check_entries(entries, f"{what} in the recursion")
 
 
 def _voted_sum(field: FieldSpec, n: int, d: int, m: int, beta: int,

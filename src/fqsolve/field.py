@@ -12,8 +12,8 @@ order up to 256 also cache dense q-by-q addition/multiplication tables
 and a q-entry negation table: the untabled vadd, vmul and vneg over all
 elements, kept because a table lookup is faster than each formula.  Each
 operation picks its formula in one place, its vector form: the scalar
-add, neg, sub and mul are vadd, vneg, vsub and vmul on one element,
-which take Python ints as well as arrays.
+add, sub and mul are vadd, vsub and vmul on one element, which take
+Python ints as well as arrays.
 
 Every matrix product over the field expands the matrix once, by a table
 gather, into an F_p matrix on base-p digit rows, in which each element
@@ -77,9 +77,14 @@ suffices, and no field needs one after every product.
 Every digit gather (`to_digits`, `vadd`, `vneg`, `vsum_axis`) uses
 `np.take`: a fancy-index gather costs over ten times as much.
 
-Before allocating, `compile_matrix` checks the IJk^2 entries of the
-expanded matrix and `transform._matrices` the 6q^2 entries of its frames
-against ENTRY_LIMIT (2^26, 512 MiB of float64) and raises TooLargeError.
+Every array whose size grows with the input is counted in entries and
+refused, before it is allocated, by one check: `check_entries` raises
+TooLargeError over ENTRY_LIMIT (2^26 entries, 512 MiB of float64), and
+no other module reads the limit.  Each caller names what it would build:
+the IJk^2 entries of `compile_matrix`'s expanded matrix, the 6q^2 of the
+transform's frames, the point sets, the evaluated rows, the recursion's
+arrays, the oracles' grids and power table, and the CNF reduction's
+terms.
 """
 
 from __future__ import annotations
@@ -95,7 +100,7 @@ ORDER_LIMIT = 1 << 16  # largest supported field order
 TABLE_LIMIT = 256      # largest order that gets dense q*q tables
 REDUCE_LIMIT = 1 << 51  # the float64 mod-p reduction is exact below this
 FLOAT32_LIMIT = 1 << 22  # the float32 mod-p reduction is exact below this
-ENTRY_LIMIT = 1 << 26  # most entries one field-matrix build may allocate
+ENTRY_LIMIT = 1 << 26  # most entries one array may hold (check_entries)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +191,14 @@ def digit_limit(ftype) -> int:
     return FLOAT32_LIMIT if ftype == np.float32 else REDUCE_LIMIT
 
 
+def check_entries(entries: int, what: str) -> None:
+    """Raise TooLargeError, before the caller allocates, when what would
+    hold more than ENTRY_LIMIT entries."""
+    if entries > ENTRY_LIMIT:
+        raise TooLargeError(f"{what} would hold {entries} entries, over "
+                            f"{ENTRY_LIMIT}")
+
+
 class FieldSpec:
     """A concrete GF(p^k); construct through :func:`make_field`."""
 
@@ -267,9 +280,6 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         return int(self.vadd(a, b))
 
-    def neg(self, a: int) -> int:
-        return int(self.vneg(a))
-
     def sub(self, a: int, b: int) -> int:
         return int(self.vsub(a, b))
 
@@ -280,9 +290,6 @@ class FieldSpec:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return self.pow(a, self.q - 2)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -354,8 +361,8 @@ class FieldSpec:
     def check_matrix_size(self, nout: int, nin: int) -> None:
         """Raise TooLargeError unless `compile_matrix` can take an
         nout-by-nin matrix: its inner products must stay below
-        REDUCE_LIMIT, where the float64 floor reduction is exact, and its
-        expansion within ENTRY_LIMIT entries."""
+        REDUCE_LIMIT, where the float64 floor reduction is exact, and
+        `check_entries` must accept its expanded entries."""
         p, k = self.p, self.k
         limit = digit_limit(np.float64)
         if nin * k * (p - 1) ** 2 >= limit:
@@ -363,10 +370,8 @@ class FieldSpec:
                 f"an inner product of length {nin * k} over F_{p} can "
                 f"reach 2^{limit.bit_length() - 1} and would not be "
                 f"reduced exactly in float64")
-        if nout * nin * k * k > ENTRY_LIMIT:
-            raise TooLargeError(
-                f"a {nout}x{nin} matrix over GF({self.q}) expands to "
-                f"{nout * nin * k * k} entries, over {ENTRY_LIMIT}")
+        check_entries(nout * nin * k * k, f"the expansion of a {nout}x{nin} "
+                      f"matrix over GF({self.q})")
 
     def float_type(self, nin: int) -> type:
         """The float type of a product of length nin over the field:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis
 from .errors import PesFormatError, TooLargeError
-from .field import ENTRY_LIMIT, FieldSpec, make_field
+from .field import FieldSpec, check_entries, make_field
 
 
 def check_key_width(q: int, n: int) -> None:
@@ -286,13 +286,10 @@ def point_matrix(q: int, n: int, delta: int, b: int) -> np.ndarray:
     """All points of TrimmedPointSet(q, n, delta, b) as an (N, n) int64
     array in lexicographic order, first coordinate most significant.
     Before allocating, raises TooLargeError when the points' keys pass 63
-    bits or the N * n entries pass ENTRY_LIMIT."""
+    bits or `check_entries` refuses the N * n entries."""
     check_key_width(q, n)
-    entries = TrimmedPointSet(q, n, delta, b).size() * n
-    if entries > ENTRY_LIMIT:
-        raise TooLargeError(f"the point set T({n - b}, {delta}) x "
-                            f"GF({q})^{b} holds {entries} entries, over "
-                            f"{ENTRY_LIMIT}")
+    check_entries(TrimmedPointSet(q, n, delta, b).size() * n,
+                  f"the point set T({n - b}, {delta}) x GF({q})^{b}")
     delta = min(delta, (n - b) * (q - 1))
     pts = np.zeros((1, 0), dtype=np.int64)
     sums = np.zeros(1, dtype=np.int64)

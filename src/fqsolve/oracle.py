@@ -24,10 +24,9 @@ from functools import cache
 import numpy as np
 
 from .errors import InvalidParamsError, TooLargeError
-from .field import ENTRY_LIMIT, FieldSpec
+from .field import FieldSpec, check_entries
 from .mpoly import Polynomial, PolySystem
 
-POWER_LIMIT = 10 ** 8  # most entries of the q x q power table: q <= 9973
 # most exponent planes x q^n of the dense walks in one call: the full walk
 # of GF(1021)^2, 2 * 1021^3 ~ 2.13e9 products, takes about 30 s on a
 # 2-core Xeon
@@ -46,9 +45,7 @@ def _check_walk(planes: int, q: int, n: int) -> None:
 def _pow_matrix(field: FieldSpec) -> np.ndarray:
     """pw[x, e] = x^e, the univariate coefficient-to-values map."""
     q = field.q
-    if q * q > POWER_LIMIT:
-        raise TooLargeError(f"power table of {q}^2 entries exceeds "
-                            f"{POWER_LIMIT}")
+    check_entries(q * q, f"the power table of GF({q})")
     idx = np.arange(q, dtype=np.int64)
     mat = np.ones((q, q), dtype=np.int64)
     for e in range(1, q):
@@ -176,16 +173,16 @@ class RootCount:
 
 def _indicator_values(system: PolySystem) -> np.ndarray:
     """0/1 vector over the full grid: 1 exactly at common roots.  Refuses
-    first a grid whose evaluation would pass ENTRY_LIMIT entries
-    (tracemalloc reads about 5 int64 arrays of q^n entries where the field
-    has q x q tables and 3 + 2k otherwise, counted as 6 and 4 + 2k), or
-    whose evaluations would walk more than WALK_LIMIT products."""
+    first, through check_entries, a grid whose evaluation holds too many
+    entries (tracemalloc reads about 5 int64 arrays of q^n entries where
+    the field has q x q tables and 3 + 2k otherwise, counted as 6 and
+    4 + 2k), or whose evaluations would walk more than WALK_LIMIT
+    products."""
     field, n = system.field, system.n
     size = field.q ** n
     arrays = 6 if field.add_table is not None else 4 + 2 * field.k
-    if arrays * size > ENTRY_LIMIT:
-        raise TooLargeError(f"a grid of {field.q}^{n} points needs {arrays} "
-                            f"arrays of its size, over {ENTRY_LIMIT} entries")
+    check_entries(arrays * size,
+                  f"{arrays} arrays over a grid of {field.q}^{n} points")
     planes = sum(n + int(p.term_arrays()[0].max(axis=0, initial=0).sum())
                  for p in system.polys)  # sum over axes of top_a + 1
     _check_walk(planes, field.q, n)
@@ -215,6 +212,7 @@ def brute_partial_sum(system: PolySystem, beta: int) -> Polynomial:
     q, n = field.q, system.n
     if not 0 <= beta <= n:
         raise ValueError("need 0 <= beta <= n")
+    _check_walk((n - beta) * q, q, n - beta)  # grid_interpolate's, up front
     ind = _indicator_values(system)
     rows = ind.reshape(q ** (n - beta), q ** beta)
     zvals = rows.sum(axis=1) % field.p

@@ -11,8 +11,8 @@ interpolated once per distinct set of (bit position, sign) literals;
 across blocks, where factors share no variable, the Cartesian product of
 their terms, with no collision and no exponent to reduce.  Cost: one
 q^vars2-point interpolation per distinct literal set, then terms x out_vars
-entries per product; the whole system's entries are summed and refused
-over ENTRY_LIMIT before any product is built.
+entries per product; the whole system's entries are summed and checked
+by `field.check_entries` before any product is built.
 
 In parsimonious mode a unit clause "not x" forces each padding bit to 0,
 and a one-factor range polynomial per block vanishes exactly when
@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimacsFormatError, InvalidParamsError, TooLargeError
-from .field import ENTRY_LIMIT, make_field
+from .field import check_entries, make_field
 from .mpoly import Polynomial, PolySystem, TrimmedPointSet, check_key_width
 from .transform import TrimmedEvaluation, interpolate_trimmed
 
@@ -250,8 +250,7 @@ def reduce_cnf(cnf: Cnf, q: int, delta, parsimonious: bool = False) -> PolySyste
 
     terms = sum(math.prod(len(coeffs) for _, (_, coeffs) in factors)
                 for factors in products)
-    if terms * plan.out_vars > ENTRY_LIMIT:
-        raise TooLargeError(f"the system's {terms} terms x {plan.out_vars} "
-                            f"variables are over {ENTRY_LIMIT} entries")
+    check_entries(terms * plan.out_vars,
+                  f"the system's {terms} terms x {plan.out_vars} variables")
     polys = [_product(field, plan, factors) for factors in products]
     return PolySystem(field, plan.out_vars, polys, plan.degree_bound)

@@ -95,8 +95,8 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .errors import DegreeTooHighError, SizeMismatchError, TooLargeError
-from .field import ENTRY_LIMIT, FieldSpec, digit_limit, make_field
+from .errors import DegreeTooHighError, SizeMismatchError
+from .field import FieldSpec, check_entries, digit_limit, make_field
 from .mpoly import (Polynomial, TrimmedPointSet, check_key_width,
                     point_matrix)
 
@@ -217,9 +217,7 @@ def _positions(q: int, n: int, delta_small: int, b_small: int,
 @cache
 def _matrices(field: FieldSpec) -> dict[str, np.ndarray]:
     q = field.q
-    if 6 * q * q > ENTRY_LIMIT:
-        raise TooLargeError(f"the transform frames of GF({q}) hold "
-                            f"{6 * q * q} entries, over {ENTRY_LIMIT}")
+    check_entries(6 * q * q, f"the transform frames of GF({q})")
     idx = np.arange(q, dtype=np.int64)
     recip = np.array([0] + [field.inv(a) for a in range(1, q)],
                      dtype=np.int64)
@@ -376,8 +374,7 @@ def evaluate_values(field: FieldSpec, n: int, polys: Sequence[Polynomial],
 
     Degrees above delta are allowed: the polynomials are then evaluated on
     the set of their own degree, which contains this one, and restricted.
-    Before allocating, raises TooLargeError when the rows on that set
-    would pass ENTRY_LIMIT entries.
+    Before allocating, `check_entries` refuses too many rows on that set.
     """
     q = field.q
     if not 0 <= b <= n:
@@ -388,11 +385,8 @@ def evaluate_values(field: FieldSpec, n: int, polys: Sequence[Polynomial],
     dwork = _effective_delta(
         q, n, max([delta] + [p.degree() for p in polys]), b)
     check_key_width(q, n)
-    entries = len(polys) * TrimmedPointSet(q, n, dwork, b).size()
-    if entries > ENTRY_LIMIT:
-        raise TooLargeError(f"{len(polys)} rows on T({n - b}, {dwork}) x "
-                            f"GF({q})^{b} hold {entries} entries, over "
-                            f"{ENTRY_LIMIT}")
+    check_entries(len(polys) * TrimmedPointSet(q, n, dwork, b).size(),
+                  f"{len(polys)} rows on T({n - b}, {dwork}) x GF({q})^{b}")
     pd = _point_data(q, n, dwork, b)
     ftype, k = _float_type(field), field.k
     arr = np.zeros((len(polys), len(pd.keys) * k), dtype=ftype)

@@ -154,7 +154,7 @@ class TestExponentTable:
                                       ["--qmax", str(10 ** 12)],
                                       ["--dmax", "-1"], ["--qmax", "-5"]])
     def test_refused_before_any_row(self, capsys, argv):
-        # (qmax - 1) * dmax above analysis.TABLE_LIMIT = 4096, or negative
+        # (qmax - 1) * dmax above analysis.CELL_LIMIT = 4096, or negative
         start = time.perf_counter()
         code, out, err = run(capsys, ["exponent-table", *argv])
         assert time.perf_counter() - start < 0.5
@@ -387,8 +387,8 @@ class TestErrors:
     # the recursion's array sizes are checked before the system is
     # evaluated: X1*X2 + 1 over GF(3) has 9 leaf points
     def test_full_sum_vote_sizes_checked(self, workdir, capsys, monkeypatch):
-        from fqsolve import core
-        monkeypatch.setattr(core, "ENTRY_LIMIT", 8)
+        from fqsolve import field
+        monkeypatch.setattr(field, "ENTRY_LIMIT", 8)
         code, out, err = run(capsys, ["full-sum", str(workdir / "sat.pes")])
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from conftest import full_grid, random_system
 from fqsolve import (Polynomial, PolySystem, RngStream, SolverParams,
                      brute_Z, brute_partial_sum, core, eval_indicator,
-                     full_sum, make_field, partial_sum, plurality, solve_pes,
-                     valiant_vazirani, zdegree)
+                     field, full_sum, make_field, partial_sum, plurality,
+                     solve_pes, valiant_vazirani, zdegree)
 from fqsolve.core import VOTE_CHUNK, streamed_plurality
 from fqsolve.transform import (evaluate_trimmed, evaluate_values,
                                interpolate_trimmed)
@@ -608,12 +608,12 @@ class TestSizeChecks:
 
     def test_full_sum_checked_before_evaluation(self, monkeypatch):
         system = random_system(np.random.default_rng(21), 2, 6, 3, 2, 3, 7)
-        monkeypatch.setattr(core, "ENTRY_LIMIT", self.LARGEST)
+        monkeypatch.setattr(field, "ENTRY_LIMIT", self.LARGEST)
         assert full_sum(system, _params(2), RngStream(2)) == brute_Z(system)
         def no_evaluation(*args):
             raise AssertionError("evaluated before the size check")
 
-        monkeypatch.setattr(core, "ENTRY_LIMIT", self.LARGEST - 1)
+        monkeypatch.setattr(field, "ENTRY_LIMIT", self.LARGEST - 1)
         monkeypatch.setattr(core, "evaluate_values", no_evaluation)
         with pytest.raises(TooLargeError):
             full_sum(system, _params(2), RngStream(2))
@@ -628,7 +628,7 @@ class TestSizeChecks:
         def no_evaluation(*args):
             raise AssertionError("evaluated before the size check")
 
-        monkeypatch.setattr(core, "ENTRY_LIMIT", 64 * 256 * 2 - 1)
+        monkeypatch.setattr(field, "ENTRY_LIMIT", 64 * 256 * 2 - 1)
         monkeypatch.setattr(core, "evaluate_values", no_evaluation)
         with pytest.raises(TooLargeError):
             full_sum(system, _params(3), RngStream(3))
@@ -641,7 +641,7 @@ class TestSizeChecks:
         def no_evaluation(*args):
             raise AssertionError("evaluated before the size check")
 
-        monkeypatch.setattr(core, "ENTRY_LIMIT", self.LARGEST)
+        monkeypatch.setattr(field, "ENTRY_LIMIT", self.LARGEST)
         monkeypatch.setattr(core, "evaluate_values", no_evaluation)
         with pytest.raises(TooLargeError, match="draws of 1024"):
             full_sum(system, _params(2, t_override=2000), RngStream(2))
@@ -652,12 +652,14 @@ class TestSizeChecks:
         # time, 64 x 2 x 386 = 49,408 entries, the largest array; the
         # levels above it hold coefficients only.  The whole call
         # runs 64^2 leaf votes (about a minute), so it stops after the
-        # first of them
+        # first of them.  The transform's fresh-point maps are not the
+        # recursion's: compiled once per pair of sets and bounded by
+        # transform.DENSE_LIMIT (one here has 378 x 386 entries), they
+        # are cached by a first run under the real limit
         from test_golden_seeds import SUM_CASES, _system
         from test_golden_seeds import _params as golden_params
         shape, sys_seed, kw = SUM_CASES["three-levels-q2-n10"]
         system = _system(shape, sys_seed)
-        monkeypatch.setattr(core, "ENTRY_LIMIT", 64 * 2 * 386)
         entered, vote = set(), core._vote
 
         class FirstLeafVote(Exception):
@@ -672,10 +674,13 @@ class TestSizeChecks:
 
         monkeypatch.setattr(core, "_vote", one_leaf_vote)
         beta = math.floor(Fraction(kw["kappa"]) * system.n)
-        with pytest.raises(FirstLeafVote):
-            partial_sum(system, beta, golden_params(dict(kw, t=64)),
-                        RngStream(kw["seed"]))
-        assert entered == {0, 1, 2}
+        for limit in (field.ENTRY_LIMIT, 64 * 2 * 386):
+            monkeypatch.setattr(field, "ENTRY_LIMIT", limit)
+            entered.clear()
+            with pytest.raises(FirstLeafVote):
+                partial_sum(system, beta, golden_params(dict(kw, t=64)),
+                            RngStream(kw["seed"]))
+            assert entered == {0, 1, 2}
 
     def test_one_value_map_counted(self, monkeypatch):
         # a (4,7,7,2) system at kappa = 3/10, lambda = 1/7, t = 3: two vote
@@ -688,13 +693,13 @@ class TestSizeChecks:
         run = partial(partial_sum, system, 2,
                       _params(0, lam=Fraction(1, 7), t_override=3),
                       RngStream(0))
-        monkeypatch.setattr(core, "ENTRY_LIMIT", 12238 * 7 * 4)
+        monkeypatch.setattr(field, "ENTRY_LIMIT", 12238 * 7 * 4)
         run()
 
         def no_evaluation(*args):
             raise AssertionError("evaluated before the size check")
 
-        monkeypatch.setattr(core, "ENTRY_LIMIT", 12238 * 7 * 4 - 1)
+        monkeypatch.setattr(field, "ENTRY_LIMIT", 12238 * 7 * 4 - 1)
         monkeypatch.setattr(core, "evaluate_values", no_evaluation)
         with pytest.raises(TooLargeError, match="the map of 7 rows"):
             run()

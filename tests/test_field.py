@@ -102,7 +102,7 @@ def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
     with pytest.raises(ZeroDivisionError):
-        f.div(5, 0)
+        f.mul(5, f.inv(0))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 25])
@@ -112,8 +112,8 @@ def test_sub_div_neg_roundtrip(q):
         for b in range(q):
             assert f.add(f.sub(a, b), b) == a
             if b:
-                assert f.mul(f.div(a, b), b) == a
-        assert f.add(a, f.neg(a)) == 0
+                assert f.mul(f.mul(a, f.inv(b)), b) == a
+        assert f.add(a, f.sub(0, a)) == 0
 
 
 def _generator_walk(f):
@@ -196,7 +196,7 @@ def test_vector_ops_match_scalar(q):
         assert [op(x, y) for x, y in pairs] == expect, name
     neg = [digitwise(lambda x: -x, x) for x in a.tolist()]
     assert f.vneg(a).tolist() == neg
-    assert [f.neg(x) for x in a.tolist()] == neg
+    assert [f.sub(0, x) for x in a.tolist()] == neg
     assert f.vsum(a) == digitwise(lambda *ds: sum(ds), *a.tolist())
 
 

@@ -7,7 +7,7 @@ from conftest import full_grid, random_polynomial
 from fqsolve import (Polynomial, PolySystem, TrimmedPointSet, enumerate_points,
                      eval_indicator, ext_binom_cum, format_pes, make_field,
                      parse_pes, symbolic_coefficient)
-from fqsolve import mpoly
+from fqsolve import field, mpoly
 from fqsolve.errors import FqsolveError, PesFormatError, TooLargeError
 from fqsolve.transform import evaluate_trimmed, interpolate_trimmed
 
@@ -109,10 +109,10 @@ class TestPointSets:
     def test_size_checked_before_allocation(self, monkeypatch):
         entries = TrimmedPointSet(3, 3, 3, 1).size() * 3
         mpoly.point_matrix.cache_clear()
-        monkeypatch.setattr(mpoly, "ENTRY_LIMIT", entries)
+        monkeypatch.setattr(field, "ENTRY_LIMIT", entries)
         assert mpoly.point_matrix(3, 3, 3, 1).size == entries
         mpoly.point_matrix.cache_clear()
-        monkeypatch.setattr(mpoly, "ENTRY_LIMIT", entries - 1)
+        monkeypatch.setattr(field, "ENTRY_LIMIT", entries - 1)
         monkeypatch.setattr(mpoly.np, "hstack", None)
         with pytest.raises(TooLargeError):
             mpoly.point_matrix(3, 3, 3, 1)

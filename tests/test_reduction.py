@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import brute_sat_count, random_cnf
 from fqsolve import (Cnf, Polynomial, PolySystem, count_common_roots,
                      make_field, parse_dimacs, reduce_cnf)
-from fqsolve import reduction, transform
+from fqsolve import field, reduction, transform
 from fqsolve.errors import DimacsFormatError, FqsolveError, TooLargeError
 from fqsolve.mpoly import format_pes
 from fqsolve.oracle import grid_interpolate
@@ -276,9 +276,9 @@ class TestReduceCnf:
         cnf = Cnf(4, [[1, -3, 4]])  # two blocks of 2 over GF(2) at delta 1
         poly = reduce_cnf(cnf, 2, 1).polys[0]
         entries = poly.num_terms() * poly.n
-        monkeypatch.setattr(reduction, "ENTRY_LIMIT", entries)
+        monkeypatch.setattr(field, "ENTRY_LIMIT", entries)
         assert reduce_cnf(cnf, 2, 1).polys[0] == poly
-        monkeypatch.setattr(reduction, "ENTRY_LIMIT", entries - 1)
+        monkeypatch.setattr(field, "ENTRY_LIMIT", entries - 1)
         with pytest.raises(TooLargeError):
             reduce_cnf(cnf, 2, 1)
 
@@ -290,9 +290,9 @@ class TestReduceCnf:
         terms = [p.num_terms() for p in system.polys]
         entries = sum(terms) * system.n
         assert max(terms) * system.n < entries / 2
-        monkeypatch.setattr(reduction, "ENTRY_LIMIT", entries)
+        monkeypatch.setattr(field, "ENTRY_LIMIT", entries)
         assert reduce_cnf(cnf, 2, 1, parsimonious=True).polys == system.polys
-        monkeypatch.setattr(reduction, "ENTRY_LIMIT", entries - 1)
+        monkeypatch.setattr(field, "ENTRY_LIMIT", entries - 1)
         built = []
         monkeypatch.setattr(reduction, "_product",
                             lambda *args: built.append(args))

@@ -7,7 +7,7 @@ from conftest import random_polynomial
 from fqsolve import (Polynomial, TrimmedPointSet, enumerate_points,
                      evaluate_trimmed, format_evaluation, interpolate_trimmed,
                      make_field, parse_evaluation)
-from fqsolve import oracle, transform
+from fqsolve import field, oracle, transform
 from fqsolve.field import (FLOAT32_LIMIT, ORDER_LIMIT, REDUCE_LIMIT,
                            FieldSpec, _factor_prime_power)
 from fqsolve.errors import (DegreeTooHighError, FqsolveError,
@@ -176,13 +176,13 @@ class TestBatched:
         f = make_field(3)
         top = Polynomial.from_terms(f, 4, [((2, 2, 2, 2), 1)])
         polys = [top, top.scale(2), Polynomial.variable(f, 4, 0)]
-        monkeypatch.setattr(transform, "ENTRY_LIMIT", 3 * 81)
+        monkeypatch.setattr(field, "ENTRY_LIMIT", 3 * 81)
         assert transform.evaluate_values(f, 4, polys, 1, 0).shape == (3, 5)
 
         def no_points(*args):
             raise AssertionError("point set built before the size check")
 
-        monkeypatch.setattr(transform, "ENTRY_LIMIT", 3 * 81 - 1)
+        monkeypatch.setattr(field, "ENTRY_LIMIT", 3 * 81 - 1)
         monkeypatch.setattr(transform, "_point_data", no_points)
         with pytest.raises(TooLargeError, match="243 entries"):
             transform.evaluate_values(f, 4, polys, 1, 0)
