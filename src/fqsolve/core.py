@@ -6,13 +6,13 @@ random affine equations isolate a single solution with probability
 Omega(1/n), in which case Z = 1.  Z itself is computed through partial
 sum polynomials: Z_beta sums the indicator over the last beta variables
 and has total degree at most (min(m*d, n) - beta)*(q-1), so it is
-recoverable from its values on a trimmed point set.  The recursion
-shrinks beta by ceil(lambda*n) per level, replaces the system by
-beta'+2 random combinations per repetition, corrects the per-point
-errors with plurality votes over t = ceil(96*n*ln q) repetitions, sums
-over the freed suffix grid and re-evaluates.  When m*d >= n, delta0 =
-(n-beta)*(q-1), so the top set T(n-beta, delta0) is the whole grid and
-the full sum is the field sum of the voted top values.
+recoverable from its values on a trimmed point set.  One plan, built
+before anything is evaluated, fixes the recursion and sizes all of its
+arrays: beta shrinks by ceil(lambda*n) per level, each level below the
+top replaces the system by beta'+2 random combinations per repetition,
+and every vote takes the plurality over t = ceil(96*n*ln q) repetitions
+to correct the per-point errors before it sums over the freed suffix
+grid and re-evaluates.
 
 The recursion runs on value vectors, not polynomials.  Random
 combinations are linear, so every level's system is a coefficient
@@ -52,6 +52,7 @@ Chevalley-Warning theorem; it holds for any values the votes agree on.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -152,19 +153,6 @@ def streamed_plurality(chunks: Iterable[np.ndarray], q: int,
     return np.argmax(counts, axis=0)
 
 
-def _levels(m: int, beta: int, n: int, d: int, q: int,
-            lam_step: int) -> list[tuple[int, int, int]]:
-    """(beta, delta, number of polynomials) of each recursion level, top
-    first; the last level is the leaf."""
-    levels = []
-    while True:
-        levels.append((beta, max(0, zdegree(m, beta, n, d, q)), m))
-        if beta < lam_step or n <= 3:
-            return levels
-        beta -= lam_step
-        m = beta + 2
-
-
 def _leaf_sums(field: FieldSpec, values: np.ndarray, cls: np.ndarray | slice,
                b: int) -> np.ndarray:
     """Indicator sums over the grid suffix of b variables: `values` holds
@@ -201,82 +189,101 @@ def _rs_chunks(q: int, mu: int, m: int, rng: RngStream, t: int):
         start = end
 
 
-def _vote(field: FieldSpec, levels, i: int, coeffs: np.ndarray | None,
-          leaf, rng: RngStream, t: int, n: int) -> np.ndarray:
+_Plan = namedtuple("_Plan", "n t levels sizes")
+
+
+def _plan(field: FieldSpec, n: int, d: int, m: int, beta: int,
+          params: SolverParams) -> _Plan:
+    """The recursion summing an m-polynomial degree-d system over its last
+    beta variables: n, the repetitions t of every vote, the (beta, delta,
+    number of polynomials) of each level from the top down to the leaf
+    (the top itself for an empty system), and the most entries each kind
+    of its arrays reaches, keyed by (kind, vote level), with a description;
+    refuses, through check_entries, a recursion with too large an array.
+
+    Counted are the input rows on the leaf set and the one compiled map of
+    their C <= min(q^m, |leaf|) distinct columns (k^2 entries per row entry
+    over GF(p^k)); per vote level, its first RS pass's 32-bit draws (see
+    _rs_chunks), below the top a chunk's draws composed over the m inputs,
+    and a chunk's values on the set it re-evaluates through (the child's
+    set and the target); and next to the leaf a chunk's combinations on
+    the C columns and their root table on the leaf points.  Float products
+    (float32 or float64, see field.py) are k digits wide, so their counts
+    carry k.  Entries are counted whatever their type; a vote's cell buffer
+    lies within its re-evaluation count.  Not counted: rs_draw's
+    temporaries, three to four times the draws, a composition's m_i x m map
+    and _distinct_columns' point-length vectors."""
+    q, k = field.q, field.k
+    step = math.ceil(params.resolve(n, d)[1] * n)
+    t = params.repetitions(n, q)
+    chunk, first = min(t, VOTE_CHUNK), _first_pass(t)
+    levels, sizes, mu = [], {}, m
+    while True:
+        delta = max(0, zdegree(mu, beta, n, d, q)) if mu else 0
+        levels.append((beta, delta, mu))
+        at_leaf = not mu or beta < step or n <= 3
+        if at_leaf:
+            leaf = TrimmedPointSet(q, n, delta, beta).size()
+            cols = min(q ** m, leaf)
+            on_cols = f"at most {cols} distinct columns over GF({q})"
+        if len(levels) > 1:
+            i, (beta_p, delta_p, m_p) = len(levels) - 2, levels[-2]
+            work = TrimmedPointSet(q, n - beta, max(delta_p, delta),
+                                   beta_p - beta).size()
+            sizes["draws", i] = (first * 8 * -(-mu * m_p // 8), f"the draws "
+                                 f"of {first} repetitions of {mu}x{m_p} "
+                                 f"coefficients")
+            if i:
+                sizes["coefficients", i] = (
+                    chunk * mu * m * k, f"{chunk} repetitions of {mu}x{m} "
+                    f"composed coefficients")
+            if at_leaf:
+                sizes["combinations", i] = (
+                    chunk * mu * cols * k, f"{chunk} repetitions of {mu} "
+                    f"combinations on {on_cols}")
+                sizes["roots", i] = (chunk * leaf, f"the roots of {chunk} "
+                                     f"repetitions on {leaf} leaf points")
+            sizes["re-evaluation", i] = (
+                chunk * work * k,
+                f"{chunk} repetitions on {work} points over GF({q})")
+        if at_leaf:
+            break
+        beta -= step
+        mu = beta + 2
+    sizes = {("rows", 0): (m * leaf, f"{m} rows on {leaf} leaf points"),
+             ("compiled", 0): (cols * m * k * k,
+                               f"the map of {m} rows on {on_cols}"), **sizes}
+    for entries, what in sizes.values():
+        check_entries(entries, f"{what} in the recursion")
+    return _Plan(n, t, levels, sizes)
+
+
+def _vote(field: FieldSpec, plan: _Plan, i: int, coeffs: np.ndarray | None,
+          leaf, rng: RngStream) -> np.ndarray:
     """Values of level i's partial sum on T(n - beta_i, delta_i), for the
     system whose coefficients over the m input polynomials are the rows
     of `coeffs` (None at level 0, whose system is the input); `leaf` maps
     a chunk's (repetition, mu, m) coefficients to its leaf sums."""
-    q = field.q
-    beta, delta, m_i = levels[i]
-    beta_c, delta_c, mu = levels[i + 1]
+    q, levels = field.q, plan.levels
+    (beta, delta, m_i), (beta_c, delta_c, mu) = levels[i:i + 2]
     suffix = beta - beta_c
-    reevaluate = compile_reevaluation(field, n - beta_c, delta_c, delta,
+    reevaluate = compile_reevaluation(field, plan.n - beta_c, delta_c, delta,
                                       suffix)
 
     def chunks():
-        for start, rho in _rs_chunks(q, mu, m_i, rng, t):
+        for start, rho in _rs_chunks(q, mu, m_i, rng, plan.t):
             if coeffs is not None:
                 rho = field.matmul(rho, coeffs)
             if i + 2 == len(levels):
                 sub = leaf(rho)
             else:
-                sub = np.stack([_vote(field, levels, i + 1, r, leaf,
-                                      rng.child(2 * j + 1), t, n)
+                sub = np.stack([_vote(field, plan, i + 1, r, leaf,
+                                      rng.child(2 * j + 1))
                                 for j, r in enumerate(rho, start)])
             yield reevaluate(sub)
 
-    agreed = streamed_plurality(chunks(), q, t)
+    agreed = streamed_plurality(chunks(), q, plan.t)
     return field.vsum_axis(agreed.reshape(-1, q ** suffix), 1)
-
-
-def _array_sizes(field: FieldSpec, n: int, levels,
-                 t: int) -> dict[tuple[str, int], tuple[int, str]]:
-    """The most entries each kind of the recursion's arrays reaches, keyed
-    by (kind, vote level), with a description.  Counted are the input
-    rows on the leaf set and the one compiled map of their C <= min(q^m,
-    |leaf|) distinct columns (k^2 entries per row entry over GF(p^k));
-    per vote level, its first RS pass's 32-bit draws (see _rs_chunks),
-    below the top a chunk's draws composed over the m inputs, and a
-    chunk's values on the set it re-evaluates through (the child's set
-    and the target); and next to the leaf a chunk's combinations on the C
-    columns and their root table on the leaf points.  Float products
-    (float32 or float64, see field.py) are k digits wide, so their counts
-    carry k.  Entries are counted whatever their type; a vote's cell
-    buffer lies within its re-evaluation count.  Not counted: rs_draw's
-    temporaries, three to four times the draws, a composition's m_i x m
-    map and _distinct_columns' point-length vectors."""
-    q, k = field.q, field.k
-    beta_leaf, delta_leaf, _ = levels[-1]
-    leaf = TrimmedPointSet(q, n, delta_leaf, beta_leaf).size()
-    chunk, m = min(t, VOTE_CHUNK), levels[0][2]
-    first = _first_pass(t)
-    cols = min(q ** m, leaf)
-    on_cols = f"at most {cols} distinct columns over GF({q})"
-    sizes = {("rows", 0): (m * leaf, f"{m} rows on {leaf} leaf points"),
-             ("compiled", 0): (cols * m * k * k,
-                               f"the map of {m} rows on {on_cols}")}
-    for i, ((beta, delta, m_i), (beta_c, delta_c, mu)) in enumerate(
-            zip(levels, levels[1:])):
-        work = TrimmedPointSet(q, n - beta_c, max(delta, delta_c),
-                               beta - beta_c).size()
-        sizes["draws", i] = (first * 8 * -(-mu * m_i // 8), f"the draws of "
-                             f"{first} repetitions of {mu}x{m_i} "
-                             f"coefficients")
-        if i:
-            sizes["coefficients", i] = (
-                chunk * mu * m * k, f"{chunk} repetitions of {mu}x{m} "
-                f"composed coefficients")
-        if i + 2 == len(levels):
-            sizes["combinations", i] = (
-                chunk * mu * cols * k, f"{chunk} repetitions of {mu} "
-                f"combinations on {on_cols}")
-            sizes["roots", i] = (chunk * leaf, f"the roots of {chunk} "
-                                 f"repetitions on {leaf} leaf points")
-        sizes["re-evaluation", i] = (
-            chunk * work * k,
-            f"{chunk} repetitions on {work} points over GF({q})")
-    return sizes
 
 
 def _distinct_columns(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,67 +301,50 @@ def _distinct_columns(base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return base[:, rep], cls
 
 
-def _check_sizes(field: FieldSpec, n: int, levels, t: int) -> None:
-    """Refuse, through check_entries, a recursion one of whose arrays
-    would hold too many entries (see _array_sizes)."""
-    for entries, what in _array_sizes(field, n, levels, t).values():
-        check_entries(entries, f"{what} in the recursion")
-
-
-def _voted_sum(field: FieldSpec, n: int, d: int, m: int, beta: int,
-               params: SolverParams, rng: RngStream,
-               values_at) -> TrimmedEvaluation:
-    """Values of the partial sum over the first n - beta variables on its
-    trimmed set, for the m-polynomial degree-d system whose values on
-    T(n-b, delta) x GF(q)^b are the rows of values_at(delta, b)."""
-    q = field.q
-    _, lam = params.resolve(n, d)
-    if m == 0:
-        # empty product: indicator is constantly 1, partial sums are q^beta
-        return TrimmedEvaluation(field, TrimmedPointSet(q, n - beta, 0, 0),
-                                 np.array([q ** beta % field.p]))
-    levels = _levels(m, beta, n, d, q, math.ceil(lam * n))
-    t = params.repetitions(n, q)
-    _check_sizes(field, n, levels, t)
-    beta_leaf, delta_leaf, _ = levels[-1]
+def _voted_sum(field: FieldSpec, plan: _Plan, rng: RngStream,
+               values_at) -> np.ndarray:
+    """Values of the partial sum on T(n - beta, delta) at the plan's top
+    level (beta, delta), for the system whose values on T(n-b, delta) x
+    GF(q)^b are the rows of values_at(delta, b)."""
+    beta, _, m = plan.levels[0]
+    if m == 0:  # empty product: the indicator is 1, its partial sums q^beta
+        return np.array([field.q ** beta % field.p])
+    beta_leaf, delta_leaf, _ = plan.levels[-1]
     base = values_at(delta_leaf, beta_leaf)
-    if len(levels) == 1:
-        zvals = _leaf_sums(field, base[None], slice(None), beta)[0]
-    else:
-        cols, cls = _distinct_columns(base)
-        combine = field.compile_matrix(cols.T)
+    if len(plan.levels) == 1:
+        return _leaf_sums(field, base[None], slice(None), beta)[0]
+    cols, cls = _distinct_columns(base)
+    combine = field.compile_matrix(cols.T)
 
-        def leaf(rho):
-            sums = combine(rho.reshape(-1, m)).reshape(*rho.shape[:2], -1)
-            return _leaf_sums(field, sums, cls, beta_leaf)
-        zvals = _vote(field, levels, 0, None, leaf, rng, t, n)
-    top = TrimmedPointSet(q, n - beta, levels[0][1], 0)
-    return TrimmedEvaluation(field, top, zvals)
+    def leaf(rho):
+        sums = combine(rho.reshape(-1, m)).reshape(*rho.shape[:2], -1)
+        return _leaf_sums(field, sums, cls, beta_leaf)
+    return _vote(field, plan, 0, None, leaf, rng)
 
 
 def _indicator_sum(field: FieldSpec, n: int, d: int, m: int, beta: int,
                    params: SolverParams, rng: RngStream, values_at) -> int:
     """Field sum over the whole grid of the indicator of the m-polynomial
-    degree-d system of _voted_sum; 0 without a recursion when m*d < n
-    (Chevalley-Warning).  Otherwise the top set T(n-beta, (n-beta)(q-1))
-    is the whole grid GF(q)^(n-beta), so the sum is the field sum of the
-    voted values."""
+    degree-d system of values_at (see _voted_sum): 0 without a recursion
+    when m*d < n (Chevalley-Warning), else the field sum of the voted
+    values, whose set T(n-beta, (n-beta)(q-1)) is the whole GF(q)^(n-beta)."""
     if m * d < n:
         return 0
-    return field.vsum(_voted_sum(field, n, d, m, beta, params, rng,
-                                 values_at).values)
+    return field.vsum(_voted_sum(field, _plan(field, n, d, m, beta, params),
+                                 rng, values_at))
 
 
 def partial_sum(system: PolySystem, beta: int, params: SolverParams,
                 rng: RngStream) -> Polynomial:
     """The partial-sum polynomial over the first n - beta variables;
     equals the exact one except with probability at most q^-n."""
-    n = system.n
+    field, n = system.field, system.n
     if not 0 <= beta <= n:
         raise InvalidParamsError(f"beta {beta} out of range 0..{n}")
-    return interpolate_trimmed(_voted_sum(
-        system.field, n, system.d, len(system.polys), beta, params, rng,
-        partial(evaluate_values, system.field, n, system.polys)))
+    plan = _plan(field, n, system.d, len(system.polys), beta, params)
+    top = TrimmedPointSet(field.q, n - beta, plan.levels[0][1], 0)
+    return interpolate_trimmed(TrimmedEvaluation(field, top, _voted_sum(
+        field, plan, rng, partial(evaluate_values, field, n, system.polys))))
 
 
 def full_sum(system: PolySystem, params: SolverParams, rng: RngStream) -> int:

@@ -302,10 +302,6 @@ class FieldSpec:
             return pow(a, e, self.p)
         return int(self._exp[(int(self._log[a]) * e) % (self.q - 1)])
 
-    def from_int(self, c: int) -> int:
-        """Embed the integer c as the field element c * 1."""
-        return c % self.p
-
     # -- vectorised arithmetic on int64 index arrays (or ints) ----------------
 
     def vadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -3,15 +3,15 @@
 Everything here evaluates polynomials over the full grid GF(q)^n with its
 own dense tensor code (scatter coefficients into a cube with one plane per
 exponent 0..top_a on each axis a, then apply the univariate value map
-x^e, built by columns, along every axis).  The univariate inverse is in
-closed form, from the power table; the trimmed one comes from a
-Gauss-Jordan routine, _solve, in elementwise field arithmetic.  No code is
-shared with the solver or the trimmed transform beyond field arithmetic,
-so these functions serve as independent witnesses in every equivalence
-test, the CNF reduction's included: its witness interpolates each
-polynomial's values on the whole grid with grid_interpolate.  plurality
-is the scalar witness for the solver's column-wise vote,
-core.streamed_plurality.
+x^e, built by columns up to the largest top_a, along every axis).  The
+univariate inverse is in closed form, from the whole power table; the
+trimmed one comes from a Gauss-Jordan routine, _solve, in elementwise
+field arithmetic.  No code is shared with the solver or the trimmed
+transform beyond field arithmetic, so these functions serve as
+independent witnesses in every equivalence test, the CNF reduction's
+included: its witness interpolates each polynomial's values on the whole
+grid with grid_interpolate.  plurality is the scalar witness for the
+solver's column-wise vote, core.streamed_plurality.
 """
 
 from __future__ import annotations
@@ -41,16 +41,15 @@ def _check_walk(planes: int, q: int, n: int) -> None:
                             f"{q}^{n} points pass {WALK_LIMIT} products")
 
 
-@cache
-def _pow_matrix(field: FieldSpec) -> np.ndarray:
-    """pw[x, e] = x^e, the univariate coefficient-to-values map."""
+def _pow_matrix(field: FieldSpec, width: int) -> np.ndarray:
+    """pw[x, e] = x^e for e < width: the first width columns of the
+    univariate coefficient-to-values map, all of it at width q."""
     q = field.q
-    check_entries(q * q, f"the power table of GF({q})")
+    check_entries(q * width, f"the power table of GF({q})")
     idx = np.arange(q, dtype=np.int64)
-    mat = np.ones((q, q), dtype=np.int64)
-    for e in range(1, q):
+    mat = np.ones((q, width), dtype=np.int64)
+    for e in range(1, width):
         mat[:, e] = field.vmul(mat[:, e - 1], idx)
-    mat.setflags(write=False)  # cached: shared by every caller
     return mat
 
 
@@ -81,9 +80,10 @@ def _pow_inverse(field: FieldSpec) -> np.ndarray:
     -sum_a f(a) a^(q-1-e) (with 0^0 = 1), since sum_a a^j is -1 for
     j = q-1 and 0 for 0 <= j < q-1."""
     q = field.q
+    pw = _pow_matrix(field, q)
     inv = np.zeros((q, q), dtype=np.int64)
     inv[0, 0] = 1
-    inv[1:] = field.vneg(_pow_matrix(field)[:, q - 2::-1].T)
+    inv[1:] = field.vneg(pw[:, q - 2::-1].T)
     inv.setflags(write=False)  # cached: shared by every caller
     return inv
 
@@ -112,7 +112,7 @@ def grid_evaluate(poly: Polynomial) -> np.ndarray:
     tops = exps.max(axis=0, initial=0)
     cube = np.zeros(tops + 1, dtype=np.int64)
     cube[tuple(exps.T)] = coeffs
-    pw = _pow_matrix(field)
+    pw = _pow_matrix(field, int(tops.max(initial=0)) + 1)
     for axis in range(poly.n):
         cube = _apply_axis_dense(field, cube, axis, pw[:, :tops[axis] + 1])
     return cube.reshape(-1)
@@ -156,7 +156,7 @@ def dense_interpolate(ev) -> Polynomial:
     # sum to at most delta, the trailing b are unconstrained), so the system
     # is square, and invertible because interpolation on T is unique
     pts = trimmed_points(ps.q, ps.n, ps.delta, ps.b)
-    pw = _pow_matrix(field)
+    pw = _pow_matrix(field, ps.q)
     a = np.ones((len(pts), len(pts)), dtype=np.int64)
     for var in range(ps.n):
         a = field.vmul(a, pw[pts[:, var][:, None], pts[:, var][None, :]])
@@ -212,7 +212,9 @@ def brute_partial_sum(system: PolySystem, beta: int) -> Polynomial:
     q, n = field.q, system.n
     if not 0 <= beta <= n:
         raise ValueError("need 0 <= beta <= n")
-    _check_walk((n - beta) * q, q, n - beta)  # grid_interpolate's, up front
+    # grid_interpolate's checks, up front
+    _check_walk((n - beta) * q, q, n - beta)
+    check_entries(q * q, f"the power table of GF({q})")
     ind = _indicator_values(system)
     rows = ind.reshape(q ** (n - beta), q ** beta)
     zvals = rows.sum(axis=1) % field.p

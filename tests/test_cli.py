@@ -361,9 +361,10 @@ class TestErrors:
         assert proc.stderr.startswith("error:")
         assert proc.stderr.count("\n") == 1
 
-    # X1 - 1 over the two largest supported orders: the q-by-q power table
-    # of count-roots and the transform frames of the solver commands are
-    # refused before they are allocated, inside a 1 GiB address space
+    # X1 - 1 over the two largest supported orders, inside a 1 GiB address
+    # space: count-roots builds only the powers x^0 and x^1 it reads and
+    # counts the one root, and the transform frames of the solver commands
+    # are refused before they are allocated
     @pytest.mark.parametrize("q", [65521, 65536])
     @pytest.mark.parametrize("command", ["count-roots", "full-sum", "solve",
                                          "partial-sum --beta 0"])
@@ -372,6 +373,10 @@ class TestErrors:
         pes.write_text(f"pes {q} 1 1\npoly 2\n1 1\n{q - 1} 0\n")
         sub, *flags = command.split()
         proc = _run_limited([sub, str(pes), *flags])
+        if sub == "count-roots":
+            assert (proc.returncode, proc.stdout, proc.stderr) == \
+                (0, "1\n", "")
+            return
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error:")
         assert proc.stderr.count("\n") == 1

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 from fractions import Fraction
 from functools import partial
 
@@ -13,8 +15,9 @@ from fqsolve import (Polynomial, PolySystem, RngStream, SolverParams,
                      field, full_sum, make_field, partial_sum, plurality,
                      solve_pes, valiant_vazirani, zdegree)
 from fqsolve.core import VOTE_CHUNK, streamed_plurality
-from fqsolve.transform import (evaluate_trimmed, evaluate_values,
-                               interpolate_trimmed)
+from fqsolve.mpoly import TrimmedPointSet
+from fqsolve.transform import (TrimmedEvaluation, evaluate_trimmed,
+                               evaluate_values, interpolate_trimmed)
 from fqsolve.errors import InvalidParamsError, TooLargeError
 from fqsolve.field import FieldSpec
 
@@ -618,6 +621,32 @@ class TestSizeChecks:
         with pytest.raises(TooLargeError):
             full_sum(system, _params(2), RngStream(2))
 
+    def test_solve_pes_checked_before_evaluation(self, monkeypatch):
+        # each isolation trial plans its recursion before solve_pes
+        # evaluates the system on the trial's leaf set: just under the
+        # largest array of the first trial that recurses, the call is
+        # refused before any value is computed
+        system = random_system(np.random.default_rng(21), 2, 6, 3, 2, 3, 7)
+        plans, plan = [], core._plan
+
+        def spied_plan(*args):
+            plans.append(plan(*args))
+            return plans[-1]
+
+        def no_evaluation(*args):
+            raise AssertionError("evaluated before the size check")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(core, "_plan", spied_plan)
+            solve_pes(system, _params(2, outer_reps=1))
+        (first,) = plans
+        assert len(first.levels) == 2
+        largest = max(entries for entries, _ in first.sizes.values())
+        monkeypatch.setattr(field, "ENTRY_LIMIT", largest - 1)
+        monkeypatch.setattr(core, "evaluate_values", no_evaluation)
+        with pytest.raises(TooLargeError):
+            solve_pes(system, _params(2))
+
     def test_digit_expansion_counted(self, monkeypatch):
         # (4,4,3,2) at the same parameters: a chunk's 64 repetitions on the
         # 256 points of T(3, 12) x GF(4) it re-evaluates through are
@@ -665,10 +694,10 @@ class TestSizeChecks:
         class FirstLeafVote(Exception):
             pass
 
-        def one_leaf_vote(field, levels, i, *args):
+        def one_leaf_vote(field, plan, i, *args):
             entered.add(i)
-            out = vote(field, levels, i, *args)
-            if i + 2 == len(levels):
+            out = vote(field, plan, i, *args)
+            if i + 2 == len(plan.levels):
                 raise FirstLeafVote
             return out
 
@@ -707,7 +736,7 @@ class TestSizeChecks:
 
 class TestSizeModel:
     # on the golden multi-level cases every array the recursion builds,
-    # whatever its dtype, stays within the count _array_sizes gives its
+    # whatever its dtype, stays within the count its plan gives its
     # kind and level, and the input rows and the leaf-level coefficients,
     # combinations and roots reach theirs
     @pytest.mark.parametrize("name", ["two-levels-q3-n7",
@@ -718,14 +747,13 @@ class TestSizeModel:
         shape, sys_seed, kw = SUM_CASES[name]
         system = _system(shape, sys_seed)
         models, seen = [], []
-        (array_sizes, evaluate, split, vote, leaf_sums,
-         compile_reevaluation) = (
-            core._array_sizes, core.evaluate_values, core._distinct_columns,
+        (plan, evaluate, split, vote, leaf_sums, compile_reevaluation) = (
+            core._plan, core.evaluate_values, core._distinct_columns,
             core._vote, core._leaf_sums, core.compile_reevaluation)
 
-        def spied_sizes(field, n, levels, t):
-            models.append((levels, array_sizes(field, n, levels, t)))
-            return models[-1][1]
+        def spied_plan(*args):
+            models.append(plan(*args))
+            return models[-1]
 
         def spied_evaluate(*args):
             out = evaluate(*args)
@@ -738,20 +766,20 @@ class TestSizeModel:
             seen.append(("rows", 0, cols.size))
             return cols, cls
 
-        def spied_vote(field, levels, i, coeffs, leaf, *args):
+        def spied_vote(field, plan, i, coeffs, leaf, *args):
             # one repetition of level i-1's composed coefficients, and a
             # chunk of those of the level next to the leaf
             if i > 1:
                 seen.append(("coefficients", i - 1, coeffs.size))
 
             def spied_leaf(rho):
-                seen.append(("coefficients", len(levels) - 2, rho.size))
+                seen.append(("coefficients", len(plan.levels) - 2, rho.size))
                 return leaf(rho)
-            return vote(field, levels, i, coeffs,
+            return vote(field, plan, i, coeffs,
                         spied_leaf if i == 0 else leaf, *args)
 
         def spied_leaf_sums(field, values, cls, b):
-            leaf_level = len(models[-1][0]) - 2
+            leaf_level = len(models[-1].levels) - 2
             # the combinations on the distinct columns, and their root
             # table gathered onto the leaf points
             seen.extend([("combinations", leaf_level, values.size),
@@ -759,7 +787,7 @@ class TestSizeModel:
             return leaf_sums(field, values, cls, b)
 
         def spied_compile(field, n_from, delta_from, delta_to, b):
-            levels = models[-1][0]
+            levels = models[-1].levels
             # the level whose child sits at beta = n - n_from
             i = next(i for i in range(len(levels) - 1)
                      if levels[i + 1][0] == system.n - n_from)
@@ -773,7 +801,7 @@ class TestSizeModel:
                 return out
             return spied_reevaluate
 
-        for name_, spy in [("_array_sizes", spied_sizes),
+        for name_, spy in [("_plan", spied_plan),
                            ("evaluate_values", spied_evaluate),
                            ("_distinct_columns", spied_split),
                            ("_vote", spied_vote),
@@ -783,7 +811,7 @@ class TestSizeModel:
         # m*d < n here, so full_sum would not recurse
         beta = math.floor(Fraction(kw["kappa"]) * system.n)
         partial_sum(system, beta, golden_params(kw), RngStream(kw["seed"]))
-        (levels, sizes), = models
+        ((_, _, levels, sizes),) = models
         largest = {}
         for kind, i, entries in seen:
             assert entries <= sizes[kind, i][0]
@@ -794,6 +822,31 @@ class TestSizeModel:
             assert largest[key] == sizes[key][0]
         assert {i for kind, i in largest if kind == "re-evaluation"} == set(
             range(len(levels) - 1))
+
+
+def test_one_plan_and_edge_type_site():
+    # the repetition count is read only where the recursion is planned,
+    # and only partial_sum wraps voted values in a TrimmedEvaluation: full
+    # sums and isolation trials sum plain value arrays
+    calls = {"TrimmedEvaluation": set(), "repetitions": set()}
+    tree = ast.parse(pathlib.Path(core.__file__).read_text())
+    for top in tree.body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            func = node.func if isinstance(node, ast.Call) else None
+            if isinstance(func, ast.Name) and func.id in calls:
+                calls[func.id].add(where)
+            elif isinstance(func, ast.Attribute) and func.attr in calls:
+                calls[func.attr].add(where)
+    assert calls == {"TrimmedEvaluation": {"partial_sum"},
+                     "repetitions": {"_plan"}}
+
+
+def _on_top_set(field, plan, values):
+    """The voted values of a plan as the TrimmedEvaluation of its top set."""
+    beta, delta, _ = plan.levels[0]
+    return TrimmedEvaluation(
+        field, TrimmedPointSet(field.q, plan.n - beta, delta, 0), values)
 
 
 def _grid_sum(ev):
@@ -821,21 +874,21 @@ class TestFoldPrecondition:
         indicator_sum, voted_sum = core._indicator_sum, core._voted_sum
         voted, recursed = [], []
 
-        def spied_voted_sum(*args):
-            voted.append(voted_sum(*args))
-            return voted[-1]
+        def spied_voted_sum(field, plan, *args):
+            voted.append((plan, voted_sum(field, plan, *args)))
+            return voted[-1][1]
 
-        def checked(field, n, d, m, beta, *rest):
+        def checked(field, n, d, m, beta, params, rng, values_at):
             voted.clear()
-            out = indicator_sum(field, n, d, m, beta, *rest)
+            out = indicator_sum(field, n, d, m, beta, params, rng, values_at)
             if m * d >= n:
-                (ev,) = voted
-                assert ev.point_set.n == n - beta
-                assert ev.point_set.size() == field.q ** (n - beta)
+                ((plan, values),) = voted
+                assert len(values) == field.q ** (n - beta)
             else:
                 assert voted == [] and out == 0
-                ev = voted_sum(field, n, d, m, beta, *rest)
-            assert out == _grid_sum(ev)
+                plan = core._plan(field, n, d, m, beta, params)
+                values = voted_sum(field, plan, rng, values_at)
+            assert out == _grid_sum(_on_top_set(field, plan, values))
             recursed.append(m * d >= n)
             return out
 
@@ -869,8 +922,9 @@ class TestChevalleyWarning:
     @staticmethod
     def _old_route(field, n, d, m, beta, params, rng, values_at):
         # the recursion and final grid sum that m*d < n now skips
-        return _grid_sum(core._voted_sum(field, n, d, m, beta, params, rng,
-                                         values_at))
+        plan = core._plan(field, n, d, m, beta, params)
+        return _grid_sum(_on_top_set(
+            field, plan, core._voted_sum(field, plan, rng, values_at)))
 
     @given(st.sampled_from([2, 3, 4]), st.integers(2, 5),
            st.integers(1, 3), st.integers(0, 2 ** 32 - 1))

@@ -88,11 +88,10 @@ def _grid():
 
 
 def _power_table():
-    # q^2 > 2^26 from q = 8193 on, and 8209 is the first prime power
-    f = make_field(8209)
-    system = PolySystem(f, 1, [_x1(8209, 1).add(
-        Polynomial.constant(f, 1, 8208))], 1)
-    return lambda: count_common_roots(system)
+    # q^2 > 2^26 from q = 8193 on, and 8209 is the first prime power;
+    # interpolation needs every power, evaluation only those it reads
+    values = np.broadcast_to(np.int64(0), (8209,))
+    return lambda: grid_interpolate(make_field(8209), values, 1)
 
 
 def _count_walk():
@@ -134,7 +133,7 @@ SITES = {
     "transform.evaluate_values": _rows,
     "mpoly.point_matrix": _points,
     "mpoly.check_key_width": _keys,
-    "core._check_sizes": _recursion,
+    "core._plan": _recursion,
     "oracle._indicator_values": _grid,
     "oracle._pow_matrix": _power_table,
     "oracle count walk": _count_walk,
@@ -156,6 +155,21 @@ def test_refused_before_allocation(site):
     finally:
         tracemalloc.stop()
     assert peak < PEAK, f"{site}: {peak} bytes before the refusal"
+
+
+def test_large_field_roots_counted_from_the_powers_read():
+    # X1 - 1 reads the powers x^0 and x^1 only, so GF(8209), whose whole
+    # power table is over the limit, counts its one root in small arrays
+    f = make_field(8209)
+    system = PolySystem(f, 1, [_x1(8209, 1).add(
+        Polynomial.constant(f, 1, 8208))], 1)
+    tracemalloc.start()
+    try:
+        assert count_common_roots(system).count == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < PEAK
 
 
 def test_entry_limit_named_only_in_field():

@@ -56,7 +56,7 @@ class TestModPSumLemma:
                     term = f.mul(term, f.pow(x, e))
                 acc = f.add(acc, term)
             if all(e == q - 1 for e in exps):
-                assert acc == f.pow(f.from_int(q - 1), n)
+                assert acc == f.pow((q - 1) % f.p, n)
             else:
                 assert acc == 0
 
@@ -72,7 +72,7 @@ class TestSymbolicCoefficient:
     def test_trailing_sum_identity(self, q, n, n2):
         rng = np.random.default_rng(q * 100 + n * 10 + n2)
         f = make_field(q)
-        mult = f.pow(f.from_int(q - 1), n2)
+        mult = f.pow((q - 1) % f.p, n2)
         for _ in range(20):
             p = random_polynomial(rng, q, n, n * (q - 1), max_terms=8)
             p1 = symbolic_coefficient(p, n2)

@@ -103,8 +103,11 @@ class TestDenseGridHelpers:
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 257])
     def test_pow_inverse_inverts_the_power_table(self, q):
         f = make_field(q)
-        product = f.matmul(_pow_inverse(f), _pow_matrix(f))
+        pw = _pow_matrix(f, q)
+        product = f.matmul(_pow_inverse(f), pw)
         assert (product == np.eye(q, dtype=np.int64)).all()
+        # a narrower table is the full one's first columns
+        assert (_pow_matrix(f, 2) == pw[:, :2]).all()
 
     @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 2), (9, 2)])
     def test_grid_evaluate_matches_pointwise(self, q, n):
