@@ -201,18 +201,19 @@ def _plan(field: FieldSpec, n: int, d: int, m: int, beta: int,
     of its arrays reaches, keyed by (kind, vote level), with a description;
     refuses, through check_entries, a recursion with too large an array.
 
-    Counted are the input rows on the leaf set and the one compiled map of
-    their C <= min(q^m, |leaf|) distinct columns (k^2 entries per row entry
-    over GF(p^k)); per vote level, its first RS pass's 32-bit draws (see
-    _rs_chunks), below the top a chunk's draws composed over the m inputs,
-    and a chunk's values on the set it re-evaluates through (the child's
-    set and the target); and next to the leaf a chunk's combinations on
-    the C columns and their root table on the leaf points.  Float products
-    (float32 or float64, see field.py) are k digits wide, so their counts
-    carry k.  Entries are counted whatever their type; a vote's cell buffer
-    lies within its re-evaluation count.  Not counted: rs_draw's
-    temporaries, three to four times the draws, a composition's m_i x m map
-    and _distinct_columns' point-length vectors."""
+    Counted are the input rows on the leaf set and, where a vote combines
+    them, the one compiled map of their C <= min(q^m, |leaf|) distinct
+    columns (k^2 entries per row entry over GF(p^k)); per vote level, its
+    first RS pass's 32-bit draws (see _rs_chunks), below the top a
+    chunk's draws composed over the m inputs, and a chunk's values on the
+    set it re-evaluates through (the child's set and the target); and
+    next to the leaf a chunk's combinations on the C columns and their
+    root table on the leaf points.  Float products (float32 or float64,
+    see field.py) are k digits wide, so their counts carry k.  Entries are
+    counted whatever their type; a vote's cell buffer lies within its
+    re-evaluation count.  Not counted: rs_draw's temporaries, three to
+    four times the draws, a composition's m_i x m map and
+    _distinct_columns' point-length vectors."""
     q, k = field.q, field.k
     step = math.ceil(params.resolve(n, d)[1] * n)
     t = params.repetitions(n, q)
@@ -253,6 +254,8 @@ def _plan(field: FieldSpec, n: int, d: int, m: int, beta: int,
     sizes = {("rows", 0): (m * leaf, f"{m} rows on {leaf} leaf points"),
              ("compiled", 0): (cols * m * k * k,
                                f"the map of {m} rows on {on_cols}"), **sizes}
+    if len(levels) == 1:  # the leaf sums its rows without a vote's map
+        del sizes["compiled", 0]
     for entries, what in sizes.values():
         check_entries(entries, f"{what} in the recursion")
     return _Plan(n, t, levels, sizes)

@@ -8,11 +8,13 @@ are random linear combinations of a system's polynomials (complete
 always, sound except with probability q^-mu per point) and random affine
 equations for solution isolation.
 
-A stream's generator is a `Philox` keyed by the first 128 bits of a
-sha256 of (seed, path), with its counter at zero.  A stream keeps the
-sha256 state of its (seed, path); a child continues a copy of it, and
-`RngStream.child_keys` derives the keys of many descendants from it
-without building a stream for each, so no key re-hashes the shared
+A stream is its key and holds no generator.  The key is the first 128
+bits of a sha256 of (seed, path), read as numpy's Philox key: two
+little-endian 64-bit words.  Every draw is a function of keys, made by
+a `Philox` keyed with them, counter at zero.  A stream keeps the sha256
+state of its (seed, path); a child continues a copy of it, and
+`RngStream.child_keys` derives the (N, 2) keys of many descendants from
+it without building a stream for each, so no key re-hashes the shared
 prefix.
 
 `rs_draw` draws the coefficients of many repetitions from their keys in
@@ -45,13 +47,9 @@ from .field import FieldSpec
 from .mpoly import Polynomial, PolySystem
 
 
-_WORD = (1 << 64) - 1
-
-
-def _keyed_generator(key: int) -> np.random.Generator:
-    """The generator of the stream whose key is `key`."""
-    return np.random.Generator(np.random.Philox(
-        key=np.array([key & _WORD, key >> 64], dtype=np.uint64)))
+def _keyed_generator(key: np.ndarray) -> np.random.Generator:
+    """The generator of the stream whose Philox key is `key`."""
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass
@@ -60,8 +58,6 @@ class RngStream:
 
     seed: int
     path: tuple[int, ...] = ()
-    _gen: np.random.Generator | None = dc_field(
-        default=None, repr=False, compare=False)
     # sha256 state after (tag, seed, path), built once and copied into
     # each child, so a child hashes only its own path entry
     _prefix: object | None = dc_field(
@@ -88,29 +84,19 @@ class RngStream:
             self._prefix = h
         return self._prefix
 
-    def _key(self) -> int:
-        return int.from_bytes(self._hashed().digest()[:16], "little")
+    def _key(self) -> np.ndarray:
+        return np.frombuffer(self._hashed().digest()[:16], dtype="<u8")
 
-    def child_keys(self, indices: Iterable[int]) -> list[int]:
-        """The keys of self.child(i) for each i in indices, without
-        building the children."""
+    def child_keys(self, indices: Iterable[int]) -> np.ndarray:
+        """The keys of self.child(i) for each i in indices, one row each,
+        without building the children."""
         prefix = self._hashed()
-        keys = []
+        digests = []
         for i in indices:
             h = prefix.copy()
             h.update(i.to_bytes(8, "little", signed=True))
-            keys.append(int.from_bytes(h.digest()[:16], "little"))
-        return keys
-
-    def generator(self) -> np.random.Generator:
-        if self._gen is None:
-            self._gen = _keyed_generator(self._key())
-        return self._gen
-
-    def integers(self, low: int, high: int, size=None) -> np.ndarray | int:
-        """Uniform integers in [low, high); draws advance this stream."""
-        out = self.generator().integers(low, high, size=size)
-        return out if size is not None else int(out)
+            digests.append(h.digest()[:16])
+        return np.frombuffer(b"".join(digests), dtype="<u8").reshape(-1, 2)
 
 
 # Philox4x64-10's multipliers and Weyl key increments, one row for each
@@ -134,11 +120,10 @@ def _mulhi(b: np.ndarray) -> np.ndarray:
     return _M_HI * b_hi + (t >> _32) + (w >> _32)
 
 
-def _philox_words(keys: list[int], blocks: int) -> np.ndarray:
-    """The first 8*blocks 32-bit draws of the Philox stream of each
-    128-bit key, one row per key, in the order numpy returns them."""
-    key = np.array([[k & _WORD for k in keys], [k >> 64 for k in keys]],
-                   dtype=np.uint64).reshape(2, -1, 1)
+def _philox_words(keys: np.ndarray, blocks: int) -> np.ndarray:
+    """The first 8*blocks 32-bit draws of the Philox stream of each key
+    row, one row per key, in the order numpy returns them."""
+    key = keys.T.reshape(2, -1, 1)
     # the counter words (c0, c2) and (c1, c3); block i has c0 = i + 1
     even = np.zeros((2, len(keys), blocks), dtype=np.uint64)
     even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
@@ -153,10 +138,10 @@ def _philox_words(keys: list[int], blocks: int) -> np.ndarray:
         len(keys), 8 * blocks)
 
 
-def rs_draw(q: int, mu: int, m: int, keys: list[int]) -> np.ndarray:
+def rs_draw(q: int, mu: int, m: int, keys: np.ndarray) -> np.ndarray:
     """The stacked (mu, m) coefficient matrices that razborov_smolensky
-    draws from the stream of each key, integers(0, q, size=(mu, m)), for
-    1 <= q <= 2^32.
+    draws from the stream of each key row, integers(0, q, size=(mu, m)),
+    for 1 <= q <= 2^32.
 
     The draws are numpy's, reproduced by one vectorised Philox over all
     keys (see the module docstring), so they rely on numpy keeping the
@@ -189,7 +174,7 @@ def razborov_smolensky(system: PolySystem, mu: int,
         raise ValueError("mu must be positive")
     f = system.field
     m = len(system.polys)
-    rho = rng.integers(0, f.q, size=(mu, m))
+    rho = _keyed_generator(rng._key()).integers(0, f.q, size=(mu, m))
     out = []
     for i in range(mu):
         acc = Polynomial.zero(f, system.n)
@@ -206,8 +191,9 @@ def vv_coefficients(q: int, n: int, rng: RngStream) -> np.ndarray:
     that valiant_vazirani draws from rng, ell uniform in {0..n}."""
     if n < 1:
         raise ValueError("n must be positive")
-    ell = rng.integers(0, n + 1)
-    return rng.integers(0, q, size=(ell, n + 1))
+    gen = _keyed_generator(rng._key())
+    ell = gen.integers(0, n + 1)
+    return gen.integers(0, q, size=(ell, n + 1))
 
 
 def valiant_vazirani(fieldspec: FieldSpec, n: int,

@@ -374,9 +374,10 @@ def evaluate_values(field: FieldSpec, n: int, polys: Sequence[Polynomial],
 
     Degrees above delta are allowed: the polynomials are then evaluated on
     the set of their own degree, which contains this one, and restricted.
-    Before allocating, `check_entries` refuses too many rows on that set.
+    Before allocating, `check_entries` refuses too many rows on that set,
+    counting the k float digits the transform holds per value.
     """
-    q = field.q
+    q, k = field.q, field.k
     if not 0 <= b <= n:
         raise ValueError("need 0 <= b <= n")
     if delta < 0:
@@ -385,10 +386,11 @@ def evaluate_values(field: FieldSpec, n: int, polys: Sequence[Polynomial],
     dwork = _effective_delta(
         q, n, max([delta] + [p.degree() for p in polys]), b)
     check_key_width(q, n)
-    check_entries(len(polys) * TrimmedPointSet(q, n, dwork, b).size(),
-                  f"{len(polys)} rows on T({n - b}, {dwork}) x GF({q})^{b}")
+    check_entries(len(polys) * TrimmedPointSet(q, n, dwork, b).size() * k,
+                  f"the {k}-digit rows of {len(polys)} polynomials on "
+                  f"T({n - b}, {dwork}) x GF({q})^{b}")
     pd = _point_data(q, n, dwork, b)
-    ftype, k = _float_type(field), field.k
+    ftype = _float_type(field)
     arr = np.zeros((len(polys), len(pd.keys) * k), dtype=ftype)
     for row, poly in zip(_elements(arr, k), polys):
         if poly.num_terms():
@@ -483,9 +485,12 @@ def _reevaluate_axes(field: FieldSpec, values: np.ndarray, n: int,
 
 def interpolate_trimmed(ev: TrimmedEvaluation) -> Polynomial:
     """The unique polynomial of total degree <= delta (per-variable degree
-    <= q-1) matching the evaluation vector on its point set."""
+    <= q-1) matching the evaluation vector on its point set.  Before
+    allocating, `check_entries` refuses too many k-digit values."""
     ps, field = ev.point_set, ev.field
     q, n = ps.q, ps.n
+    check_entries(len(ev.values) * field.k, f"the {field.k}-digit row of "
+                  f"{len(ev.values)} values over GF({q})")
     deff = _effective_delta(q, n, ps.delta, ps.b)
     pd = _point_data(q, n, deff, ps.b)
     rows = _Rows(field, pd, field.to_digits(ev.values, _float_type(field)))

@@ -580,13 +580,17 @@ class TestVoteDraws:
     @pytest.mark.parametrize("t", [1, 64, 65, 200])
     def test_whole_vote_draw_matches_fresh_streams(self, q, t, monkeypatch):
         from fqsolve import randomized
-        keyed, redrawn = randomized._keyed_generator, []
+        redrawn = []
         mu, m = 3, 5
         seeds = (0, 1003, 20369, 2 ** 64 - 1)
         got = {}
+
+        def keyed(words):
+            return np.random.Generator(np.random.Philox(key=words))
+
         with monkeypatch.context() as mp:
             mp.setattr(randomized, "_keyed_generator",
-                       lambda key: redrawn.append(key) or keyed(key))
+                       lambda words: redrawn.append(words) or keyed(words))
             for seed in seeds:
                 got[seed] = list(core._rs_chunks(q, mu, m,
                                                  RngStream(seed, (4,)), t))
@@ -595,8 +599,8 @@ class TestVoteDraws:
             assert list(starts) == list(range(0, t, VOTE_CHUNK))
             assert [len(c) for c in chunks] == [
                 len(range(s, t)[:VOTE_CHUNK]) for s in starts]
-            want = np.stack([RngStream(seed, (4, 2 * j)).integers(
-                0, q, size=(mu, m)) for j in range(t)])
+            want = np.stack([keyed(RngStream(seed, (4, 2 * j))._key())
+                             .integers(0, q, size=(mu, m)) for j in range(t)])
             drawn = np.concatenate(chunks)
             assert drawn.dtype == want.dtype and (drawn == want).all()
         assert len(redrawn) == (q == 65521) * ((t > 39) + (t > 170))
@@ -733,6 +737,20 @@ class TestSizeChecks:
         with pytest.raises(TooLargeError, match="the map of 7 rows"):
             run()
 
+    def test_digit_rows_refused_by_the_transform(self, monkeypatch):
+        # 40 quadratics over GF(4)^10 at kappa = lambda = 1/100 sum at one
+        # level on the whole grid: their 40 x 4^10 rows fit the plan, but
+        # the transform holds them as 2 float digits per value, 83,886,080
+        # entries, and refuses before allocating
+        system = random_system(np.random.default_rng(23), 4, 10, 40, 2)
+        prm = _params(0, kappa=Fraction(1, 100), lam=Fraction(1, 100))
+        plan = core._plan(system.field, 10, 2, 40, 0, prm)
+        assert len(plan.levels) == 1
+        assert plan.sizes["rows", 0][0] == 40 * 4 ** 10
+        with pytest.raises(TooLargeError,
+                           match="2-digit rows of 40 polynomials"):
+            full_sum(system, prm, RngStream(0))
+
 
 class TestSizeModel:
     # on the golden multi-level cases every array the recursion builds,
@@ -822,6 +840,30 @@ class TestSizeModel:
             assert largest[key] == sizes[key][0]
         assert {i for kind, i in largest if kind == "re-evaluation"} == set(
             range(len(levels) - 1))
+
+    # at n <= 3 the top level is the leaf, whose sums come from the input
+    # rows without a vote: no map of their columns is compiled and the
+    # plan counts none.  17 quadratics over GF(256)^2 were refused for
+    # that map's 65,536 x 17 x 8^2 entries, though the rows hold 17 x
+    # 65,536
+    @pytest.mark.parametrize("q, n, m", [(3, 3, 2), (256, 2, 17)])
+    def test_one_level_plan_counts_no_map(self, q, n, m, monkeypatch):
+        system = random_system(np.random.default_rng(q), q, n, m, 2)
+        plans, plan = [], core._plan
+
+        def spied_plan(*args):
+            plans.append(plan(*args))
+            return plans[-1]
+
+        def no_split(base):
+            raise AssertionError("the leaf's columns were split")
+
+        monkeypatch.setattr(core, "_plan", spied_plan)
+        monkeypatch.setattr(core, "_distinct_columns", no_split)
+        assert full_sum(system, _params(q), RngStream(q)) == brute_Z(system)
+        ((_, _, levels, sizes),) = plans
+        assert len(levels) == 1
+        assert list(sizes) == [("rows", 0)]
 
 
 def test_one_plan_and_edge_type_site():

@@ -20,10 +20,11 @@ from fqsolve import (Cnf, Polynomial, PolySystem, RngStream, SolverParams,
                      brute_partial_sum, count_common_roots, full_sum,
                      make_field, reduce_cnf)
 from fqsolve.errors import TooLargeError
-from fqsolve.mpoly import point_matrix
+from fqsolve.mpoly import TrimmedPointSet, point_matrix
 from fqsolve.oracle import grid_interpolate
 from fqsolve.reduction import make_plan
-from fqsolve.transform import evaluate_trimmed, evaluate_values
+from fqsolve.transform import (TrimmedEvaluation, evaluate_trimmed,
+                               evaluate_values, interpolate_trimmed)
 
 PEAK = 4 << 20
 
@@ -62,6 +63,20 @@ def _rows():
     f = make_field(2)
     polys = [_x1(2, 26)] * 2
     return lambda: evaluate_values(f, 26, polys, 26, 0)
+
+
+def _digit_rows():
+    # every value over GF(2048) is 11 float digits: one row on T(3, 330)
+    # fits, one on the 6,154,284 points of T(3, 331) does not
+    f = make_field(2048)
+    return lambda: evaluate_values(f, 3, [_x1(2048, 3)], 331, 0)
+
+
+def _digit_values():
+    # the same 11-digit row, as values to interpolate
+    ev = TrimmedEvaluation(make_field(2048), TrimmedPointSet(2048, 3, 331, 0),
+                           np.broadcast_to(np.int64(0), (6154284,)))
+    return lambda: interpolate_trimmed(ev)
 
 
 def _points():
@@ -131,6 +146,8 @@ SITES = {
     "field.check_matrix_size reduce limit": _matrix_reduce,
     "transform._matrices": _frames,
     "transform.evaluate_values": _rows,
+    "transform.evaluate_values digit rows": _digit_rows,
+    "transform.interpolate_trimmed digit rows": _digit_values,
     "mpoly.point_matrix": _points,
     "mpoly.check_key_width": _keys,
     "core._plan": _recursion,
@@ -169,6 +186,21 @@ def test_large_field_roots_counted_from_the_powers_read():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < PEAK
+
+
+def test_exact_sum_over_every_variable_needs_no_power_table():
+    # at beta = n the partial sum is a constant, which grid_interpolate
+    # returns without a table: over GF(8209), whose q^2 table is over the
+    # limit, X1 = 0 has one root
+    system = PolySystem(make_field(8209), 1, [_x1(8209, 1)], 1)
+    tracemalloc.start()
+    try:
+        z = brute_partial_sum(system, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert z == Polynomial.constant(make_field(8209), 0, 1)
     assert peak < PEAK
 
 

@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,92 +8,126 @@ import pytest
 from conftest import full_grid, random_system
 from fqsolve import (PolySystem, RngStream, count_common_roots, make_field,
                      razborov_smolensky, valiant_vazirani)
+from fqsolve import randomized
 from fqsolve.mpoly import point_matrix
-from fqsolve.randomized import rs_draw, vv_coefficients
+from fqsolve.randomized import _keyed_generator, rs_draw, vv_coefficients
+
+
+def _draws(stream, high, size=None):
+    return _keyed_generator(stream._key()).integers(0, high, size=size)
+
+
+def _spied_draw(monkeypatch, q, mu, m, keys):
+    """rs_draw's matrices and the keys it built a generator from."""
+    built, keyed = [], randomized._keyed_generator
+    with monkeypatch.context() as mp:
+        mp.setattr(randomized, "_keyed_generator",
+                   lambda key: built.append(key.tolist()) or keyed(key))
+        return rs_draw(q, mu, m, keys), built
+
+
+def _rejected_keys(q, keys, size):
+    """The keys whose first size 32-bit draws, low half of each 64-bit
+    Philox output first, hold one that Generator.integers(0, q) rejects."""
+    out = []
+    for key in keys:
+        raw = np.random.Philox(key=key).random_raw(-(-size // 2)).tolist()
+        draws = [w >> s & 0xFFFFFFFF for w in raw for s in (0, 32)][:size]
+        if any(u * q % 2 ** 32 < 2 ** 32 % q for u in draws):
+            out.append(key.tolist())
+    return out
 
 
 class TestRngStream:
     def test_same_path_same_draws(self):
-        a = RngStream(42, (1, 2)).integers(0, 100, size=16)
-        b = RngStream(42, (1, 2)).integers(0, 100, size=16)
+        a = _draws(RngStream(42, (1, 2)), 100, 16)
+        b = _draws(RngStream(42, (1, 2)), 100, 16)
         assert (a == b).all()
 
     def test_child_is_pure(self):
         a = RngStream(42).child(3).child(0)
         b = RngStream(42).child(3).child(0)
-        assert (a.integers(0, 7, size=8) == b.integers(0, 7, size=8)).all()
+        assert (_draws(a, 7, 8) == _draws(b, 7, 8)).all()
 
     def test_distinct_paths_decorrelate(self):
-        a = RngStream(42, (0,)).integers(0, 2 ** 30, size=32)
-        b = RngStream(42, (1,)).integers(0, 2 ** 30, size=32)
-        c = RngStream(43, (0,)).integers(0, 2 ** 30, size=32)
+        a = _draws(RngStream(42, (0,)), 2 ** 30, 32)
+        b = _draws(RngStream(42, (1,)), 2 ** 30, 32)
+        c = _draws(RngStream(43, (0,)), 2 ** 30, 32)
         assert (a != b).any() and (a != c).any()
 
     def test_keys_match_a_fresh_sha256(self):
         # children continue a copy of their parent's hash state; every
-        # key must still be the sha256 of (tag, seed, path) from scratch
+        # key must still be the sha256 of (tag, seed, path) from scratch,
+        # read as two little-endian 64-bit words
         def fresh_key(seed, path):
             data = b"fqsolve-stream" + seed.to_bytes(8, "little") + b"".join(
                 p.to_bytes(8, "little", signed=True) for p in path)
-            return int.from_bytes(hashlib.sha256(data).digest()[:16],
-                                  "little")
+            digest = hashlib.sha256(data).digest()
+            return [int.from_bytes(digest[:8], "little"),
+                    int.from_bytes(digest[8:16], "little")]
 
         for seed in (0, 42, 2 ** 64 - 1):
             root = RngStream(seed, (5,))
-            assert root._key() == fresh_key(seed, (5,))
+            assert root._key().dtype == np.dtype("<u8")
+            assert root._key().tolist() == fresh_key(seed, (5,))
             for i in (0, 1, 63, -2, 2 ** 62):
                 child = root.child(i)
-                assert child._key() == fresh_key(seed, (5, i))
+                assert child._key().tolist() == fresh_key(seed, (5, i))
                 for j in (0, 7):
-                    assert child.child(j)._key() == fresh_key(seed, (5, i, j))
+                    assert child.child(j)._key().tolist() == \
+                        fresh_key(seed, (5, i, j))
                 direct = RngStream(seed, (5, i, 3))
-                assert direct._key() == fresh_key(seed, (5, i, 3))
+                assert direct._key().tolist() == fresh_key(seed, (5, i, 3))
                 assert direct == child.child(3)
-            assert root._key() == fresh_key(seed, (5,))
+            assert root._key().tolist() == fresh_key(seed, (5,))
 
     def test_child_keys_match_the_children(self):
         for seed in (0, 2 ** 64 - 1):
             root = RngStream(seed, (5,))
             ix = [0, 1, 63, -2, 2 ** 62]
-            assert root.child_keys(ix) == [root.child(i)._key() for i in ix]
+            keys = root.child_keys(ix)
+            assert keys.shape == (len(ix), 2) and keys.dtype == np.dtype("<u8")
+            assert keys.tolist() == [root.child(i)._key().tolist() for i in ix]
 
     def test_seed_must_fit_64_bits(self):
         from fqsolve.errors import InvalidParamsError
         for bad in (-1, 2 ** 64):
             with pytest.raises(InvalidParamsError):
                 RngStream(bad)
-        assert 0 <= RngStream(2 ** 64 - 1).child(3).integers(0, 5) < 5
+        assert 0 <= _draws(RngStream(2 ** 64 - 1).child(3), 5) < 5
 
     # (3, 5): fifteen draws run past the four words of one Philox block,
     # which also hold eight 32-bit draws for orders up to 2^32
     @pytest.mark.parametrize("q", [2, 3, 4, 256, 65521, 65536])
-    def test_chunk_draw_matches_fresh_streams(self, q):
+    def test_chunk_draw_matches_fresh_streams(self, q, monkeypatch):
         for seed in (0, 7, 2 ** 63, 2 ** 64 - 1):
             rngs = [RngStream(seed, (3, j)) for j in range(6)]
+            keys = np.stack([r._key() for r in rngs])
             for mu, m in ((1, 1), (3, 5)):
-                want = np.stack([RngStream(seed, r.path).integers(
-                    0, q, size=(mu, m)) for r in rngs])
-                got = rs_draw(q, mu, m, [r._key() for r in rngs])
+                want = np.stack([_draws(RngStream(seed, r.path), q, (mu, m))
+                                 for r in rngs])
+                got, built = _spied_draw(monkeypatch, q, mu, m, keys)
                 assert got.dtype == want.dtype and (got == want).all()
-        # drawing from their keys leaves the streams where they were
-        assert all(r._gen is None for r in rngs)
+                # a generator is built only for the rows drawn again
+                assert built == _rejected_keys(q, keys, mu * m)
 
     # at q = 2^31 + 1 about half of all 32-bit draws are rejected and
     # drawn again, at q = 2^32 - 1 one in 2^32; field orders are far rarer
     @pytest.mark.parametrize("q", [2 ** 31 + 1, 2 ** 32 - 1, 2 ** 32])
-    def test_chunk_draw_redraws_rejected_rows(self, q):
+    def test_chunk_draw_redraws_rejected_rows(self, q, monkeypatch):
         for seed in (0, 5, 2 ** 64 - 1):
             rngs = [RngStream(seed, (j,)) for j in range(40)]
+            keys = np.stack([r._key() for r in rngs])
             for mu, m in ((1, 1), (2, 3), (4, 5)):
-                want = np.stack([RngStream(seed, r.path).integers(
-                    0, q, size=(mu, m)) for r in rngs])
-                got = rs_draw(q, mu, m, [r._key() for r in rngs])
+                want = np.stack([_draws(RngStream(seed, r.path), q, (mu, m))
+                                 for r in rngs])
+                got, built = _spied_draw(monkeypatch, q, mu, m, keys)
                 assert got.dtype == want.dtype and (got == want).all()
-            assert all(r._gen is None for r in rngs)
+                assert built == _rejected_keys(q, keys, mu * m)
 
     def test_chunk_draw_refuses_orders_beyond_32_bits(self):
         with pytest.raises(ValueError):
-            rs_draw(2 ** 32 + 1, 1, 1, [RngStream(0)._key()])
+            rs_draw(2 ** 32 + 1, 1, 1, RngStream(0)._key()[None])
 
 
 class TestRazborovSmolensky:
@@ -187,8 +223,9 @@ class TestValiantVazirani:
             for row, poly in zip(values, polys):
                 assert row.tolist() == [poly.evaluate(x)
                                         for x in pts.tolist()]
-            assert rows_rng.integers(0, 1 << 30) == \
-                polys_rng.integers(0, 1 << 30)
+            assert _draws(rows_rng, 1 << 30) == _draws(polys_rng, 1 << 30)
+            # drawing leaves the stream where it was
+            assert (vv_coefficients(q, n, rows_rng) == coeffs).all()
 
     def test_unsat_stays_unsat(self):
         from fqsolve import Polynomial, PolySystem
@@ -224,3 +261,28 @@ class TestValiantVazirani:
                 isolated += count_common_roots(aug).count == 1
         # measured rate is far above this floor; the contract is Omega(1/n)
         assert isolated / trials >= 0.05
+
+
+def test_streams_draw_only_through_keyed_generators():
+    # a stream is its key: numpy generators and Philox bit generators are
+    # built in one place, from key words, and RngStream holds no way to
+    # draw of its own
+    building = set()
+    for path in pathlib.Path(randomized.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                func = node.func if isinstance(node, ast.Call) else None
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name in ("Generator", "Philox"):
+                    building.add((path.name, getattr(top, "name", None),
+                                  ast.unparse(func)))
+    assert building == {
+        ("randomized.py", "_keyed_generator", "np.random.Generator"),
+        ("randomized.py", "_keyed_generator", "np.random.Philox")}
+    (stream,) = [node for node in ast.parse(pathlib.Path(
+        randomized.__file__).read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name == "RngStream"]
+    members = {getattr(node, "name", None) for node in stream.body} | {
+        node.target.id for node in stream.body
+        if isinstance(node, ast.AnnAssign)}
+    assert not members & {"integers", "generator", "_gen"}
